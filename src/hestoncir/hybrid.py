@@ -137,8 +137,12 @@ def hybrid_price_integrand(l, opt: VanillaOption, p: HestonParams,
     x_e = math.log(k / s0)
 
     spot_core, strike_core = _core_exponents(l, T, p)
-    rate_spot, rate_strike = _rate_cores(l, T, rp)
-    log_bond = _rate_cores(0.0, T, rp)[1]
+    # one rate-core evaluation serves the nodes and, at an appended
+    # l = 0, the log bond price
+    rate_spot, rate_strike = _rate_cores(np.append(l, 0.0), T, rp)
+    log_bond = rate_strike[-1]
+    rate_spot = rate_spot[:-1].reshape(l.shape)
+    rate_strike = rate_strike[:-1].reshape(l.shape)
 
     phase = 1j * l * x_e
     spot_term = s0 * np.exp(phase + spot_core + rate_spot)

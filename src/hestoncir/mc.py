@@ -181,17 +181,44 @@ def _euler_blocks(p: HestonParams, mu, T, mc: McConfig):
         gen = RngStream(mc.seed, block).generator
         x = np.zeros(n)
         v = np.full(n, p.v0)
+        # The step works in buffers allocated once per block: fresh
+        # block-sized temporaries on every step cost page faults whenever
+        # the allocator hands their memory back to the system.  Each
+        # update keeps the operation order of the plain expression in
+        # its comment, so the paths are bit-identical to it.
+        z = np.empty((2, n))
+        zb = np.empty((2, n // 2))
+        vp, sq, dx, dv, tmp = (np.empty(n) for _ in range(5))
         for _ in range(mc.steps):
             if mc.antithetic:
-                zb = gen.standard_normal((2, n // 2))
-                z = np.concatenate([zb, -zb], axis=1)
+                # z = concatenate([zb, -zb], axis=1)
+                gen.standard_normal(out=zb)
+                z[:, :n // 2] = zb
+                np.negative(zb, out=z[:, n // 2:])
             else:
-                z = gen.standard_normal((2, n))
-            vp = np.maximum(v, 0.0)
-            sq = np.sqrt(vp) * sqdt
-            x += (mu - 0.5 * vp) * dt + sq * z[0]
-            v += p.kappa * (p.theta - vp) * dt \
-                + p.sigma * sq * (p.rho * z[0] + rho_c * z[1])
+                gen.standard_normal(out=z)
+            np.maximum(v, 0.0, out=vp)
+            np.sqrt(vp, out=sq)
+            sq *= sqdt
+            # x += (mu - 0.5 * vp) * dt + sq * z[0]
+            np.multiply(vp, 0.5, out=dx)
+            np.subtract(mu, dx, out=dx)
+            dx *= dt
+            np.multiply(sq, z[0], out=tmp)
+            dx += tmp
+            x += dx
+            # v += kappa * (theta - vp) * dt
+            #      + sigma * sq * (rho * z[0] + rho_c * z[1])
+            np.subtract(p.theta, vp, out=dv)
+            dv *= p.kappa
+            dv *= dt
+            np.multiply(z[0], p.rho, out=dx)
+            np.multiply(z[1], rho_c, out=tmp)
+            dx += tmp
+            np.multiply(sq, p.sigma, out=tmp)
+            tmp *= dx
+            dv += tmp
+            v += dv
         yield x
         start += n
         block += 1

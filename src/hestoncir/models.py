@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.stats import norm
-
 __all__ = [
     "HestonParams",
     "CirRateParams",
@@ -129,6 +127,11 @@ def feller_check(p) -> FellerReport:
     return FellerReport(satisfied=lhs >= rhs, lhs=lhs, rhs=rhs)
 
 
+def _norm_cdf(x: float) -> float:
+    """Standard normal distribution function."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def bs_price(opt: VanillaOption, r: float, vol: float) -> float:
     """Black-Scholes price of a European vanilla option.
 
@@ -144,7 +147,7 @@ def bs_price(opt: VanillaOption, r: float, vol: float) -> float:
         sd = vol * math.sqrt(t)
         d1 = (math.log(s0 / k) + (r + 0.5 * vol * vol) * t) / sd
         d2 = d1 - sd
-        call = s0 * norm.cdf(d1) - k * disc * norm.cdf(d2)
+        call = s0 * _norm_cdf(d1) - k * disc * _norm_cdf(d2)
     if opt.kind == "call":
         return call
     return call - s0 + k * disc

@@ -153,6 +153,33 @@ class TestHestonEulerMc:
         b = simulate_heston_terminal(fig1_heston, 0.03, 1.0, mc)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_terminal_logreturns_match_plain_step_loop(self, antithetic):
+        # The sampler steps in reused buffers; this loop allocates its
+        # temporaries as plain expressions, with the same operation
+        # order, so the samples must agree bit for bit.  sigma violates
+        # Feller, so the truncation at v = 0 is exercised.
+        p = HestonParams(mu=0.03, kappa=1.5, theta=0.04, sigma=0.9,
+                         rho=-0.7, v0=0.04)
+        mc = McConfig(paths=3_001, steps=40, seed=21, antithetic=antithetic)
+        T, dt = 2.0, 2.0 / 40
+        n = 3_000 if antithetic else 3_001
+        gen = RngStream(21, 0).generator
+        x, v = np.zeros(n), np.full(n, p.v0)
+        rho_c = math.sqrt(1.0 - p.rho * p.rho)
+        for _ in range(mc.steps):
+            if antithetic:
+                zb = gen.standard_normal((2, n // 2))
+                z = np.concatenate([zb, -zb], axis=1)
+            else:
+                z = gen.standard_normal((2, n))
+            vp = np.maximum(v, 0.0)
+            sq = np.sqrt(vp) * math.sqrt(dt)
+            x += (p.mu - 0.5 * vp) * dt + sq * z[0]
+            v += p.kappa * (p.theta - vp) * dt \
+                + p.sigma * sq * (p.rho * z[0] + rho_c * z[1])
+        assert np.array_equal(simulate_heston_terminal(p, p.mu, T, mc), x)
+
     def test_martingale_property(self, fig1_heston):
         # E[S_T / S0] = exp(mu T) under the simulated dynamics
         mc = McConfig(paths=400_000, steps=100, seed=14)

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from hestoncir import (
     CirRateParams,
@@ -125,6 +130,31 @@ class TestBlackScholes:
                   for v in vols]
         assert all(a < b for a, b in zip(by_vol, by_vol[1:]))
 
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    @pytest.mark.parametrize("k", [70.0, 90.0, 100.0, 115.0, 140.0])
+    @pytest.mark.parametrize("vol", [0.1, 0.2, 0.6])
+    def test_matches_scipy_normal_cdf(self, kind, k, vol):
+        r, t = 0.03, 1.0
+        sd = vol * math.sqrt(t)
+        d1 = (math.log(100.0 / k) + (r + 0.5 * vol * vol) * t) / sd
+        disc = math.exp(-r * t)
+        call = 100.0 * norm.cdf(d1) - k * disc * norm.cdf(d1 - sd)
+        ref = call if kind == "call" else call - 100.0 + k * disc
+        price = bs_price(VanillaOption(100.0, k, t, kind), r, vol)
+        assert price == pytest.approx(ref, rel=1e-13, abs=0.0)
+
     def test_negative_vol_rejected(self):
         with pytest.raises(ValueError):
             bs_price(VanillaOption(100.0, 100.0, 1.0), 0.03, -0.1)
+
+
+def test_import_does_not_load_scipy():
+    # bs_price needs only the normal cdf; scipy would add about a second
+    # to every cold start
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, hestoncir; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60, env=env)
+    assert out.stdout.strip() == "False"

@@ -61,6 +61,45 @@ class TestIntegrateRealLine:
         res = integrate_real_line(f, QuadratureConfig())
         assert abs(res.value.real) <= 10.0 * res.error_estimate + 1e-12
 
+    @pytest.mark.parametrize("max_evals", [20, 60])
+    def test_budget_stops_a_lorentzian_short(self, max_evals):
+        # 60 evaluations pay for four start panels and no refinement; 20
+        # cannot pay for the two halves of the window
+        res = integrate_real_line(lambda l: 1.0 / (1.0 + l * l),
+                                  QuadratureConfig(max_evals=max_evals))
+        assert res.evaluations <= max_evals
+        assert res.converged is False
+
+    def test_noise_never_converges_within_budget_and_call_cap(self):
+        # The sign noise keeps every panel's error estimate near
+        # 1e-6 * width, so refinement runs until the default budget is
+        # spent; no integrand call may exceed 128 bisected panels.
+        sizes = []
+
+        def f(l):
+            sizes.append(l.size)
+            return np.exp(-l * l) + 1e-6 * np.sign(np.sin(1e6 * l))
+
+        res = integrate_real_line(f, QuadratureConfig())
+        assert res.converged is False
+        assert res.evaluations <= 500_000
+        assert res.evaluations == sum(sizes)
+        assert max(sizes) <= 3840
+
+    def test_price_refines_in_few_integrand_calls(self, fig1_heston,
+                                                  atm_option):
+        # Refinement is batched: a bisection round is one integrand call.
+        # Bisecting the worst panel alone took about 30 calls here.
+        sizes = []
+
+        def f(l):
+            sizes.append(l.size)
+            return price_integrand(l, atm_option, fig1_heston, 0.03)
+
+        res = integrate_real_line(f, QuadratureConfig())
+        assert res.converged
+        assert len(sizes) <= 12
+
     def test_nonfinite_integrand_raises(self):
         from hestoncir import QuadratureError
         with pytest.raises(QuadratureError):
