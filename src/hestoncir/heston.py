@@ -7,15 +7,23 @@ exp(-w) factors: with the principal square root the argument w has
 nonnegative real part, so nothing overflows at long maturity or large
 |l|, and the complex logarithm stays on its principal branch without
 manual rotation-counting.
+
+The exponent cores depend on the parameters and the maturity but not on
+the strike or the rate, which enter only through phases.  Quotes on one
+(params, T) therefore share their cores through a bounded memo: the
+pricer admits the kernel key once per quote, the key gets a table of
+cores at its second quote, and the integrand computes only the nodes
+the table lacks.  Parameter sets priced once store nothing.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
-
-from dataclasses import replace
 
 from .models import HestonParams, VanillaOption, risk_neutral_map
 from .numerics import QuadratureConfig, QuadratureError, integrate_interval, \
@@ -178,6 +186,131 @@ def _core_exponents(l, T, p: HestonParams):
     return spot_core, strike_core
 
 
+# Bounds of the exponent-core memo: the kernel keys it remembers (seen
+# once or holding a table) and the nodes all its tables hold together.
+# A node costs 40 bytes (l and two complex cores), so the tables stay
+# within about 1 MB; a table that meets the budget still serves hits.
+_MEMO_KEYS = 64
+_MEMO_NODES = 25_000
+
+
+class _CoreMemo:
+    """Bounded memo of a kernel's two exponent cores, one table per key.
+
+    A key holds every value the core function reads (parameters and T).
+    A table is (sorted nodes, 2 x n cores); a lookup is a searchsorted
+    with an equality test, and the misses are computed by the core
+    function and merged into a new table that replaces the old one
+    whole, so a reader never sees a table change.  A hit returns the
+    values the core function computed for that node.  Past ``max_keys``
+    remembered keys the least recently admitted one is forgotten.
+    """
+
+    def __init__(self):
+        self.max_keys = _MEMO_KEYS
+        self.max_nodes = _MEMO_NODES
+        self._entries = OrderedDict()   # key -> None (seen once) or table
+        self._nodes = 0
+        self._lock = threading.Lock()
+
+    def clear(self):
+        with self._lock:
+            self._entries.clear()
+            self._nodes = 0
+
+    @property
+    def tables(self):
+        """Keys holding a table, least recently admitted first."""
+        return [k for k, t in list(self._entries.items()) if t is not None]
+
+    @property
+    def nodes(self):
+        return self._nodes
+
+    @property
+    def nbytes(self):
+        """Bytes held by the tables' arrays."""
+        return sum(t[0].nbytes + t[1].nbytes
+                   for t in list(self._entries.values()) if t is not None)
+
+    def admit(self, key):
+        """Count one quote on ``key``; its second quote gets a table."""
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = None
+                if len(self._entries) > self.max_keys:
+                    _, old = self._entries.popitem(last=False)
+                    if old is not None:
+                        self._nodes -= old[0].size
+                return
+            self._entries.move_to_end(key)
+            if self._entries[key] is None:
+                self._entries[key] = (np.empty(0), np.empty((2, 0), complex))
+
+    def cores(self, key, l, fn, *args):
+        """``fn(l, *args)``, a pair of core arrays, through key's table."""
+        table = self._entries.get(key)
+        if table is None:
+            return fn(l, *args)
+        l = np.asarray(l, dtype=float)
+        flat = l.reshape(-1)
+        nodes, vals = table
+        idx, miss = _locate(nodes, flat)
+        if not miss.any():
+            out = vals[:, idx]
+        elif miss.all():
+            out = self._fill(key, flat, fn(flat, *args))
+        else:
+            out = vals[:, idx]
+            new = flat[miss]
+            out[:, miss] = self._fill(key, new, fn(new, *args))
+        return out[0].reshape(l.shape), out[1].reshape(l.shape)
+
+    def _fill(self, key, new, got):
+        """Merge the cores ``got`` at nodes ``new`` into key's table.
+
+        Returns ``got`` as one 2 x n array.  Nodes another thread stored
+        since the lookup are skipped; a table that would pass the node
+        budget is left as it is.
+        """
+        got = np.array(got)
+        new, first = np.unique(new, return_index=True)
+        with self._lock:
+            table = self._entries.get(key)
+            if table is None:       # evicted since the lookup
+                return got
+            nodes, vals = table
+            _, fresh = _locate(nodes, new)
+            new, first = new[fresh], first[fresh]
+            if not new.size or self._nodes + new.size > self.max_nodes:
+                return got
+            pos = nodes.searchsorted(new)
+            self._entries[key] = (np.insert(nodes, pos, new),
+                                  np.insert(vals, pos, got[:, first], axis=1))
+            self._nodes += new.size
+        return got
+
+
+def _locate(nodes, x):
+    """Index of each x in the sorted ``nodes`` and a mask of those absent.
+
+    An absent x gets some index in range, or 0 when ``nodes`` is empty.
+    """
+    if not nodes.size:
+        return np.zeros(x.shape, dtype=np.intp), np.ones(x.shape, dtype=bool)
+    idx = nodes.searchsorted(x)
+    np.minimum(idx, nodes.size - 1, out=idx)
+    return idx, nodes[idx] != x
+
+
+_MEMO = _CoreMemo()
+
+
+def _heston_key(p: HestonParams, T):
+    """The fields :func:`_core_exponents` reads, plus T (mu is unused)."""
+    return (p.kappa, p.theta, p.sigma, p.rho, p.v0, p.lam, T)
+
+
 def price_integrand(l, opt: VanillaOption, p: HestonParams, r: float):
     """The braced l-integrand of the single-integral call price.
 
@@ -190,7 +323,8 @@ def price_integrand(l, opt: VanillaOption, p: HestonParams, r: float):
     x_e = math.log(k / s0)
     disc = math.exp(-r * T)
 
-    spot_core, strike_core = _core_exponents(l, T, p)
+    spot_core, strike_core = _MEMO.cores(_heston_key(p, T), l,
+                                         _core_exponents, T, p)
     phase = 1j * l * (x_e - r * T)
     spot_term = s0 * np.exp(phase + spot_core)
     strike_term = k * np.exp(phase + strike_core - r * T)
@@ -224,6 +358,7 @@ def heston_price_with_diagnostics(opt: VanillaOption, p: HestonParams,
     s0, k, T = opt.s0, opt.strike, opt.maturity
     disc = math.exp(-r * T)
 
+    _MEMO.admit(_heston_key(p, T))
     res = integrate_real_line(lambda l: price_integrand(l, opt, p, r), cfg)
     _check_result(res, "price")
     price_c = 0.5 * (s0 - k * disc) + 1j * res.value / _TWO_PI

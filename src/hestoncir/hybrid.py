@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heston import PricingError, _core_exponents, _core_half, \
-    _stable_nsh, heston_price_with_diagnostics
+from .heston import _MEMO, PricingError, _core_exponents, _core_half, \
+    _heston_key, _stable_nsh, heston_price_with_diagnostics
 from .models import CirRateParams, HestonParams, VanillaOption
 from .numerics import QuadratureConfig, integrate_real_line
 
@@ -87,7 +87,8 @@ def cir_bond_price(rp: CirRateParams, T: float) -> float:
     if rp.sigma_r <= 0:
         raise ValueError("cir_bond_price requires sigma_r > 0; use "
                          "exp(-T * deterministic_average_rate(rp, T))")
-    log_bond = _rate_cores(0.0, T, rp)[1]
+    # every hybrid integrand call stores l = 0 in the rate-core memo
+    log_bond = _MEMO.cores((rp, T), 0.0, _rate_cores, T, rp)[1]
     return float(np.exp(np.real(log_bond)))
 
 
@@ -136,10 +137,12 @@ def hybrid_price_integrand(l, opt: VanillaOption, p: HestonParams,
     s0, k, T = opt.s0, opt.strike, opt.maturity
     x_e = math.log(k / s0)
 
-    spot_core, strike_core = _core_exponents(l, T, p)
-    # one rate-core evaluation serves the nodes and, at an appended
-    # l = 0, the log bond price
-    rate_spot, rate_strike = _rate_cores(np.append(l, 0.0), T, rp)
+    spot_core, strike_core = _MEMO.cores(_heston_key(p, T), l,
+                                         _core_exponents, T, p)
+    # one rate-core lookup serves the nodes and, at an appended l = 0,
+    # the log bond price
+    rate_spot, rate_strike = _MEMO.cores((rp, T), np.append(l, 0.0),
+                                         _rate_cores, T, rp)
     log_bond = rate_strike[-1]
     rate_spot = rate_spot[:-1].reshape(l.shape)
     rate_strike = rate_strike[:-1].reshape(l.shape)
@@ -177,6 +180,8 @@ def hybrid_price_with_diagnostics(opt: VanillaOption, p: HestonParams,
         rbar = deterministic_average_rate(rp, T)
         return heston_price_with_diagnostics(opt, p, rbar, cfg)
 
+    _MEMO.admit(_heston_key(p, T))
+    _MEMO.admit((rp, T))
     bond = cir_bond_price(rp, T)
     res = integrate_real_line(
         lambda l: hybrid_price_integrand(l, opt, p, rp), cfg)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "HestonParams",
@@ -14,6 +14,17 @@ __all__ = [
     "feller_check",
     "bs_price",
 ]
+
+
+def _require_finite(record, names=None):
+    """Raise ValueError naming the first of ``names`` that is NaN or inf.
+
+    ``names`` defaults to every field of the dataclass ``record``.
+    """
+    for name in names or [f.name for f in fields(record)]:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
 
 
 @dataclass(frozen=True)
@@ -34,6 +45,7 @@ class HestonParams:
     lam: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
         if not self.theta > 0:
@@ -61,6 +73,7 @@ class CirRateParams:
     r0: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.kappa_r > 0:
             raise ValueError("kappa_r must be positive")
         if not self.theta_r > 0:
@@ -79,6 +92,7 @@ class VanillaOption:
     kind: str = "call"
 
     def __post_init__(self):
+        _require_finite(self, ("s0", "strike", "maturity"))
         if not self.s0 > 0:
             raise ValueError("s0 must be positive")
         if not self.strike > 0:

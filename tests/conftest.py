@@ -23,3 +23,12 @@ def fig2_rate():
 @pytest.fixture
 def atm_option():
     return VanillaOption(s0=100.0, strike=100.0, maturity=1.0)
+
+
+@pytest.fixture
+def core_memo():
+    """The exponent-core memo, emptied before and after the test."""
+    from hestoncir.heston import _MEMO
+    _MEMO.clear()
+    yield _MEMO
+    _MEMO.clear()

@@ -77,6 +77,13 @@ class TestExitCodes:
         path = write_config(tmp_path, {"heston": {"theta": -0.04}})
         assert main(["price", "--config", path]) == 2
 
+    def test_nan_parameter_exits_2(self, tmp_path, capsys):
+        # Python's json reads NaN; the parameter check must reject it
+        # before any pricing is attempted
+        path = write_config(tmp_path, {"heston": {"v0": math.nan}})
+        assert main(["price", "--config", path]) == 2
+        assert "v0 must be finite" in capsys.readouterr().err
+
     def test_missing_rate_exits_2(self, tmp_path):
         cfg = json.loads(json.dumps(FIG1))
         del cfg["rate"]

@@ -1,11 +1,13 @@
 import cmath
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hestoncir import heston
 from hestoncir import (
     HestonParams,
     QuadratureConfig,
@@ -183,6 +185,73 @@ class TestHestonCallPrice:
         assert res.converged
         assert res.error_estimate < 1e-7
         assert price == heston_call_price(atm_option, fig1_heston, 0.03)
+
+    @pytest.mark.parametrize("strike, r", [(100.0, 0.03), (73.0, 0.01)])
+    def test_memo_is_transparent(self, fig1_heston, core_memo, monkeypatch,
+                                 strike, r):
+        # a quote priced from a warm table takes the cold quote's path:
+        # same price, value, error and evaluations, bit for bit
+        opt = VanillaOption(100.0, strike, 1.0)
+        cold_price, cold = heston_price_with_diagnostics(opt, fig1_heston, r)
+        for k, rate in [(80.0, 0.02), (100.0, 0.05), (125.0, 0.03)]:
+            heston_call_price(VanillaOption(100.0, k, 1.0, "put"),
+                              fig1_heston, rate)
+        assert core_memo.nodes > 0
+        computed = []
+        core = heston._core_exponents
+
+        def counting(l, T, p):
+            computed.append(np.size(l))
+            return core(l, T, p)
+
+        monkeypatch.setattr(heston, "_core_exponents", counting)
+        price, res = heston_price_with_diagnostics(opt, fig1_heston, r)
+        assert sum(computed) < res.evaluations   # the table served hits
+        assert price == cold_price
+        assert (res.value, res.error_estimate, res.evaluations) == \
+            (cold.value, cold.error_estimate, cold.evaluations)
+
+
+class TestCoreMemo:
+    def test_one_off_parameter_sets_store_nothing(self, core_memo,
+                                                  atm_option):
+        for i in range(40):
+            p = HestonParams(mu=0.03, kappa=0.5 + 0.05 * i, theta=0.04,
+                             sigma=0.3, rho=-0.6, v0=0.04)
+            heston_call_price(atm_option, p, 0.03)
+        assert core_memo.tables == []
+        assert core_memo.nodes == 0
+
+    def test_node_budget_holds_over_many_keys(self, core_memo, fig1_heston,
+                                              monkeypatch):
+        assert 40 * heston._MEMO_NODES <= 2 ** 20   # about 1 MB of tables
+        # a budget these quotes fill, so full tables are exercised
+        monkeypatch.setattr(core_memo, "max_nodes", 3000)
+        quotes = [(VanillaOption(100.0, k, 0.02 + 0.01 * i), fig1_heston)
+                  for i in range(100) for k in (80.0, 125.0)]
+        prices = [heston_call_price(opt, p, 0.03) for opt, p in quotes]
+        assert 0 < len(core_memo.tables) <= heston._MEMO_KEYS
+        assert 2000 < core_memo.nodes <= 3000
+        assert core_memo.nbytes == 40 * core_memo.nodes
+        # full tables keep serving hits with the values they hold
+        assert [heston_call_price(opt, p, 0.03)
+                for opt, p in quotes[-40:]] == prices[-40:]
+
+    @pytest.mark.parametrize("change, T, shared", [
+        ({"mu": 0.05}, 1.0, True),
+        ({"rho": -0.4}, 1.0, False),
+        ({"lam": 0.3}, 1.0, False),
+        ({}, 1.5, False),
+    ])
+    def test_table_key_is_params_and_maturity(self, core_memo, fig1_heston,
+                                              change, T, shared):
+        heston_call_price(VanillaOption(100.0, 100.0, 1.0), fig1_heston,
+                          0.03)
+        # the second quote also differs in strike, kind and rate
+        heston_call_price(VanillaOption(100.0, 90.0, T, "put"),
+                          replace(fig1_heston, **change), 0.05)
+        assert core_memo.tables == (
+            [heston._heston_key(fig1_heston, 1.0)] if shared else [])
 
 
 class TestMarginalDensity:

@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
 import pytest
 
+from hestoncir import hybrid
 from hestoncir import (
     CirRateParams,
     HestonParams,
@@ -73,6 +76,19 @@ class TestBondPrice:
                            r0=0.035)
         det = math.exp(-deterministic_average_rate(rp, 2.0) * 2.0)
         assert cir_bond_price(rp, 2.0) == pytest.approx(det, rel=1e-6)
+
+    def test_read_through_rate_memo(self, fig1_heston, fig1_rate,
+                                    core_memo, monkeypatch):
+        cold = cir_bond_price(fig1_rate, 1.0)
+        for k in (90.0, 110.0):
+            hybrid_call_price(VanillaOption(100.0, k, 1.0), fig1_heston,
+                              fig1_rate)
+
+        def no_rate_cores(*args):
+            raise AssertionError("l = 0 should come from the rate table")
+
+        monkeypatch.setattr(hybrid, "_rate_cores", no_rate_cores)
+        assert cir_bond_price(fig1_rate, 1.0) == cold
 
     def test_zero_vol_rejected(self):
         rp = CirRateParams(kappa_r=1.8, theta_r=0.03, sigma_r=0.0,
@@ -183,3 +199,71 @@ class TestHybridPrice:
         assert res.converged
         assert price == hybrid_call_price(atm_option, fig1_heston,
                                           fig1_rate)
+
+    @pytest.mark.parametrize("strike", [100.0, 73.0])
+    def test_memo_is_transparent(self, fig1_heston, fig1_rate, fig2_rate,
+                                 core_memo, monkeypatch, strike):
+        # a quote priced from warm tables takes the cold quote's path:
+        # same price, value, error and evaluations, bit for bit
+        opt = VanillaOption(100.0, strike, 1.0)
+        cold_price, cold = hybrid_price_with_diagnostics(opt, fig1_heston,
+                                                         fig1_rate)
+        for k in (80.0, 100.0, 125.0):
+            hybrid_call_price(VanillaOption(100.0, k, 1.0, "put"),
+                              fig1_heston, fig1_rate)
+            # shares the volatility table only
+            hybrid_call_price(VanillaOption(100.0, k, 1.0), fig1_heston,
+                              fig2_rate)
+        assert len(core_memo.tables) == 3
+        computed = []
+        rate_cores = hybrid._rate_cores
+
+        def counting(l, T, rp):
+            computed.append(np.size(l))
+            return rate_cores(l, T, rp)
+
+        monkeypatch.setattr(hybrid, "_rate_cores", counting)
+        price, res = hybrid_price_with_diagnostics(opt, fig1_heston,
+                                                   fig1_rate)
+        assert sum(computed) < res.evaluations   # the table served hits
+        assert price == cold_price
+        assert (res.value, res.error_estimate, res.evaluations) == \
+            (cold.value, cold.error_estimate, cold.evaluations)
+
+    def test_threads_share_the_memo(self, fig1_heston, fig1_rate, core_memo):
+        # 5 maturities x 5 strikes x 2 models; two threads price the
+        # surface in opposite orders, filling the same tables
+        surface = [(model, VanillaOption(100.0, k, T))
+                   for T in (0.1, 0.5, 1.0, 3.0, 10.0)
+                   for k in (70.0, 90.0, 100.0, 115.0, 140.0)
+                   for model in ("heston", "hybrid")]
+
+        def price(quote):
+            model, opt = quote
+            if model == "heston":
+                return heston_call_price(opt, fig1_heston, 0.03)
+            return hybrid_call_price(opt, fig1_heston, fig1_rate)
+
+        serial = [price(q) for q in surface]
+        core_memo.clear()
+        results = {}
+
+        def worker(name, order):
+            results[name] = {i: price(surface[i]) for i in order}
+
+        threads = [threading.Thread(target=worker, args=(0, range(50))),
+                   threading.Thread(target=worker,
+                                    args=(1, range(49, -1, -1)))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for name in (0, 1):
+            assert [results[name][i] for i in range(50)] == serial
+        assert len(core_memo.tables) == 10   # both models share (p, T)

@@ -81,6 +81,24 @@ class TestParameterValidation:
             VanillaOption(s0=100.0, strike=100.0, maturity=1.0,
                           kind="straddle")
 
+    @pytest.mark.parametrize("cls, field", [
+        *[(HestonParams, f) for f in
+          ("mu", "kappa", "theta", "sigma", "rho", "v0", "lam")],
+        *[(CirRateParams, f) for f in ("kappa_r", "theta_r", "sigma_r", "r0")],
+        *[(VanillaOption, f) for f in ("s0", "strike", "maturity")],
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected_by_name(self, cls, field, bad):
+        good = {
+            HestonParams: dict(mu=0.03, kappa=1.0, theta=0.04, sigma=0.2,
+                               rho=-0.5, v0=0.04, lam=0.0),
+            CirRateParams: dict(kappa_r=1.8, theta_r=0.03, sigma_r=0.1,
+                                r0=0.035),
+            VanillaOption: dict(s0=100.0, strike=100.0, maturity=1.0),
+        }[cls]
+        with pytest.raises(ValueError, match="^%s must be finite" % field):
+            cls(**{**good, field: bad})
+
 
 class TestBlackScholes:
     def test_deep_in_the_money_limit(self):
