@@ -14,6 +14,12 @@ the strike or the rate, which enter only through phases.  Quotes on one
 pricer admits the kernel key once per quote, the key gets a table of
 cores at its second quote, and the integrand computes only the nodes
 the table lacks.  Parameter sets priced once store nothing.
+
+The density is one Fourier integral over l as well, taken on a uniform
+l-table of its kernel.  An evenly spaced x grid sums that table by a
+chirp-z transform (Bluestein's algorithm on ``numpy.fft``); any other x
+(single points, quadrature nodes) by cos/sin phase matrices in blocks of
+bounded size.
 """
 
 from __future__ import annotations
@@ -400,6 +406,67 @@ def marginal_density(x: float, T: float, p: HestonParams,
     return res.value.real / _TWO_PI
 
 
+# Phase entries (points x table nodes) in one block of the matrix route:
+# each of its angle, cosine and sine arrays stays within 8 MB.
+_PHASE_BLOCK = 1 << 20
+
+
+def _uniform_step(xs):
+    """The step dx of an evenly spaced 1-D ``xs``, or None.
+
+    Evenly spaced means at least two points, each within a few ulps of
+    xs[0] + j dx, and dx != 0; descending grids count.
+    """
+    if xs.ndim != 1 or xs.size < 2:
+        return None
+    dx = (xs[-1] - xs[0]) / (xs.size - 1)
+    if not dx or not math.isfinite(dx):
+        return None
+    ramp = xs[0] + dx * np.arange(xs.size)
+    if np.all(np.abs(xs - ramp) <= 4.0 * np.spacing(np.max(np.abs(xs)))):
+        return dx
+    return None
+
+
+def _phase_matrix_sum(kernel, h, xs):
+    """Re sum_k kernel_k exp(i x l_k), l_k = k h, by cos/sin matrices.
+
+    Works for any x; blocks of rows keep each phase matrix within
+    ``_PHASE_BLOCK`` entries.
+    """
+    grid = np.arange(kernel.size) * h
+    k_re, k_im = kernel.real, kernel.imag
+    out = np.empty(xs.shape)
+    rows = max(1, _PHASE_BLOCK // kernel.size)
+    for i0 in range(0, xs.size, rows):
+        angles = np.outer(xs[i0:i0 + rows], grid)
+        out[i0:i0 + rows] = np.cos(angles) @ k_re - np.sin(angles) @ k_im
+    return out
+
+
+def _chirp_z_sum(kernel, h, x0, dx, m):
+    """Re sum_k kernel_k exp(i x_j l_k) on x_j = x0 + j dx, j < m.
+
+    Bluestein's chirp-z transform: with alpha = dx h and
+    jk = (j^2 + k^2 - (j - k)^2)/2 the sum is a convolution of the
+    chirped kernel with exp(-i alpha t^2/2), done by FFT in
+    O((n + m) log(n + m)).
+    """
+    n = kernel.size
+    alpha = dx * h
+    k = np.arange(n, dtype=float)
+    u = kernel * np.exp(1j * (x0 * h * k + 0.5 * alpha * k * k))
+    size = 1 << (n + m - 2).bit_length()    # power of two >= n + m - 1
+    t = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(-0.5j * alpha * t * t)
+    v = np.zeros(size, dtype=complex)
+    v[:m] = chirp[:m]
+    v[size - n + 1:] = chirp[n - 1:0:-1]    # t = -(n-1) .. -1
+    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(v))[:m]
+    j = t[:m]
+    return (np.exp(0.5j * alpha * j * j) * conv).real
+
+
 def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
                        x_reach: float):
     """Vectorized logreturn-density evaluator valid for |x| <= x_reach.
@@ -410,6 +477,14 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     adaptive quadrature per x.  The table is verified against the
     adaptive :func:`marginal_density` at probe points; on disagreement
     the scalar route is returned instead.
+
+    The table is summed by one of two routes.  An evenly spaced x grid
+    (the CLI's and :func:`marginal_density_grid`'s usual input) takes a
+    chirp-z transform, O((N + M) log(N + M)) in time and memory.  Every
+    other x takes cos/sin phase matrices, O(N M) in time, in blocks of
+    bounded size: the single-point probes and the Gauss-Kronrod nodes of
+    :func:`price_via_density` are not evenly spaced, so the transform
+    cannot serve them, and both routes must stay.
     """
     scale = math.sqrt((p.v0 + p.theta) * T)
     # step small enough that the 2*pi/h aliasing period clears the
@@ -428,16 +503,13 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     weights[0] = h
     weights[-1] = h
     kernel = weights * np.exp(_core_exponents(grid, T, p)[1])
-    k_re, k_im = kernel.real, kernel.imag
 
     def table_density(xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.empty(xs.shape)
-        for i0 in range(0, xs.size, 512):   # cap the phase-matrix size
-            angles = np.outer(xs[i0:i0 + 512], grid)
-            out[i0:i0 + 512] = (np.cos(angles) @ k_re
-                                - np.sin(angles) @ k_im) / _TWO_PI
-        return out
+        dx = _uniform_step(xs)
+        if dx is None:
+            return _phase_matrix_sum(kernel, h, xs) / _TWO_PI
+        return _chirp_z_sum(kernel, h, xs[0], dx, xs.size) / _TWO_PI
 
     peak = float(table_density(np.array([0.0]))[0])
     for probe in (0.0, 0.9 * scale, -1.7 * scale):

@@ -13,6 +13,7 @@ from hestoncir import (
     deterministic_average_rate,
     heston_call_price,
     hybrid_call_price,
+    marginal_density_grid,
 )
 from hestoncir.cli import ConfigError, main, parse_run_config
 
@@ -189,6 +190,20 @@ class TestDensityCommand:
         assert abs(float(norm) - 1.0) <= 1e-4
         dens = np.array([float(l.split(",")[1]) for l in lines[1:-1]])
         assert np.all(dens >= -1e-12)
+
+    def test_normalization_without_np_trapezoid(self, tmp_path,
+                                                monkeypatch):
+        # numpy < 2.0 has no np.trapezoid; the footer must not need it
+        path = write_config(tmp_path, {"model": "heston"})
+        cfg = parse_run_config(path)
+        xs = np.linspace(-3.0, 3.0, 2001)
+        dens = marginal_density_grid(xs, 1.0, cfg.heston, cfg.quadrature)
+        footer = "# normalization,%.12g" % np.trapezoid(dens, xs)
+        monkeypatch.delattr(np, "trapezoid")
+        out = tmp_path / "dens.csv"
+        assert main(["density", "--config", path,
+                     "--xrange=-3:3:2001", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1] == footer
 
     def test_correlation_flips_the_skew(self, tmp_path):
         def third_moment(rho):

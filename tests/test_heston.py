@@ -300,3 +300,154 @@ class TestPriceViaDensity:
         opt = VanillaOption(100.0, 1e-8, 1.0)
         assert price_via_density(opt, fig1_heston, 0.03) == pytest.approx(
             100.0, abs=1e-4)
+
+
+def _direct_sum(kernel, h, xs):
+    """Re sum_k kernel_k exp(i x l_k), summed directly 100 rows at a time."""
+    l = np.arange(kernel.size) * h
+    return np.concatenate([(np.exp(1j * np.outer(xs[i:i + 100], l))
+                            @ kernel).real for i in range(0, xs.size, 100)])
+
+
+def _random_kernel(rng, n):
+    return (rng.normal(size=n) + 1j * rng.normal(size=n)) \
+        * np.exp(-np.linspace(0.0, 8.0, n))
+
+
+class TestChirpZ:
+    # (kernel nodes n, grid points m, x0, dx): m = 2, m > n, n = 1,
+    # negative dx and a benchmark-sized table
+    CASES = [(64, 2, -0.7, 0.3), (40, 300, -3.0, 0.02), (1, 17, 0.5, 0.1),
+             (300, 101, 2.0, -0.04), (16001, 2001, -4.0, 0.004)]
+
+    @pytest.mark.parametrize("n,m,x0,dx", CASES)
+    def test_matches_direct_sum(self, n, m, x0, dx):
+        rng = np.random.default_rng(n + m)
+        kernel, h = _random_kernel(rng, n), 0.05
+        xs = x0 + dx * np.arange(m)
+        got = heston._chirp_z_sum(kernel, h, x0, dx, m)
+        scale = np.sum(np.abs(kernel))
+        np.testing.assert_allclose(got, _direct_sum(kernel, h, xs),
+                                   rtol=0, atol=1e-13 * scale)
+
+    # scipy builds its chirp from complex powers, whose phase error grows
+    # like n^2 (5e-12 of the kernel's sum on the largest case), so it is
+    # compared on the small ones
+    @pytest.mark.parametrize("n,m,x0,dx", CASES[:-1])
+    def test_matches_scipy_czt(self, n, m, x0, dx):
+        from scipy.signal import czt
+        rng = np.random.default_rng(7 * n + m)
+        kernel, h = _random_kernel(rng, n), 0.03
+        # czt sums x_k a^-k w^(jk): a = exp(-i x0 h), w = exp(i dx h)
+        ref = czt(kernel, m, w=np.exp(1j * dx * h),
+                  a=np.exp(-1j * x0 * h)).real
+        got = heston._chirp_z_sum(kernel, h, x0, dx, m)
+        np.testing.assert_allclose(got, ref, rtol=0,
+                                   atol=1e-13 * np.sum(np.abs(kernel)))
+
+    @pytest.mark.parametrize("xs,step", [
+        (np.linspace(-3.0, 3.0, 4001), 1.5e-3),
+        (np.linspace(2.0, -1.0, 31), -0.1),
+        (np.array([0.25, 0.75]), 0.5),
+        (0.1 + np.linspace(-1.0, 1.0, 201), 0.01),
+        (np.arange(-2.0, 2.0, 0.125), 0.125),
+    ])
+    def test_uniform_step_of_even_grids(self, xs, step):
+        assert heston._uniform_step(xs) == pytest.approx(step, rel=1e-12)
+
+    @pytest.mark.parametrize("xs", [
+        np.array([0.0, 0.1, 0.3]),
+        np.linspace(-1.0, 1.0, 101) ** 3,
+        np.full(5, 0.3),
+        np.array([0.4]),
+        np.linspace(-1.0, 1.0, 12).reshape(3, 4),
+        np.array([0.0, np.nan, 1.0]),
+        np.array([-np.inf, 0.0, np.inf]),
+    ])
+    def test_uneven_inputs_have_no_step(self, xs):
+        assert heston._uniform_step(xs) is None
+
+    @pytest.mark.parametrize("xs", [np.array([-0.5, 0.0, 0.2, 0.9]),
+                                    np.full(7, 0.1)],
+                             ids=["uneven", "constant"])
+    def test_uneven_and_constant_grids_take_the_matrix_route(
+            self, fig1_heston, monkeypatch, xs):
+        def refuse(*args):
+            raise AssertionError("chirp-z route taken")
+        monkeypatch.setattr(heston, "_chirp_z_sum", refuse)
+        dens = marginal_density_grid(xs, 1.0, fig1_heston)
+        scalar = [marginal_density(x, 1.0, fig1_heston) for x in xs]
+        np.testing.assert_allclose(dens, scalar, atol=1e-9)
+
+    def test_even_grid_takes_the_transform(self, fig1_heston, monkeypatch):
+        calls = []
+        real = heston._chirp_z_sum
+        monkeypatch.setattr(heston, "_chirp_z_sum",
+                            lambda *a: calls.append(a[3:]) or real(*a))
+        marginal_density_grid(np.linspace(-1.0, 1.0, 101), 1.0, fig1_heston)
+        assert len(calls) == 1 and calls[0][1] == 101
+
+    @pytest.mark.parametrize("T,n", [(0.25, 501), (1.0, 1001), (5.0, 2001),
+                                     (10.0, 1001), (1.0, 4001)])
+    def test_density_grid_matches_matrix_route(self, fig1_heston,
+                                               monkeypatch, T, n):
+        if n == 4001:
+            xs = np.linspace(-3.0, 3.0, n)
+        else:   # the benchmark's grid shape
+            sd, mean = math.sqrt(0.04 * T), -0.02 * T
+            xs = np.linspace(mean - 24.0 * sd, mean + 14.0 * sd, n)
+        fast = marginal_density_grid(xs, T, fig1_heston)
+        monkeypatch.setattr(heston, "_uniform_step", lambda xs: None)
+        slow = marginal_density_grid(xs, T, fig1_heston)
+        np.testing.assert_allclose(fast, slow, rtol=0,
+                                   atol=1e-12 * slow.max())
+
+    def test_matrix_route_memory_is_bounded(self, fig1_heston):
+        import tracemalloc
+        xs = np.random.default_rng(3).uniform(-3.0, 3.0, 2000)
+        marginal_density_grid(xs[:3], 0.25, fig1_heston)   # warm imports
+        tracemalloc.start()
+        try:
+            marginal_density_grid(xs, 0.25, fig1_heston)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three phase blocks of 2^20 doubles are 25 MB; the 512-row
+        # blocks this replaced peaked at 66 MB here
+        assert peak < 32e6
+
+    def test_matrix_route_blocks_keep_values(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        kernel = _random_kernel(rng, 5000)
+        xs = rng.uniform(-3.0, 3.0, 700)
+        blocked = heston._phase_matrix_sum(kernel, 0.05, xs)
+        monkeypatch.setattr(heston, "_PHASE_BLOCK", 1 << 40)
+        whole = heston._phase_matrix_sum(kernel, 0.05, xs)
+        np.testing.assert_allclose(blocked, whole, rtol=0,
+                                   atol=1e-14 * np.sum(np.abs(kernel)))
+
+
+# (T, x, density) for fig1 at 30 digits, printed by
+# tests/mp_density_oracle.py; the first x of each T is the mode
+MP_DENSITIES = (
+    (0.25, 0.0127, 4.0925809100154809655),
+    (0.25, -0.305, 0.096729136558436220344),
+    (0.25, 0.295, 0.016032995817886225068),
+    (1.0, 0.0358, 2.1277277460702212636),
+    (1.0, -0.62, 0.064743400533497889761),
+    (1.0, 0.58, 0.0062143638372819186054),
+    (30.0, -0.4325, 0.35294264736280197296),
+    (30.0, -3.8863353450309965, 0.010144432617582610758),
+    (30.0, 2.6863353450309964, 0.0023666573734494187649),
+)
+
+
+class TestDensityOracle:
+    @pytest.mark.parametrize("T,x,ref", MP_DENSITIES)
+    def test_grid_and_adaptive_match_mpmath(self, fig1_heston, T, x, ref):
+        peak = next(d for t, _, d in MP_DENSITIES if t == T)
+        # an even grid with x at its centre takes the chirp-z route
+        xs = x + np.linspace(-1.0, 1.0, 201)
+        grid = marginal_density_grid(xs, T, fig1_heston)[100]
+        assert abs(grid - ref) <= 1e-10 * peak
+        assert abs(marginal_density(x, T, fig1_heston) - ref) <= 1e-10 * peak
