@@ -18,8 +18,9 @@ the table lacks.  Parameter sets priced once store nothing.
 The density is one Fourier integral over l as well, taken on a uniform
 l-table of its kernel.  An evenly spaced x grid sums that table by a
 chirp-z transform (Bluestein's algorithm on ``numpy.fft``); any other x
-(single points, quadrature nodes) by cos/sin phase matrices in blocks of
-bounded size.
+(single points, uneven grids) by cos/sin phase matrices in blocks of
+bounded size.  The price-via-density cross-check integrates the payoff
+against each mode of the same table in closed form.
 """
 
 from __future__ import annotations
@@ -467,24 +468,54 @@ def _chirp_z_sum(kernel, h, x0, dx, m):
     return (np.exp(0.5j * alpha * j * j) * conv).real
 
 
+def _payoff_strip_sum(kernel, h, lo, hi, a, k):
+    """Re sum_k kernel_k int_lo^hi (a e^x - k) exp(i x l_k) dx, l_k = k h.
+
+    Each mode integrates in closed form.  About the midpoint m, with
+    half-width s and z = (1 + i l) s,
+
+        int e^{(1+il)x} dx = 2 s e^{(1+il)m} sinh(z)/z,
+        int e^{ilx} dx     = 2 s e^{ilm} sin(l s)/(l s),
+
+    and neither cancels as l -> 0; the second is hi - lo at l = 0.
+    """
+    grid = np.arange(kernel.size) * h
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    z = half * (1.0 + 1j * grid)
+    modes = a * math.exp(mid) * (np.sinh(z) / z) \
+        - k * np.sinc(half / math.pi * grid)
+    return 2.0 * half * (kernel @ (np.exp(1j * mid * grid) * modes)).real
+
+
 def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
                        x_reach: float):
-    """Vectorized logreturn-density evaluator valid for |x| <= x_reach.
+    """Logreturn density for |x| <= x_reach, and its payoff strips.
+
+    Returns ``(density, payoff_strip)``: ``density(xs)`` is vectorized
+    over x, and ``payoff_strip(lo, hi, a, k, outer)`` is the integral of
+    (a e^x - k) times the density over [lo, hi].
 
     Builds a uniform trapezoid table of the Fourier kernel in l; for an
     analytic integrand decaying exponentially at both ends the uniform
     rule converges near-spectrally, so a single table replaces one
     adaptive quadrature per x.  The table is verified against the
-    adaptive :func:`marginal_density` at probe points; on disagreement
-    the scalar route is returned instead.
+    adaptive :func:`marginal_density` at probe points.
 
-    The table is summed by one of two routes.  An evenly spaced x grid
-    (the CLI's and :func:`marginal_density_grid`'s usual input) takes a
-    chirp-z transform, O((N + M) log(N + M)) in time and memory.  Every
-    other x takes cos/sin phase matrices, O(N M) in time, in blocks of
-    bounded size: the single-point probes and the Gauss-Kronrod nodes of
-    :func:`price_via_density` are not evenly spaced, so the transform
-    cannot serve them, and both routes must stay.
+    The table's density is f(x) = Re sum_k c_k exp(i l_k x) / 2 pi.  An
+    evenly spaced x grid (the CLI's and :func:`marginal_density_grid`'s
+    usual input) sums it by a chirp-z transform, O((N + M) log(N + M))
+    in time and memory; every other x (the single-point probes, uneven
+    grids) by cos/sin phase matrices, O(N M) in time, in blocks of
+    bounded size.  Both routes stay, because the transform needs evenly
+    spaced x.  A payoff strip needs no x at all: every mode integrates
+    against a e^x - k in closed form, so a strip is one O(N) dot product
+    and exact for the table.
+
+    When the table disagrees with a probe, the scalar route is returned
+    instead: the density is one adaptive :func:`marginal_density` per x,
+    and a payoff strip an adaptive :func:`integrate_interval` of it to
+    ``outer``'s tolerance.  That route has no table to sum in closed
+    form, so it keeps the quadrature in x.
     """
     scale = math.sqrt((p.v0 + p.theta) * T)
     # step small enough that the 2*pi/h aliasing period clears the
@@ -511,14 +542,29 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
             return _phase_matrix_sum(kernel, h, xs) / _TWO_PI
         return _chirp_z_sum(kernel, h, xs[0], dx, xs.size) / _TWO_PI
 
+    def table_strip(lo, hi, a, k, outer):
+        return _payoff_strip_sum(kernel, h, lo, hi, a, k) / _TWO_PI
+
     peak = float(table_density(np.array([0.0]))[0])
     for probe in (0.0, 0.9 * scale, -1.7 * scale):
         ref = marginal_density(probe, T, p, cfg)
         if abs(float(table_density(probe)[0]) - ref) > 1e-7 * (peak + 1.0):
-            return lambda xs: np.array(
-                [marginal_density(x, T, p, cfg)
-                 for x in np.atleast_1d(xs)])
-    return table_density
+            break
+    else:
+        return table_density, table_strip
+
+    def scalar_density(xs):
+        return np.array([marginal_density(x, T, p, cfg)
+                         for x in np.atleast_1d(xs)])
+
+    def scalar_strip(lo, hi, a, k, outer):
+        res = integrate_interval(
+            lambda xs: (a * np.exp(xs) - k) * scalar_density(xs),
+            lo, hi, outer)
+        _check_result(res, "payoff")
+        return res.value.real
+
+    return scalar_density, scalar_strip
 
 
 def marginal_density_grid(xs, T: float, p: HestonParams,
@@ -531,17 +577,37 @@ def marginal_density_grid(xs, T: float, p: HestonParams,
     cfg = cfg or QuadratureConfig()
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     reach = float(np.max(np.abs(xs))) if xs.size else 1.0
-    return _density_evaluator(T, p, cfg, reach)(xs)
+    density, _ = _density_evaluator(T, p, cfg, reach)
+    return density(xs)
 
 
 def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
                       cfg: QuadratureConfig | None = None) -> float:
     """Price by discounted expectation over the logreturn density.
 
-    Independent cross-check of :func:`heston_call_price`: integrates the
-    payoff against :func:`marginal_density` with nested quadrature.
-    Under mu = r the terminal spot is S0 exp(x_T + rT), so the call
-    payoff is nonzero for x_T above ln(K/S0) - rT.
+    Cross-check of :func:`heston_call_price`.  Under mu = r the terminal
+    spot is S0 exp(x_T + rT), so the call payoff is a e^x - K with
+    a = S0 e^{rT}, nonzero for x above ln(K/S0) - rT.  It is integrated
+    against the density of :func:`marginal_density_grid` in strips
+    [lo, hi] going up from there, each strip in closed form over the
+    density's l-table (see :func:`_density_evaluator`); only when that
+    table fails its probes is a strip an adaptive quadrature in x of the
+    scalar density.  The route shares nothing with the pricer's spot
+    core or its l-quadrature: it reads the strike core alone, on its own
+    uniform l-table, checked against the adaptive density at three
+    probes.  Puts follow by parity.
+
+    The strips widen from 0.5 to 2 and stop once a strip of width 2,
+    above 6 density widths, adds less than 10 abs_tol.  Limitation: on a
+    fat right tail (the moment E[S_T^w] explodes for w just above 1)
+    e^x f(x) decays so slowly that the density's rounding error,
+    magnified by a e^x, overtakes it before any strip falls below that
+    bound.  The strips then change sign and grow, and past x_bail (60
+    above max(x_lo, 0), or 40 density widths when more) a
+    :class:`PricingError` says so, in milliseconds on the table route.
+    With sigma = 0.5, kappa = 1.5, theta = 0.05 and v0 = 0.04 this
+    happens at T = 5 with rho = 0.9 and at T = 30 with rho >= 0, where
+    :func:`heston_call_price` still prices.
     """
     cfg = cfg or QuadratureConfig()
     s0, k, T = opt.s0, opt.strike, opt.maturity
@@ -549,10 +615,8 @@ def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
     x_lo = math.log(k / s0) - r * T
     scale = math.sqrt((p.v0 + p.theta) * T)
     x_bail = max(x_lo, 0.0) + max(60.0, 40.0 * scale)
-    density = _density_evaluator(T, p, cfg, abs(x_lo) + x_bail + 4.0)
-
-    def integrand(xs):
-        return (s0 * np.exp(xs + r * T) - k) * density(xs)
+    _, payoff_strip = _density_evaluator(T, p, cfg,
+                                         abs(x_lo) + x_bail + 4.0)
 
     outer = QuadratureConfig(
         abs_tol=max(cfg.abs_tol, 1e-9), rel_tol=cfg.rel_tol,
@@ -562,20 +626,20 @@ def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
     # Never stop below 6 density widths above the origin, or a deep
     # strike would bail before the bulk of the mass is even reached.
     total = 0.0
-    evals = 0
     lo, width = x_lo, 0.5
     while True:
-        res = integrate_interval(integrand, lo, lo + width, outer)
-        _check_result(res, "payoff")
-        total += res.value.real
-        evals += res.evaluations
-        lo += width
-        if abs(res.value) < outer.abs_tol * 10 and width >= 2.0 \
-                and lo > 6.0 * scale:
+        hi = lo + width
+        strip = payoff_strip(lo, hi, s0 / disc, k, outer)
+        total += strip
+        if abs(strip) < outer.abs_tol * 10 and width >= 2.0 \
+                and hi > 6.0 * scale:
             break
-        width = min(2.0 * width, 2.0)
-        if lo > x_bail:
-            raise PricingError("payoff integral failed to decay")
+        if hi > x_bail:
+            raise PricingError(
+                "payoff integral failed to decay at T=%g: past x_bail=%.4g "
+                "the strip [%.4g, %.4g] still adds %.3e, not below %.1e"
+                % (T, x_bail, lo, hi, strip, outer.abs_tol * 10))
+        lo, width = hi, min(2.0 * width, 2.0)
     call = disc * total
     if opt.kind == "put":
         return call - s0 + k * disc

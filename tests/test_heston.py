@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 from dataclasses import replace
 
 import mpmath
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 from hestoncir import heston
 from hestoncir import (
     HestonParams,
+    PricingError,
     QuadratureConfig,
     VanillaOption,
     big_m_of_l,
@@ -17,6 +19,7 @@ from hestoncir import (
     bs_price,
     heston_call_price,
     heston_price_with_diagnostics,
+    integrate_interval,
     marginal_density,
     marginal_density_grid,
     nu_of_l,
@@ -300,6 +303,137 @@ class TestPriceViaDensity:
         opt = VanillaOption(100.0, 1e-8, 1.0)
         assert price_via_density(opt, fig1_heston, 0.03) == pytest.approx(
             100.0, abs=1e-4)
+
+
+# fat right tails: the moment E[S_T^w] explodes for w just above 1 at
+# long maturity and positive correlation
+FAT_TAIL = dict(mu=0.03, kappa=1.5, theta=0.05, sigma=0.5, v0=0.04)
+MONEYNESS = (0.5, 0.8, 1.0, 1.25, 2.0)
+# the sweep's (T, rho) cell where e^x times the density meets its
+# rounding floor before the payoff strips fall below 10 abs_tol (so do
+# T = 30 with rho >= 0, beyond the sweep)
+UNDECAYED = {(5.0, 0.9)}
+TIGHT = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-13)
+
+
+class TestPayoffStrips:
+    STRIPS = [(-0.7, 0.5), (-1.0, 2.0), (0.3, 0.5), (0.2, 2.0)]
+
+    @pytest.mark.parametrize("lo,width", STRIPS)
+    def test_zero_mode_alone(self, lo, width):
+        # a table of the l = 0 node only: int (a e^x - k) dx times c_0
+        got = heston._payoff_strip_sum(np.array([0.7 - 0.4j]), 0.05,
+                                       lo, lo + width, 1.5, 1.2)
+        exact = 0.7 * (1.5 * (math.exp(lo + width) - math.exp(lo))
+                       - 1.2 * width)
+        assert got == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("lo,width", STRIPS)
+    @pytest.mark.parametrize("n", [2, 300, 4000])
+    def test_closed_form_matches_quadrature_of_modes(self, n, lo, width):
+        rng = np.random.default_rng(n)
+        kernel, h = _random_kernel(rng, n), 0.05
+        got = heston._payoff_strip_sum(kernel, h, lo, lo + width, 1.5, 1.2)
+        res = integrate_interval(
+            lambda xs: (1.5 * np.exp(xs) - 1.2)
+            * heston._phase_matrix_sum(kernel, h, xs),
+            lo, lo + width, TIGHT)
+        assert res.converged
+        assert abs(got - res.value.real) <= 1e-12 * np.sum(np.abs(kernel))
+
+    @pytest.mark.parametrize("T", [0.02, 1.0, 30.0])
+    def test_table_strips_match_quadrature_of_table_density(
+            self, fig1_heston, T):
+        density, strip = heston._density_evaluator(
+            T, fig1_heston, QuadratureConfig(), 10.0)
+        a, k = 100.0 * math.exp(0.03 * T), 100.0
+        for lo, width in self.STRIPS:
+            got = strip(lo, lo + width, a, k, TIGHT)
+            res = integrate_interval(
+                lambda xs: (a * np.exp(xs) - k) * density(xs),
+                lo, lo + width, TIGHT)
+            assert res.converged
+            assert abs(got - res.value.real) <= 1e-12 * a, (lo, width)
+
+    def test_payoff_takes_no_quadrature_in_x(self, fig1_heston, atm_option,
+                                             monkeypatch):
+        def refuse(*args):
+            raise AssertionError("integrate_interval called")
+        monkeypatch.setattr(heston, "integrate_interval", refuse)
+        direct = heston_call_price(atm_option, fig1_heston, 0.03)
+        via = price_via_density(atm_option, fig1_heston, 0.03)
+        assert abs(via - direct) <= 1e-9 * atm_option.s0
+
+
+class TestPriceViaDensitySweep:
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.9])
+    @pytest.mark.parametrize("T", [0.02, 0.25, 1.0, 5.0])
+    def test_matches_direct_formula(self, T, rho):
+        p = HestonParams(rho=rho, **FAT_TAIL)
+        for m in MONEYNESS:
+            for kind in ("call", "put"):
+                opt = VanillaOption(100.0, 100.0 * m, T, kind)
+                if (T, rho) in UNDECAYED:
+                    with pytest.raises(PricingError, match="failed to decay"):
+                        price_via_density(opt, p, 0.03)
+                    continue
+                direct = heston_call_price(opt, p, 0.03)
+                via = price_via_density(opt, p, 0.03)
+                assert abs(via - direct) <= 1e-9 * opt.s0, (m, kind)
+
+    def test_fat_tail_fails_fast_with_a_reason(self):
+        p = HestonParams(rho=0.9, **FAT_TAIL)
+        opt = VanillaOption(100.0, 100.0, 30.0)
+        start = time.perf_counter()
+        with pytest.raises(PricingError) as err:
+            price_via_density(opt, p, 0.03)
+        assert time.perf_counter() - start < 1.0
+        msg = str(err.value)
+        assert "failed to decay" in msg and "T=30" in msg
+        assert "x_bail=65.73" in msg and "strip [" in msg
+        # the direct formula still prices the quote
+        assert heston_call_price(opt, p, 0.03) > 0.0
+
+
+def _offset_first_probe(monkeypatch):
+    """Make the table's first probe disagree; returns the real density
+    and the list of x that ``marginal_density`` is called at."""
+    real = heston.marginal_density
+    calls = []
+
+    def offset(x, *args):
+        calls.append(x)
+        return real(x, *args) + (1.0 if len(calls) == 1 else 0.0)
+    monkeypatch.setattr(heston, "marginal_density", offset)
+    return real, calls
+
+
+class TestScalarFallback:
+    """The route taken when the density table disagrees with a probe."""
+
+    def test_grid_returns_adaptive_values(self, fig1_heston, monkeypatch):
+        real, calls = _offset_first_probe(monkeypatch)
+        xs = np.linspace(-0.4, 0.4, 9)
+        got = marginal_density_grid(xs, 1.0, fig1_heston)
+        np.testing.assert_array_equal(
+            got, [real(x, 1.0, fig1_heston) for x in xs])
+        assert len(calls) == 1 + xs.size     # the failed probe, then one per x
+
+    def test_price_takes_the_adaptive_strips(self, fig1_heston, monkeypatch):
+        opt = VanillaOption(100.0, 100.0, 0.1)
+        table = price_via_density(opt, fig1_heston, 0.03)
+        _, calls = _offset_first_probe(monkeypatch)
+        evals = []
+
+        def counted(*args):
+            res = integrate_interval(*args)
+            evals.append(res.evaluations)
+            return res
+        monkeypatch.setattr(heston, "integrate_interval", counted)
+        fallback = price_via_density(opt, fig1_heston, 0.03)
+        # the failed probe, then one adaptive density per payoff node
+        assert evals and len(calls) == 1 + sum(evals)
+        assert abs(fallback - table) <= 1e-8 * opt.s0
 
 
 def _direct_sum(kernel, h, xs):
