@@ -8,6 +8,11 @@ nonnegative real part, so nothing overflows at long maturity or large
 |l|, and the complex logarithm stays on its principal branch without
 manual rotation-counting.
 
+The pricer and the density take them by one route, :func:`_core_half`,
+as accurate at sigma -> 0 as at any other sigma.  Both pricers, here
+and in :mod:`hestoncir.hybrid`, share one integrand body and one
+post-processing.
+
 The exponent cores depend on the parameters and the maturity but not on
 the strike or the rate, which enter only through phases.  Quotes on one
 (params, T) therefore share their cores through a bounded memo: the
@@ -28,7 +33,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import replace
 
 import numpy as np
 
@@ -106,55 +110,77 @@ def big_m_of_l(l, T, p: HestonParams):
     return m
 
 
-def _exponent_terms(l, T, p: HestonParams):
-    """The two kernel exponents entering the price integrand.
-
-    Returns (theta_exp, upsilon_exp) where exp(theta_exp) multiplies the
-    spot term and exp(upsilon_exp) the strike term, before phases.
-    """
-    l = np.asarray(l, dtype=float)
-    sig2 = p.sigma * p.sigma
-    q = 2.0 * p.kappa * p.theta / sig2
-
-    omega = omega_of_l(l, p)
-    beta_n = (p.kappa + 1j * l * p.rho * p.sigma) / (2.0 * omega)
-    _, log_n, g_omega = _stable_nsh(omega * T, beta_n)
-
-    nu = nu_of_l(l, p)
-    beta_m = (p.kappa + 1j * l * p.rho * p.sigma - p.rho * p.sigma) / (2.0 * nu)
-    _, log_m, g_nu = _stable_nsh(nu * T, beta_m)
-
-    theta_exp = -(2.0 * nu * p.v0 / sig2) * g_nu + q * log_m
-    upsilon_exp = -(2.0 * omega * p.v0 / sig2) * g_omega + q * log_n
-    return theta_exp, upsilon_exp
-
-
 def _log1p_c(z):
-    """log(1 + z) for complex z, accurate for small |z|."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, z, 0.0)
-    series = zs * (1.0 - zs * (0.5 - zs * (1.0 / 3.0 - zs * (0.25 - zs / 5.0))))
-    return np.where(small, series, np.log(1.0 + np.where(small, 0.0, z)))
+    """log(1 + z) for complex z, accurate for small |z|.
 
-
-def _core_half(l2, b, freq, T, v0, kappa_theta, sig2):
-    """One kernel exponent with the 1/sigma^2 cancellation done exactly.
-
-    Evaluates v0 and kappa*theta coefficient groups of the exponent,
-    using 4 freq^2 = b^2 + sig2 * l2 so that no term carries the 1/sig2
-    amplification; exact algebraic rewrite of the cosh/sinh form, used
-    when 1/sig2 is large enough for cancellation to eat the precision.
+    The real part is log|1 + z| = log1p(x (2 + x) + y^2)/2, which keeps
+    the relative accuracy of a small z; the imaginary part is the
+    principal arg(1 + z) = atan2(y, 1 + x).
     """
-    w = freq * T
-    e2 = np.exp(-2.0 * w)
-    tanh = (1.0 - e2) / (1.0 + e2)
-    two_f = 2.0 * freq
-    v0_coef = -l2 * tanh / (two_f + b * tanh)
-    kt_coef = (-l2 * T / (b + two_f)
-               - (2.0 / sig2) * (_log1p_c(-sig2 * l2 / (2.0 * two_f * (two_f + b)))
-                                 + _log1p_c(sig2 * l2 * e2 / (two_f + b) ** 2)))
-    return v0 * v0_coef + kappa_theta * kt_coef
+    z = np.asarray(z, dtype=complex)
+    x, y = z.real, z.imag
+    return 0.5 * np.log1p(x * (2.0 + x) + y * y) \
+        + 1j * np.arctan2(y, 1.0 + x)
+
+
+def _core_half(l2, b0, b, T, v0, kappa_theta, sig2):
+    """One exponent core, cancellation-free for every sigma.
+
+    With 4 f^2 = b^2 + sig2 l2, s = 2f + b, d = 2f - b (s d = sig2 l2)
+    and e = exp(-2fT), the exp(-w) form of the core is exactly
+
+        v0 l2 (e - 1)/(s + d e) - kappa theta (l2 T/s + (2/sig2) log P),
+
+    P = (s + d e)/(4f) = 1 + d (e - 1)/(4f) since s + d = 4f, and
+    log N = -fT - log P with the principal log N of :func:`_stable_nsh`.
+    P - 1 is O(sig2) and its log1p exact, so no 1/sig2 goes uncancelled.
+    b = b0 + i l rho sigma with b0 real; as Re 4f^2 > 0 for real l, s
+    cancels only if b0 < 0 (kappa < rho sigma, spot side, near l = 0).
+    There d is formed directly, s = sig2 l2/d, and log P is taken of P
+    itself, which may be near 0 rather than 1.
+    """
+    sl2 = sig2 * l2
+    two_f = np.sqrt(b * b + sl2)
+    em1 = np.expm1(-T * two_f)
+    if b0 >= 0.0:
+        s = two_f + b
+        d = sl2 / s
+        p = 2.0 * two_f + d * em1
+        log_p = _log1p_c((0.5 * d) * em1 / two_f)
+    else:
+        d = two_f - b
+        s = sl2 / d
+        p = s + d * np.exp(-T * two_f)
+        log_p = np.log(p / (2.0 * two_f))
+    return (v0 * l2) * em1 / p \
+        - kappa_theta * (T * l2 / s + (2.0 / sig2) * log_p)
+
+
+def _pricing_kappa_theta(p: HestonParams):
+    """kappa and theta of the pricing measure, lam folded in."""
+    if p.lam != 0.0:
+        return risk_neutral_map(p.kappa, p.theta, p.lam)
+    return p.kappa, p.theta
+
+
+def _strike_core(l, T, p: HestonParams):
+    """Strike-side core i l rho a/sigma + kappa a/sigma^2 + upsilon(l).
+
+    Its exp is the density's kernel, the characteristic function of x_T.
+    """
+    kappa, theta = _pricing_kappa_theta(p)
+    b = kappa + (1j * p.rho * p.sigma) * l
+    return _core_half(l * (l - 1j), kappa, b, T, p.v0, kappa * theta,
+                      p.sigma * p.sigma)
+
+
+def _spot_core(l, T, p: HestonParams):
+    """Spot-side exponent core, on nu(l) as the strike core is on omega(l)."""
+    kappa, theta = _pricing_kappa_theta(p)
+    b0 = kappa - p.rho * p.sigma
+    b = b0 + (1j * p.rho * p.sigma) * l
+    return _core_half(l * (l + 1j), b0, b, T, p.v0, kappa * theta,
+                      p.sigma * p.sigma)
 
 
 def _core_exponents(l, T, p: HestonParams):
@@ -163,34 +189,11 @@ def _core_exponents(l, T, p: HestonParams):
     The full exponents are i*l*(x_e - rT) + spot_core for the spot term
     and i*l*(x_e - rT) - rT + strike_core for the strike term; the
     i*l*(rho/sigma)*a phase and the kappa*a/sigma^2 offset are folded in
-    here.  Two evaluation routes: the direct cosh/sinh form, and an
-    exact rearrangement that avoids catastrophic cancellation when
-    kappa*theta/sigma^2 or v0/sigma^2 is huge (near-deterministic
-    variance); they agree to roundoff where both are accurate.
+    by :func:`_core_half`, the one route for every amplification
+    2(kappa theta + v0)/sigma^2.
     """
-    if p.lam != 0.0:
-        kappa, theta = risk_neutral_map(p.kappa, p.theta, p.lam)
-        p = replace(p, kappa=kappa, theta=theta, lam=0.0)
     l = np.asarray(l, dtype=float)
-    sig2 = p.sigma * p.sigma
-    a = p.v0 + p.kappa * p.theta * T
-    amplification = 2.0 * (p.kappa * p.theta + p.v0) / sig2
-    if amplification < 1e8:
-        theta_exp, upsilon_exp = _exponent_terms(l, T, p)
-        rho_a = p.rho / p.sigma * a
-        kap_a = p.kappa / sig2 * a
-        phase_a = 1j * l * rho_a
-        spot_core = phase_a + kap_a - rho_a + theta_exp
-        strike_core = phase_a + kap_a + upsilon_exp
-        return spot_core, strike_core
-    kt = p.kappa * p.theta
-    b_m = p.kappa - p.rho * p.sigma + 1j * l * p.rho * p.sigma
-    b_n = p.kappa + 1j * l * p.rho * p.sigma
-    spot_core = _core_half(l * (l + 1j), b_m, nu_of_l(l, p), T,
-                           p.v0, kt, sig2)
-    strike_core = _core_half(l * (l - 1j), b_n, omega_of_l(l, p), T,
-                             p.v0, kt, sig2)
-    return spot_core, strike_core
+    return _spot_core(l, T, p), _strike_core(l, T, p)
 
 
 # Bounds of the exponent-core memo: the kernel keys it remembers (seen
@@ -318,24 +321,34 @@ def _heston_key(p: HestonParams, T):
     return (p.kappa, p.theta, p.sigma, p.rho, p.v0, p.lam, T)
 
 
+def _braced(l, opt: VanillaOption, x, spot_exp, strike_exp, bond):
+    """(S0 e^{ilx + spot_exp} - K e^{ilx + strike_exp} - S0 + K bond)/l.
+
+    The braced integrand of both pricers: the exponents carry the
+    volatility and rate cores, and the constant cancels the 1/l pole.
+    """
+    phase = 1j * l * x
+    spot_term = opt.s0 * np.exp(phase + spot_exp)
+    strike_term = opt.strike * np.exp(phase + strike_exp)
+    return (spot_term - strike_term - opt.s0 + opt.strike * bond) / l
+
+
 def price_integrand(l, opt: VanillaOption, p: HestonParams, r: float):
     """The braced l-integrand of the single-integral call price.
 
     Vectorized over l; finite in the limit l -> 0 (the constant
     subtraction cancels the 1/l pole), but l = 0 itself must not be an
-    abscissa -- the adaptive rule splits the domain there.
+    abscissa -- the adaptive rule splits the domain there.  A constant
+    rate is the rate model with cores (-i l rT, -i l rT - rT) and log
+    bond -rT; the -i l rT is folded into the phase.
     """
     l = np.asarray(l, dtype=float)
-    s0, k, T = opt.s0, opt.strike, opt.maturity
-    x_e = math.log(k / s0)
-    disc = math.exp(-r * T)
-
+    T = opt.maturity
+    rt = r * T
     spot_core, strike_core = _MEMO.cores(_heston_key(p, T), l,
                                          _core_exponents, T, p)
-    phase = 1j * l * (x_e - r * T)
-    spot_term = s0 * np.exp(phase + spot_core)
-    strike_term = k * np.exp(phase + strike_core - r * T)
-    return (spot_term - strike_term - s0 + k * disc) / l
+    return _braced(l, opt, math.log(opt.strike / opt.s0) - rt, spot_core,
+                   strike_core - rt, math.exp(-rt))
 
 
 def _check_result(res, what):
@@ -343,6 +356,30 @@ def _check_result(res, what):
         raise PricingError(
             "%s quadrature did not converge: error=%.3e after %d evaluations"
             % (what, res.error_estimate, res.evaluations))
+
+
+def _finish_price(res, opt: VanillaOption, bond, cfg: QuadratureConfig,
+                  what):
+    """(price, res) from the braced integral ``res``, for both pricers.
+
+    Checks convergence, the imaginary residual and the sign, and prices
+    a put by the parity C - P = S0 - K bond.
+    """
+    _check_result(res, what)
+    s0, k = opt.s0, opt.strike
+    price_c = 0.5 * (s0 - k * bond) + 1j * res.value / _TWO_PI
+    imag = abs(price_c.imag)
+    if imag > 10.0 * res.error_estimate + 1e-10 * s0:
+        raise PricingError(
+            "%s imaginary residual %.3e exceeds 10x quadrature error %.3e"
+            % (what, imag, res.error_estimate))
+    call = price_c.real
+    if call < -10.0 * max(cfg.abs_tol, res.error_estimate):
+        raise PricingError("%s gives a negative call %.6e" % (what, call))
+    call = max(call, 0.0)
+    if opt.kind == "put":
+        return call - s0 + k * bond, res
+    return call, res
 
 
 def heston_call_price(opt: VanillaOption, p: HestonParams, r: float,
@@ -362,32 +399,15 @@ def heston_price_with_diagnostics(opt: VanillaOption, p: HestonParams,
                                   cfg: QuadratureConfig | None = None):
     """Like :func:`heston_call_price`, also returning the QuadratureResult."""
     cfg = cfg or QuadratureConfig()
-    s0, k, T = opt.s0, opt.strike, opt.maturity
-    disc = math.exp(-r * T)
-
-    _MEMO.admit(_heston_key(p, T))
+    _MEMO.admit(_heston_key(p, opt.maturity))
     res = integrate_real_line(lambda l: price_integrand(l, opt, p, r), cfg)
-    _check_result(res, "price")
-    price_c = 0.5 * (s0 - k * disc) + 1j * res.value / _TWO_PI
-    imag = abs(price_c.imag)
-    if imag > 10.0 * res.error_estimate + 1e-10 * s0:
-        raise PricingError(
-            "imaginary residual %.3e exceeds 10x quadrature error %.3e"
-            % (imag, res.error_estimate))
-    call = price_c.real
-    if call < -10.0 * max(cfg.abs_tol, res.error_estimate):
-        raise PricingError("negative call price %.6e" % call)
-    call = max(call, 0.0)
-    if opt.kind == "put":
-        return call - s0 + k * disc, res
-    return call, res
+    return _finish_price(res, opt, math.exp(-r * opt.maturity), cfg, "price")
 
 
 def density_integrand(l, x, T, p: HestonParams):
     """Fourier integrand of the marginal logreturn density (vectorized)."""
     l = np.asarray(l, dtype=float)
-    _, strike_core = _core_exponents(l, T, p)
-    return np.exp(1j * l * x + strike_core)
+    return np.exp(1j * l * x + _strike_core(l, T, p))
 
 
 def marginal_density(x: float, T: float, p: HestonParams,
@@ -523,8 +543,7 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     h = min(0.05, math.pi / (x_reach + 12.0 * scale + 1.0))
     l_max = 50.0
     while True:
-        decay = float(np.real(
-            _core_exponents(np.array([l_max]), T, p)[1])[0])
+        decay = float(np.real(_strike_core(np.array([l_max]), T, p))[0])
         if decay < -45.0 or l_max >= 1e5:
             break
         l_max *= 2.0
@@ -533,7 +552,7 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     weights = np.full(grid.shape, 2.0 * h)
     weights[0] = h
     weights[-1] = h
-    kernel = weights * np.exp(_core_exponents(grid, T, p)[1])
+    kernel = weights * np.exp(_strike_core(grid, T, p))
 
     def table_density(xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))

@@ -585,3 +585,159 @@ class TestDensityOracle:
         grid = marginal_density_grid(xs, T, fig1_heston)[100]
         assert abs(grid - ref) <= 1e-10 * peak
         assert abs(marginal_density(x, T, fig1_heston) - ref) <= 1e-10 * peak
+
+
+# (kappa, theta, sigma, rho, v0, lam, T, l, exp(spot core).real, .imag,
+# exp(strike core).real, .imag) at 50 digits, printed by
+# tests/mp_core_oracle.py
+MP_CORES = (
+    (1.0, 0.04, 0.2, -0.5, 0.04, 0.0, 1.0, 0.7,
+     0.99083537070563863377, -0.01358558044488827804,
+     0.98979594700430284437, 0.013577986459868944267),
+    (1.0, 0.04, 0.2, -0.5, 0.04, 0.0, 30.0, -3.0,
+     -0.012415859265392494391, 0.010464638772019367417,
+     0.0059923225890718278819, -0.0017451458428205083582),
+    (1.0, 0.04, 0.2, -0.5, 0.04, 0.0, 0.02, 150.0,
+     0.000047007165429641813057, -0.00017685157694949763261,
+     0.000064590011975808082646, -0.00016655608362014834271),
+    (1.0, 0.04, 0.2, -0.5, 0.04, 0.0, 1.0, -0.001,
+     0.99999998119433696617, 0.000019284510862267294258,
+     0.99999997903062316686, -0.000019999998756595255553),
+    (0.5, 0.2, 1.2, -0.3, 0.62, 0.0, 0.5, 2.0,
+     0.60898339434698963865, -0.18285714019108602978,
+     0.56879333361244308092, 0.086336442792791156118),
+    (0.3, 0.1, 1.5, 0.95, 0.5, 0.0, 5.0, 0.01,
+     0.70575705578060570908, -0.18808831685599315643,
+     0.99993010511444478557, 0.0076782610241167841726),
+    (0.3, 0.1, 1.5, 0.95, 0.5, 0.0, 30.0, 0.001,
+     0.30270435267181288799, -0.012339646733657610001,
+     0.99999301276188386488, 0.002166540797225162066),
+    (0.6, 0.08, 0.9, 0.8, 0.1, -0.3, 2.0, -0.05,
+     0.99878567753980107283, 0.010994527025856743416,
+     0.99981343023304330713, -0.0057455363599108384204),
+    (0.7, 0.1, 0.8, 0.95, 0.08, -0.4, 1.0, 0.02,
+     0.99995827097335256583, -0.0014258182170764436681,
+     0.99998505712559923718, 0.0010086908183259681245),
+    (0.7, 0.1, 0.8, 0.95, 0.08, -0.4, 10.0, 5.0,
+     -0.026393615900999365913, -0.10049653860376077089,
+     0.0099450357016898624111, -0.26493259770884094194),
+    (0.2, 0.3, 1.0, 0.6, 0.3, 0.0, 20.0, 0.3,
+     0.29734169225768071704, -0.025814415692175687371,
+     0.61871567334105473341, 0.45071900325266947351),
+    (1.5, 0.05, 0.5, -0.6, 0.04, 0.0, 5.0, 1.0,
+     0.91011972275334932586, -0.10387770214727260219,
+     0.86888656274829422243, 0.081540888757044765638),
+    (3.0, 0.02, 0.4, 0.5, 0.01, -1.0, 0.5, -7.0,
+     0.81548073707745810382, -0.013533131709605946327,
+     0.82698378883848881177, -0.055841395557628869705),
+    (0.8, 0.12, 0.7, -0.95, 0.15, 0.0, 10.0, 0.5,
+     0.93092265985181317442, -0.1759978174592359576,
+     0.7805580496347875756, 0.16090584415743790045),
+    (4.0, 0.09, 0.25, -0.2, 0.12, 0.0, 0.25, -12.0,
+     0.1454551001891591798, 0.038518493433260739258,
+     0.14654420474843741401, -0.0074428795039362469511),
+    (2.0, 0.05, 0.3, -0.7, 0.03, 0.0, 30.0, 0.001,
+     0.99999915686789310185, -0.00067528264668369668963,
+     0.99999889649051302543, 0.00074499922138235894984),
+    (1.2, 0.03, 0.05, 0.3, 0.005, 0.0, 0.02, 316.0,
+     0.0051555335305307110898, 0.0011726794911530884346,
+     0.0051257547513583658822, 0.0013444868519477675661),
+    (1.2, 0.03, 0.05, 0.3, 0.02, 0.0, 30.0, 2.5,
+     0.029640232797833563375, -0.049948083658214637363,
+     0.023778873397532832616, 0.059716238317994223868),
+    (2.0, 0.05, 0.01, -0.7, 0.03, 0.0, 1.0, 10.0,
+     0.12379088465541816908, -0.030995284401586529229,
+     0.12435947110686196024, 0.021010265824686067872),
+    (0.5, 0.06, 0.003, 0.9, 0.1, 0.0, 0.02, 50.0,
+     0.08239507620956778281, -0.0038376134965278802724,
+     0.082384042540627410751, 0.0043918856098032265617),
+    (2.0, 0.05, 0.001, -0.7, 0.03, 0.0, 10.0, -1.5,
+     0.53791878990766072495, 0.20718731534032048077,
+     0.53771188777566951143, -0.20684395459420492987),
+    (2.0, 0.05, 0.001, -0.7, 0.03, 0.0, 0.02, 0.001,
+     0.99999999969601079408, -3.0394510510544134651e-7,
+     0.99999999969600452175, 3.0394719566713623164e-7),
+    (2.0, 0.05, 0.0001, -0.7, 0.03, 0.0, 0.1, 30.0,
+     0.23801321490706351149, -0.011420991744706651784,
+     0.23801307118330452072, 0.011354960046113237487),
+    (2.0, 0.05, 0.0001, -0.7, 0.03, 0.0, 1.0, 3.16,
+     0.8117215047924211302, -0.053121193397720226508,
+     0.81171320492697629822, 0.05310145646073444615),
+    (2.0, 0.05, 0.0001, -0.7, 0.03, 0.8, 3.0, -1.0,
+     0.94749805574794940273, 0.049838093638391036215,
+     0.94749483190610568695, -0.049836827249621645389),
+    (2.0, 0.05, 3e-05, -0.7, 0.03, 0.0, 10.0, 0.3,
+     0.9755507730462862515, -0.071831726904168457008,
+     0.97555008689270553143, 0.071832265416028050047),
+    (2.0, 0.05, 1e-05, -0.7, 0.03, 0.0, 1.0, -17.0,
+     0.0023846560714720391791, 0.00087505297314617364693,
+     0.0023849118025304400265, -0.00087410443497570422528),
+    (1.0, 0.04, 1e-05, 0.0, 0.04, 0.0, 30.0, 0.4,
+     0.88242559759282255938, -0.21594428263205094457,
+     0.88242559759282255938, 0.21594428263205094457),
+    (2.0, 0.05, 1e-06, -0.7, 0.03, 0.0, 30.0, 0.01,
+     0.99989775379115885717, -0.0074493735225465885258,
+     0.99989775369515973923, 0.007449376084947925536),
+    (5.0, 0.1, 1e-06, -0.95, 0.15, 0.5, 0.25, 10.0,
+     0.21233273973637459192, -0.032911147120037643506,
+     0.21233274200774776784, 0.032910599279599555672),
+)
+
+
+class TestCoreOracle:
+    @pytest.mark.parametrize("row", MP_CORES)
+    def test_cores_match_mpmath(self, row):
+        kappa, theta, sigma, rho, v0, lam, T, l = row[:8]
+        p = HestonParams(mu=0.03, kappa=kappa, theta=theta, sigma=sigma,
+                         rho=rho, v0=v0, lam=lam)
+        spot, strike = heston._core_exponents(np.array([l]), T, p)
+        assert abs(np.exp(spot[0]) - complex(*row[8:10])) <= 1e-12
+        assert abs(np.exp(strike[0]) - complex(*row[10:12])) <= 1e-12
+
+
+def _log1p_points():
+    """Complex z for the log1p sweep, and the exact log1p of each."""
+    moduli = np.logspace(-12.0, 3.0, 61)
+    args = np.linspace(-math.pi, math.pi, 24, endpoint=False) \
+        + math.pi / 24.0
+    zs = list((moduli[:, None] * np.exp(1j * args)).ravel())
+    # on and near the circle |1 + z| = 1, where log|1 + z| cancels
+    phis = np.concatenate([np.logspace(-10.0, 0.0, 21), [2.0, 3.0, 3.1]])
+    for phi in np.concatenate([phis, -phis]):
+        for radius in (1.0, 1.0 + 1e-12, 1.0 - 1e-8, 1.0 + 1e-4):
+            zs.append(radius * cmath.exp(1j * phi) - 1.0)
+    with mpmath.workdps(50):
+        refs = [complex(mpmath.log(1 + mpmath.mpc(z.real, z.imag)))
+                for z in zs]
+    return np.array(zs), np.array(refs)
+
+
+class TestLog1p:
+    def test_against_mpmath(self):
+        zs, refs = _log1p_points()
+        got = heston._log1p_c(zs)
+        err = np.abs(got - refs) / np.abs(refs)
+        assert np.max(err) <= 1e-14, zs[np.argmax(err)]
+
+
+NEARDET = dict(mu=0.03, kappa=2.0, theta=0.05, rho=-0.7, v0=0.03)
+
+
+class TestNearDeterministicLimit:
+    @pytest.mark.parametrize("T", [0.1, 1.0, 10.0])
+    def test_price_is_black_scholes_plus_a_term_linear_in_sigma(self, T):
+        # as sigma -> 0 the variance follows its mean-reversion ODE, the
+        # price tends to Black-Scholes at the integrated variance, and
+        # the gap is first order in sigma (through rho)
+        kappa, theta, v0 = NEARDET["kappa"], NEARDET["theta"], NEARDET["v0"]
+        var = theta * T - (v0 - theta) * math.expm1(-kappa * T) / kappa
+        opt = VanillaOption(100.0, 105.0, T)
+        bs = bs_price(opt, 0.03, math.sqrt(var / T))
+        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_evals=20000)
+        slopes = []
+        for sigma in (1e-4, 3e-5, 1e-5, 1e-6):
+            p = HestonParams(sigma=sigma, **NEARDET)
+            price, res = heston_price_with_diagnostics(opt, p, 0.03, cfg)
+            assert res.converged
+            slopes.append((price - bs) / sigma)
+        assert max(slopes) - min(slopes) <= 1e-2 * abs(slopes[-1]), slopes
