@@ -157,8 +157,10 @@ def _parse_range(spec: str, what: str):
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise ConfigError("%s must look like lo:hi:n, got %r" % (what, spec))
-    if n < 1 or hi < lo or (n > 1 and not hi > lo):
-        raise ConfigError("%s needs hi >= lo and n >= 1" % what)
+    if not (math.isfinite(lo) and math.isfinite(hi)) or n < 1 or hi < lo \
+            or (n > 1 and not hi > lo):
+        raise ConfigError("%s needs finite hi >= lo and n >= 1, got %r"
+                          % (what, spec))
     return lo, hi, n
 
 
@@ -194,6 +196,9 @@ def cmd_curve(args) -> int:
         raise ConfigError("curve requires a 'rate' block (the reference "
                           "columns use r0 and theta_r)")
     lo, hi, n = _parse_range(args.strikes, "--strikes")
+    if not lo > 0:
+        raise ConfigError("--strikes needs positive strikes, got %r"
+                          % args.strikes)
     p, rp, opt0 = cfg.heston, cfg.rate, cfg.option
     vol = math.sqrt(p.v0)
     out = _open_out(args.out or cfg.output_path or "curve.csv")

@@ -8,7 +8,8 @@ nonnegative real part, so nothing overflows at long maturity or large
 |l|, and the complex logarithm stays on its principal branch without
 manual rotation-counting.
 
-The pricer and the density take them by one route, :func:`_core_half`,
+The pricer, the density, the paper's N and M and the CIR rate side in
+:mod:`hestoncir.hybrid` take them by one route, :func:`_core_half`,
 as accurate at sigma -> 0 as at any other sigma.  Both pricers, here
 and in :mod:`hestoncir.hybrid`, share one integrand body and one
 post-processing.
@@ -62,23 +63,6 @@ class PricingError(Exception):
     """Quadrature failure or internal-consistency violation in a pricer."""
 
 
-def _stable_nsh(w, beta):
-    """Stable evaluation of N = 1/(cosh w + beta sinh w) and companions.
-
-    Returns (N, log N, (cosh w - N)/sinh w).  Everything is factored
-    through exp(-w); Re(w) >= 0 is guaranteed by the principal square
-    root upstream, so exp(-w) never overflows.
-    """
-    w = np.asarray(w, dtype=complex)
-    emw = np.exp(-w)
-    e2 = emw * emw
-    denom = (1.0 + e2) + beta * (1.0 - e2)
-    n = 2.0 * emw / denom
-    log_n = math.log(2.0) - w - np.log(denom)
-    g = ((1.0 + e2) - 2.0 * emw * n) / (1.0 - e2)
-    return n, log_n, g
-
-
 def omega_of_l(l, p: HestonParams):
     """Frequency omega(l) = (sigma/2) sqrt((kappa/sigma + i l rho)^2 + l(l - i))."""
     l = np.asarray(l, dtype=complex)
@@ -95,19 +79,21 @@ def nu_of_l(l, p: HestonParams):
 
 def big_n_of_l(l, T, p: HestonParams):
     """N(l) = 1 / (cosh(omega T) + (kappa + i l rho sigma)/(2 omega) sinh(omega T))."""
-    omega = omega_of_l(l, p)
-    beta = (p.kappa + 1j * np.asarray(l) * p.rho * p.sigma) / (2.0 * omega)
-    n, _, _ = _stable_nsh(omega * T, beta)
-    return n
+    l = np.asarray(l)
+    return _amplitude(l * (l - 1j), p.kappa, l, T, p)
 
 
 def big_m_of_l(l, T, p: HestonParams):
     """M(l), the analogue of N(l) built on nu(l)."""
-    nu = nu_of_l(l, p)
-    beta = (p.kappa + 1j * np.asarray(l) * p.rho * p.sigma
-            - p.rho * p.sigma) / (2.0 * nu)
-    m, _, _ = _stable_nsh(nu * T, beta)
-    return m
+    l = np.asarray(l)
+    return _amplitude(l * (l + 1j), p.kappa - p.rho * p.sigma, l, T, p)
+
+
+def _amplitude(l2, b0, l, T, p: HestonParams):
+    """N or M as exp(-fT - log P) of :func:`_core_half`, on the raw kappa."""
+    _, two_f, log_p = _core_half(l2, b0, b0 + 1j * l * p.rho * p.sigma, T,
+                                 0.0, 0.0, p.sigma * p.sigma)
+    return np.exp(-0.5 * T * two_f - log_p)
 
 
 def _log1p_c(z):
@@ -126,18 +112,24 @@ def _log1p_c(z):
 def _core_half(l2, b0, b, T, v0, kappa_theta, sig2):
     """One exponent core, cancellation-free for every sigma.
 
+    The one route for every exp(-w) quantity: the volatility cores
+    (b = kappa + i l rho sigma, less rho sigma on the spot side, l2 =
+    l(l -/+ i)), the rate cores (b = kappa_r, l2 = 2 i l or 2(i l + 1))
+    and the paper's N, M, N_r and M_r.  Returns (core, 2f, log P).
+
     With 4 f^2 = b^2 + sig2 l2, s = 2f + b, d = 2f - b (s d = sig2 l2)
     and e = exp(-2fT), the exp(-w) form of the core is exactly
 
         v0 l2 (e - 1)/(s + d e) - kappa theta (l2 T/s + (2/sig2) log P),
 
     P = (s + d e)/(4f) = 1 + d (e - 1)/(4f) since s + d = 4f, and
-    log N = -fT - log P with the principal log N of :func:`_stable_nsh`.
-    P - 1 is O(sig2) and its log1p exact, so no 1/sig2 goes uncancelled.
-    b = b0 + i l rho sigma with b0 real; as Re 4f^2 > 0 for real l, s
-    cancels only if b0 < 0 (kappa < rho sigma, spot side, near l = 0).
-    There d is formed directly, s = sig2 l2/d, and log P is taken of P
-    itself, which may be near 0 rather than 1.
+    N = 1/(cosh fT + (b/2f) sinh fT) = exp(-fT - log P), with f on the
+    principal square root, so Re fT >= 0 and log N is the principal one
+    without rotation-counting.  P - 1 is O(sig2) and its log1p exact, so
+    no 1/sig2 goes uncancelled.  b = b0 + i l rho sigma with b0 real; as
+    Re 4f^2 > 0 for real l, s cancels only if b0 < 0 (kappa < rho sigma,
+    spot side, near l = 0).  There d is formed directly, s = sig2 l2/d,
+    and log P is taken of P itself, which may be near 0 rather than 1.
     """
     sl2 = sig2 * l2
     two_f = np.sqrt(b * b + sl2)
@@ -152,8 +144,9 @@ def _core_half(l2, b0, b, T, v0, kappa_theta, sig2):
         s = sl2 / d
         p = s + d * np.exp(-T * two_f)
         log_p = np.log(p / (2.0 * two_f))
-    return (v0 * l2) * em1 / p \
+    core = (v0 * l2) * em1 / p \
         - kappa_theta * (T * l2 / s + (2.0 / sig2) * log_p)
+    return core, two_f, log_p
 
 
 def _pricing_kappa_theta(p: HestonParams):
@@ -171,7 +164,7 @@ def _strike_core(l, T, p: HestonParams):
     kappa, theta = _pricing_kappa_theta(p)
     b = kappa + (1j * p.rho * p.sigma) * l
     return _core_half(l * (l - 1j), kappa, b, T, p.v0, kappa * theta,
-                      p.sigma * p.sigma)
+                      p.sigma * p.sigma)[0]
 
 
 def _spot_core(l, T, p: HestonParams):
@@ -180,7 +173,7 @@ def _spot_core(l, T, p: HestonParams):
     b0 = kappa - p.rho * p.sigma
     b = b0 + (1j * p.rho * p.sigma) * l
     return _core_half(l * (l + 1j), b0, b, T, p.v0, kappa * theta,
-                      p.sigma * p.sigma)
+                      p.sigma * p.sigma)[0]
 
 
 def _core_exponents(l, T, p: HestonParams):
@@ -591,10 +584,14 @@ def marginal_density_grid(xs, T: float, p: HestonParams,
     """Density of the logreturn at each x in xs (vectorized).
 
     The variable is the drift-adjusted logreturn x_T = ln(S_T/S0) - mu T,
-    as for :func:`marginal_density`.
+    as for :func:`marginal_density`.  A non-finite x raises ValueError.
     """
     cfg = cfg or QuadratureConfig()
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    bad = ~np.isfinite(xs)
+    if bad.any():
+        raise ValueError("marginal_density_grid needs finite x, got %r"
+                         % float(xs[bad][0]))
     reach = float(np.max(np.abs(xs))) if xs.size else 1.0
     density, _ = _density_evaluator(T, p, cfg, reach)
     return density(xs)

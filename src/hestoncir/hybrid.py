@@ -6,6 +6,13 @@ frequencies nu_r(l) and omega_r(l) from the discount-weighted CIR
 kernel.  The l = 0 value of the strike-side exponent is exactly the log
 of the CIR zero-coupon bond price, which is what replaces exp(-rT) in
 the at-the-money constant and in put-call parity.
+
+Both rate exponents take the volatility side's one cancellation-free
+route, :func:`heston._core_half` with b = kappa_r, through
+:func:`rate_kernel` at every sigma_r > 0, so the price stays exact as
+sigma_r -> 0.  At sigma_r = 0 the printed formulas are singular and the
+pricer delegates to the constant-rate one at the deterministic average
+rate.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heston import _MEMO, _braced, _core_exponents, _core_half, \
-    _finish_price, _heston_key, _stable_nsh, heston_price_with_diagnostics
+    _finish_price, _heston_key, heston_price_with_diagnostics
 from .models import CirRateParams, HestonParams, VanillaOption
 from .numerics import QuadratureConfig, integrate_real_line
 
@@ -32,45 +39,65 @@ __all__ = [
 
 @dataclass
 class RateKernelTerms:
-    """Rate-side kernel quantities evaluated at one l (or an l-array)."""
+    """Rate-side kernel quantities evaluated at one l (or an l-array).
+
+    ``spot_core`` and ``strike_core`` are the rate exponents with the
+    kappa_r a_r/sigma_r^2 offset folded in, as :func:`heston._core_half`
+    returns them; the strike core at l = 0 is the log bond price.  The
+    paper's ``theta_exp`` and ``upsilon_exp`` are those cores minus the
+    offset.  Never rebuild a core from them: adding the offset back
+    brings its 1/sigma_r^2 cancellation back.  M_r and N_r are formed
+    on access from their stored logs.
+    """
 
     a_r: float
     nu_r: complex
     omega_r: complex
-    big_m_r: complex
-    big_n_r: complex
+    spot_core: complex
+    strike_core: complex
     theta_exp: complex
     upsilon_exp: complex
+    log_m_r: complex
+    log_n_r: complex
+
+    @property
+    def big_m_r(self):
+        return np.exp(self.log_m_r)
+
+    @property
+    def big_n_r(self):
+        return np.exp(self.log_n_r)
 
 
 def rate_kernel(l, T: float, rp: CirRateParams) -> RateKernelTerms:
-    """Evaluate the six rate-side kernel quantities at l.
+    """Evaluate the rate-side kernel quantities at l.
 
-    N_r(l) mirrors M_r with nu_r replaced by omega_r(l); at l = 0 the
-    strike-side exponent (kappa_r/sigma_r^2) a_r + upsilon_exp reduces
-    to the log CIR bond price, which the tests pin against the textbook
-    A exp(-B r0) formula.
+    Both sides go through :func:`heston._core_half` with b = kappa_r:
+    the spot side on nu_r(l) with l2 = 2 i l, the strike side on
+    omega_r(l) with l2 = 2(i l + 1), so no 1/sigma_r^2 cancellation is
+    left at any sigma_r > 0.  N_r(l) mirrors M_r with nu_r replaced by
+    omega_r(l); at l = 0 the strike core reduces to the log CIR bond
+    price, which the tests pin against the textbook A exp(-B r0)
+    formula.
     """
     if rp.sigma_r <= 0:
         raise ValueError("rate_kernel requires sigma_r > 0; use the "
                          "deterministic-rate branch for sigma_r = 0")
     l = np.asarray(l, dtype=float)
     sig2 = rp.sigma_r * rp.sigma_r
-    ratio = rp.kappa_r * rp.kappa_r / sig2
-    q_r = 2.0 * rp.kappa_r * rp.theta_r / sig2
-    a_r = rp.r0 + rp.kappa_r * rp.theta_r * T
-
-    nu_r = 0.5 * rp.sigma_r * np.sqrt(ratio + 2j * l)
-    omega_r = 0.5 * rp.sigma_r * np.sqrt(ratio + 2.0 * (1j * l + 1.0))
-
-    m_r, log_m, g_nu = _stable_nsh(nu_r * T, rp.kappa_r / (2.0 * nu_r))
-    n_r, log_n, g_om = _stable_nsh(omega_r * T, rp.kappa_r / (2.0 * omega_r))
-
-    theta_exp = -(2.0 * nu_r * rp.r0 / sig2) * g_nu + q_r * log_m
-    upsilon_exp = -(2.0 * omega_r * rp.r0 / sig2) * g_om + q_r * log_n
-    return RateKernelTerms(a_r=a_r, nu_r=nu_r, omega_r=omega_r,
-                           big_m_r=m_r, big_n_r=n_r,
-                           theta_exp=theta_exp, upsilon_exp=upsilon_exp)
+    kt = rp.kappa_r * rp.theta_r
+    a_r = rp.r0 + kt * T
+    offset = rp.kappa_r * a_r / sig2
+    spot, two_nu, log_pm = _core_half(2j * l, rp.kappa_r, rp.kappa_r, T,
+                                      rp.r0, kt, sig2)
+    strike, two_om, log_pn = _core_half(2.0 * (1j * l + 1.0), rp.kappa_r,
+                                        rp.kappa_r, T, rp.r0, kt, sig2)
+    return RateKernelTerms(
+        a_r=a_r, nu_r=0.5 * two_nu, omega_r=0.5 * two_om,
+        spot_core=spot, strike_core=strike,
+        theta_exp=spot - offset, upsilon_exp=strike - offset,
+        log_m_r=-0.5 * T * two_nu - log_pm,
+        log_n_r=-0.5 * T * two_om - log_pn)
 
 
 def cir_bond_price(rp: CirRateParams, T: float) -> float:
@@ -98,29 +125,12 @@ def deterministic_average_rate(rp: CirRateParams, T: float) -> float:
 def _rate_cores(l, T: float, rp: CirRateParams):
     """Rate-side exponents with the kappa_r a_r / sigma_r^2 offset folded in.
 
-    Returns (spot_rate_core, strike_rate_core); the strike core at l = 0
-    is the log bond price.  When the amplification 2(kappa_r theta_r +
-    r0)/sigma_r^2 is at least 1e8, :func:`heston._core_half` serves with
-    b = kappa_r and l2 = 2 i l or 2(i l + 1); below it the paper's
-    :func:`rate_kernel` is evaluated directly.  Unlike the volatility
-    side, the rate side keeps this switch, because the benchmark's
-    per-layer counts expect hybrid integrands to call ``rate_kernel``.
-    Its cost is the direct form's 1/sigma_r^2 cancellation just below
-    1e8: of 1250 quotes with sigma_r log-uniform in 1e-6 to 3e-5, 3
-    (sigma_r 2.6e-5 to 2.9e-5) fail to converge at a tolerance of 1e-9.
+    Returns (spot_rate_core, strike_rate_core) of :func:`rate_kernel`,
+    the one rate route at every sigma_r > 0; the strike core at l = 0 is
+    the log bond price.
     """
-    l = np.asarray(l, dtype=float)
-    sig2 = rp.sigma_r * rp.sigma_r
-    amplification = 2.0 * (rp.kappa_r * rp.theta_r + rp.r0) / sig2
-    if amplification < 1e8:
-        rk = rate_kernel(l, T, rp)
-        kap_a_r = rp.kappa_r / sig2 * rk.a_r
-        return kap_a_r + rk.theta_exp, kap_a_r + rk.upsilon_exp
-    kt = rp.kappa_r * rp.theta_r
-    spot = _core_half(2j * l, rp.kappa_r, rp.kappa_r, T, rp.r0, kt, sig2)
-    strike = _core_half(2.0 * (1j * l + 1.0), rp.kappa_r, rp.kappa_r, T,
-                        rp.r0, kt, sig2)
-    return spot, strike
+    rk = rate_kernel(l, T, rp)
+    return rk.spot_core, rk.strike_core
 
 
 def hybrid_price_integrand(l, opt: VanillaOption, p: HestonParams,

@@ -1,25 +1,41 @@
-"""High-precision exponent cores for the tier-1 kernel oracle test.
+"""High-precision exponent cores for the tier-1 kernel oracle tests.
 
-Evaluates both exponent cores of the price integrand, the spot side on
-nu(l) and the strike side on omega(l),
+Evaluates both volatility exponent cores of the price integrand, the
+spot side on nu(l) and the strike side on omega(l),
 
     spot core   = i l rho a/sigma + kappa a/sigma^2 - rho a/sigma + theta(l)
     strike core = i l rho a/sigma + kappa a/sigma^2 + upsilon(l),
 
 with a = v0 + kappa theta T, in the paper's exp(-w) form with mpmath at
 50 digits, sharing no code with ``hestoncir``.  A nonzero lam is mapped
-to kappa + lam and kappa theta/(kappa + lam) first.  The form is the one
-``heston._stable_nsh`` uses, log N = log 2 - w - log(denominator): the
-textbook cosh/sinh form with a principal logarithm crosses a branch cut
+to kappa + lam and kappa theta/(kappa + lam) first.  The form is the
+paper's exp(-w) one, log N = log 2 - w - log(denominator) with
+N = 1/(cosh w + beta sinh w) and beta = b/(2 freq), which
+``heston._core_half`` rearranges: the textbook cosh/sinh form with a principal logarithm crosses a branch cut
 at long maturity (the "little Heston trap").  At 50 digits the 1/sigma^2
 cancellation of the near-deterministic cases still leaves more than 30.
 
 The cases span the amplification 2(kappa theta + v0)/sigma^2 from below
 1e0 to above 1e12, T from 0.02 to 30, |rho| up to 0.95, lam != 0, |l|
 from 1e-3 to 316, and kappa < rho sigma (the spot side's b = kappa -
-rho sigma + i l rho sigma with a negative real part).  Run
-``python tests/mp_core_oracle.py`` to print the rows stored in
-``tests/test_heston.py`` (under a second).
+rho sigma + i l rho sigma with a negative real part).
+
+It also evaluates both CIR rate cores of the hybrid integrand in the
+same form, with b = kappa_r, freq = sqrt(kappa_r^2 + sigma_r^2 l2)/2
+and l2 = 2 i l (spot side, nu_r) or 2(i l + 1) (strike side, omega_r):
+
+    rate core = kappa_r a_r/sigma_r^2 - (2 freq r0/sigma_r^2) g
+                + (2 kappa_r theta_r/sigma_r^2) log N,
+
+with a_r = r0 + kappa_r theta_r T and g = (cosh w - N)/sinh w.  Those
+cases span sigma_r from 1e-6 to 0.3 (the amplification 2(kappa_r
+theta_r + r0)/sigma_r^2 from about 1 to 2e11; eight cases have sigma_r
+in 3e-5 to 1e-4, around the 1e8 where a direct form of the rate cores
+loses up to 1.5e-7), T from 0.02 to 30 and |l| from 1e-3 to 316.
+
+Run ``python tests/mp_core_oracle.py`` to print the rows stored in
+``tests/test_heston.py`` (MP_CORES) and ``tests/test_hybrid.py``
+(MP_RATE_CORES), in under a second.
 """
 
 import mpmath as mp
@@ -58,6 +74,45 @@ CASES = (   # (kappa, theta, sigma, rho, v0, lam, T, l)
 )
 
 
+RATE_CASES = (   # (kappa_r, theta_r, sigma_r, r0, T, l)
+    (1.8, 0.03, 0.1, 0.035, 1.0, 0.7),
+    (1.8, 0.03, 0.1, 0.035, 30.0, -3.0),
+    (0.5, 0.03, 0.3, 0.035, 0.02, 316.0),
+    (0.5, 0.03, 0.3, 0.035, 10.0, 1e-3),
+    (0.5, 0.03, 0.3, 0.035, 5.0, -20.0),
+    (0.2, 0.06, 0.15, 0.01, 30.0, 0.05),
+    (3.0, 0.02, 0.05, 0.05, 0.25, -12.0),
+    (1.8, 0.03, 0.02, 0.035, 2.0, 1.5),
+    (1.8, 0.03, 3e-3, 0.035, 0.5, -50.0),
+    (1.8, 0.03, 1e-3, 0.035, 10.0, 0.3),
+    (1.8, 0.03, 1e-4, 0.035, 1.0, 3.16),
+    (1.8, 0.03, 1e-4, 0.035, 0.1, -100.0),
+    (1.8, 0.03, 7e-5, 0.035, 10.0, 0.01),
+    (1.8, 0.03, 5e-5, 0.035, 1.0, -1.0),
+    (0.9, 0.04, 6e-5, 0.02, 3.0, 7.0),
+    (1.8, 0.03, 4.3e-5, 0.035, 0.1, 30.0),
+    (1.8, 0.03, 4e-5, 0.035, 30.0, 1e-3),
+    (1.8, 0.03, 3e-5, 0.035, 5.0, -0.5),
+    (1.8, 0.03, 1e-5, 0.035, 0.02, 316.0),
+    (0.3, 0.05, 1e-6, 0.001, 1.0, -2.0),
+    (1.8, 0.03, 1e-6, 0.035, 30.0, 0.01),
+)
+
+
+def _exp_w(freq, b, t):
+    """(log N, g) of N = 1/(cosh w + beta sinh w), w = freq t, via exp(-w).
+
+    g = (cosh w - N)/sinh w; beta = b/(2 freq).
+    """
+    w = freq * t
+    emw = mp.exp(-w)
+    e2 = emw * emw
+    denom = (1 + e2) + b / (2 * freq) * (1 - e2)
+    n = 2 * emw / denom
+    log_n = mp.log(2) - w - mp.log(denom)
+    return log_n, ((1 + e2) - 2 * emw * n) / (1 - e2)
+
+
 def core(side, kappa, theta, sigma, rho, v0, lam, t, l):
     """The spot or strike exponent core at one (parameters, T, l)."""
     kappa, theta, sigma, rho, v0, lam, t, l = (
@@ -74,14 +129,7 @@ def core(side, kappa, theta, sigma, rho, v0, lam, t, l):
         radicand = (kappa / sigma + i * l * rho) ** 2 + l * (l - i)
         b = kappa + i * l * rho * sigma
     freq = sigma / 2 * mp.sqrt(radicand)
-    beta = b / (2 * freq)
-    w = freq * t
-    emw = mp.exp(-w)
-    e2 = emw * emw
-    denom = (1 + e2) + beta * (1 - e2)
-    n = 2 * emw / denom
-    log_n = mp.log(2) - w - mp.log(denom)
-    g = ((1 + e2) - 2 * emw * n) / (1 - e2)
+    log_n, g = _exp_w(freq, b, t)
     a = v0 + kappa * theta * t
     exponent = -(2 * freq * v0 / sig2) * g + 2 * kappa * theta / sig2 * log_n
     offset = i * l * rho * a / sigma + kappa * a / sig2
@@ -90,14 +138,35 @@ def core(side, kappa, theta, sigma, rho, v0, lam, t, l):
     return offset + exponent
 
 
-def main():
-    mp.mp.dps = 50
-    for case in CASES:
+def rate_core(side, kappa_r, theta_r, sigma_r, r0, t, l):
+    """The spot or strike rate core at one (rate parameters, T, l)."""
+    kappa_r, theta_r, sigma_r, r0, t, l = (
+        mp.mpf(v) for v in (kappa_r, theta_r, sigma_r, r0, t, l))
+    i = mp.mpc(0, 1)
+    sig2 = sigma_r * sigma_r
+    l2 = 2 * i * l if side == "spot" else 2 * (i * l + 1)
+    freq = mp.sqrt(kappa_r * kappa_r + sig2 * l2) / 2
+    log_n, g = _exp_w(freq, kappa_r, t)
+    a_r = r0 + kappa_r * theta_r * t
+    return kappa_r * a_r / sig2 - (2 * freq * r0 / sig2) * g \
+        + 2 * kappa_r * theta_r / sig2 * log_n
+
+
+def _print_rows(name, cases, fn):
+    print("%s = (" % name)
+    for case in cases:
         print("    (%s," % ", ".join(repr(v) for v in case))
         for side, end in (("spot", ","), ("strike", "),")):
-            z = mp.exp(core(side, *case))
+            z = mp.exp(fn(side, *case))
             print("     %s, %s%s" % (mp.nstr(z.real, 20),
                                      mp.nstr(z.imag, 20), end))
+    print(")")
+
+
+def main():
+    mp.mp.dps = 50
+    _print_rows("MP_CORES", CASES, core)
+    _print_rows("MP_RATE_CORES", RATE_CASES, rate_core)
 
 
 if __name__ == "__main__":

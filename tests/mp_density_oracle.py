@@ -6,8 +6,8 @@ drift-adjusted logreturn x_T = ln(S_T/S0) - mu T,
     f(x) = (1/2 pi) Re int exp(i l x + core(l)) dl,
 
 with mpmath at 30 digits, sharing no code with ``hestoncir``.  The
-strike-side core is evaluated in the exp(-w) form that
-``heston._stable_nsh`` uses, log N = log 2 - w - log(denominator): the
+strike-side core is evaluated in the paper's exp(-w) form, log N =
+log 2 - w - log(denominator), which ``heston._core_half`` rearranges: the
 textbook cosh/sinh form with a principal logarithm crosses a branch cut
 at long maturity (the "little Heston trap").
 

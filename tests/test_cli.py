@@ -164,6 +164,16 @@ class TestCurveCommand:
         assert float(row[5]) == pytest.approx(
             hybrid_call_price(opt, p, rp), rel=1e-12)
 
+    @pytest.mark.parametrize("spec", ["90:inf:3", "-10:100:3", "0:100:3",
+                                      "nan:100:3"])
+    def test_bad_strikes_exit_2_before_writing(self, tmp_path, capsys, spec):
+        path = write_config(tmp_path)
+        out = tmp_path / "bad.csv"
+        assert main(["curve", "--config", path, "--strikes=" + spec,
+                     "--out", str(out)]) == 2
+        assert "--strikes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_twelve_significant_digits(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "d.csv"
@@ -204,6 +214,16 @@ class TestDensityCommand:
         assert main(["density", "--config", path,
                      "--xrange=-3:3:2001", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[-1] == footer
+
+    @pytest.mark.parametrize("spec", ["-inf:1:10", "-1:inf:10",
+                                      "nan:1:10"])
+    def test_non_finite_range_exits_2(self, tmp_path, capsys, spec):
+        path = write_config(tmp_path, {"model": "heston"})
+        out = tmp_path / "bad.csv"
+        assert main(["density", "--config", path, "--xrange=" + spec,
+                     "--out", str(out)]) == 2
+        assert "--xrange" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_correlation_flips_the_skew(self, tmp_path):
         def third_moment(rho):

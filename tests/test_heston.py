@@ -263,6 +263,13 @@ class TestMarginalDensity:
         dens = marginal_density_grid(xs, 1.0, fig1_heston)
         assert abs(np.trapezoid(dens, xs) - 1.0) <= 1e-6
 
+    @pytest.mark.parametrize("xs", [[math.nan, 0.0], [math.inf],
+                                    [-1.0, -math.inf, 1.0]])
+    def test_grid_rejects_non_finite_x(self, fig1_heston, xs):
+        bad = next(x for x in xs if not math.isfinite(x))
+        with pytest.raises(ValueError, match=repr(bad)):
+            marginal_density_grid(xs, 1.0, fig1_heston)
+
     def test_grid_evaluator_matches_scalar_route(self, fig1_heston):
         xs = np.array([-0.6, -0.1, 0.0, 0.2, 0.7])
         grid = marginal_density_grid(xs, 1.0, fig1_heston)

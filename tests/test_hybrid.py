@@ -10,6 +10,7 @@ from hestoncir import hybrid
 from hestoncir import (
     CirRateParams,
     HestonParams,
+    QuadratureConfig,
     VanillaOption,
     cir_bond_price,
     deterministic_average_rate,
@@ -136,6 +137,142 @@ class TestRateKernel:
         assert abs(log_bond.imag) < 1e-12
         assert math.exp(log_bond.real) == pytest.approx(
             cir_bond_price(fig1_rate, 1.0), rel=1e-13)
+
+
+# (kappa_r, theta_r, sigma_r, r0, T, l, exp(spot rate core).real, .imag,
+# exp(strike rate core).real, .imag) at 50 digits, printed by
+# tests/mp_core_oracle.py
+MP_RATE_CORES = (
+    (1.8, 0.03, 0.1, 0.035, 1.0, 0.7,
+     0.99973554421282962033, -0.022620901137425392817,
+     0.96795947378210216986, -0.021878230300278777033),
+    (1.8, 0.03, 0.1, 0.035, 30.0, -3.0,
+     -0.89655982404852928495, 0.41484342649267606627,
+     -0.36265954408614029807, 0.17137988599185636117),
+    (0.5, 0.03, 0.3, 0.035, 0.02, 316.0,
+     0.97526371073436700845, -0.21915477066656020952,
+     0.97458234022575250534, -0.21899896136745079645),
+    (0.5, 0.03, 0.3, 0.035, 10.0, 0.001,
+     0.99999991234696479724, -0.00030993259335678072596,
+     0.75732175128127346204, -0.00019079935833584690782),
+    (0.5, 0.03, 0.3, 0.035, 5.0, -20.0,
+     0.014972110544466928595, 0.39921670918011162229,
+     0.028551538863073849224, 0.38131730701208712597),
+    (0.2, 0.06, 0.15, 0.01, 30.0, 0.05,
+     0.99622049405886900158, -0.077377503763373778843,
+     0.26572787549094861139, -0.015350780316798938733),
+    (3.0, 0.02, 0.05, 0.05, 0.25, -12.0,
+     0.99238164685926952571, 0.12300065878527860854,
+     0.98223649407089423025, 0.12173910434730758024),
+    (1.8, 0.03, 0.02, 0.035, 2.0, 1.5,
+     0.99557502032084320712, -0.093913717036105693239,
+     0.93507021478590072111, -0.08819956899265050496),
+    (1.8, 0.03, 0.003, 0.035, 0.5, -50.0,
+     0.67308158990747257876, 0.73955668206931037634,
+     0.66196886079548325132, 0.72734593482074604818),
+    (1.8, 0.03, 0.001, 0.035, 10.0, 0.3,
+     0.99587748457179493214, -0.090708478142371136156,
+     0.73571771814741684209, -0.067012073862800785363),
+    (1.8, 0.03, 0.0001, 0.035, 1.0, 3.16,
+     0.99478958708668183786, -0.10194938486663690928,
+     0.96315333968239849228, -0.098707195652734766055),
+    (1.8, 0.03, 0.0001, 0.035, 0.1, -100.0,
+     0.94081873565077408168, 0.33891017339907847771,
+     0.93757139423763200382, 0.33774038690373563043),
+    (1.8, 0.03, 7e-05, 0.035, 10.0, 0.01,
+     0.99999541628434621952, -0.0030277731511958019516,
+     0.73875986164714995019, -0.0022368075240625134185),
+    (1.8, 0.03, 5e-05, 0.035, 1.0, -1.0,
+     0.99947779903904953797, 0.032312988399622393554,
+     0.96769245733543922659, 0.031285372391343463255),
+    (0.9, 0.04, 6e-05, 0.02, 3.0, 7.0,
+     0.7681186065381756741, -0.64030757957193715516,
+     0.69552915118004185596, -0.5797966385023017558),
+    (1.8, 0.03, 4.3e-05, 0.035, 0.1, 30.0,
+     0.99462512648155355446, -0.10354157500570269694,
+     0.99119206627050777489, -0.10318418964267687456),
+    (1.8, 0.03, 4e-05, 0.035, 30.0, 0.001,
+     0.99999959249616943514, -0.00090277765514930677269,
+     0.40544170154784053683, -0.00036602385760348150203),
+    (1.8, 0.03, 3e-05, 0.035, 5.0, -0.5,
+     0.99708380038924965241, 0.076314448123914522345,
+     0.85581769816134478122, 0.065502273017707084951),
+    (1.8, 0.03, 1e-05, 0.035, 0.02, 316.0,
+     0.9757580279688304069, -0.21885216666387632253,
+     0.97507697061773922159, -0.21869941273038135483),
+    (0.3, 0.05, 1e-06, 0.001, 1.0, -2.0,
+     0.99988243726022996537, 0.015333351184178403192,
+     0.99224567541031397642, 0.015216240264940730823),
+    (1.8, 0.03, 1e-06, 0.035, 30.0, 0.01,
+     0.99995924989096242261, -0.0090276551498016978672,
+     0.40542534487885996843, -0.0036601893556700129234),
+)
+
+
+class TestRateCoreOracle:
+    @pytest.mark.parametrize("row", MP_RATE_CORES)
+    def test_rate_cores_match_mpmath(self, row):
+        rp = CirRateParams(*row[:4])
+        T, l = row[4:6]
+        spot, strike = hybrid._rate_cores(np.array([l]), T, rp)
+        assert abs(np.exp(spot[0]) - complex(*row[6:8])) <= 1e-12
+        assert abs(np.exp(strike[0]) - complex(*row[8:10])) <= 1e-12
+
+
+class TestNearDeterministicRate:
+    """sigma_r from 1e-4 down to 3e-5, where the rate amplification
+    2(kappa_r theta_r + r0)/sigma_r^2 runs from 1.8e7 to 2e8."""
+
+    HESTON = HestonParams(mu=0.03, kappa=2.0, theta=0.05, sigma=0.3,
+                          rho=-0.7, v0=0.03)
+    CFG = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_evals=20000)
+
+    @pytest.mark.parametrize("T", [0.1, 1.0, 10.0])
+    def test_rate_effect_is_smooth_in_sigma_r_squared(self, T):
+        # the price leaves the deterministic-rate price as sigma_r^2, so
+        # the ratio below settles to one value for every sigma_r
+        opt = VanillaOption(100.0, 105.0, T)
+        ratios = []
+        for sigma_r in (1e-4, 7e-5, 5e-5, 4.3e-5, 3e-5):
+            rp = CirRateParams(kappa_r=1.8, theta_r=0.03, sigma_r=sigma_r,
+                               r0=0.035)
+            price, res = hybrid_price_with_diagnostics(opt, self.HESTON, rp,
+                                                       self.CFG)
+            assert res.converged
+            ref = heston_call_price(opt, self.HESTON,
+                                    deterministic_average_rate(rp, T),
+                                    self.CFG)
+            ratios.append((price - ref) / sigma_r ** 2)
+        mid = float(np.median(ratios))
+        assert max(ratios) - min(ratios) <= 1e-2 * abs(mid), ratios
+
+    # hybrid_tiny quotes of the benchmark's scatter schedule: (heston
+    # without lam, rate, strike, T, kind)
+    TINY_QUOTES = (
+        ((0.00040543014787470356, 2.4628318756165095, 0.05407509064565556,
+          0.7169906920849944, 0.02081369236743147, 0.011586287031196723),
+         (2.360031304607544, 0.011140762439352598, 2.8611362813568256e-05,
+          0.00040543014787470356), 129.8426, 0.28214348201723066, "call"),
+        ((0.00857948039591995, 2.6442460202004017, 0.015465920478789124,
+          0.5282653715326026, -0.6126112644186514, 0.010291502902162325),
+         (0.5054307935991265, 0.04437971884753479, 2.592429070864857e-05,
+          0.00857948039591995), 78.0142, 1.9827079282736448, "call"),
+        ((0.004625163656469056, 4.23753393393987, 0.017500157004760868,
+          0.5016304970114276, 0.49068304813481267, 0.012261901605316285),
+         (0.5928025770226899, 0.0346544135469606, 2.7652417402869578e-05,
+          0.004625163656469056), 167.1025, 1.2924189015069776, "put"),
+    )
+
+    @pytest.mark.parametrize("quote", TINY_QUOTES)
+    def test_scatter_tiny_rate_quotes_converge(self, quote):
+        heston, rate, strike, T, kind = quote
+        p, rp = HestonParams(*heston), CirRateParams(*rate)
+        opt = VanillaOption(100.0, strike, T, kind)
+        price, res = hybrid_price_with_diagnostics(opt, p, rp, self.CFG)
+        assert res.converged
+        ref = heston_call_price(opt, p, deterministic_average_rate(rp, T),
+                                self.CFG)
+        assert abs(price - ref) <= 1e-8
 
 
 class TestHybridPrice:
