@@ -22,11 +22,15 @@ cores at its second quote, and the integrand computes only the nodes
 the table lacks.  Parameter sets priced once store nothing.
 
 The density is one Fourier integral over l as well, taken on a uniform
-l-table of its kernel.  An evenly spaced x grid sums that table by a
-chirp-z transform (Bluestein's algorithm on ``numpy.fft``); any other x
-(single points, uneven grids) by cos/sin phase matrices in blocks of
-bounded size.  The price-via-density cross-check integrates the payoff
-against each mode of the same table in closed form.
+l-table of its kernel whose step the aliasing bound of the requested
+x-range sets, checked by one adaptive integral at three probes.  An
+evenly spaced x grid sums that table by a chirp-z transform (Bluestein's
+algorithm on ``numpy.fft``); any other x (single points, uneven grids)
+by cos/sin phase matrices in blocks of bounded size.  The
+price-via-density cross-check integrates the payoff against each mode
+of the same table in closed form, from the strike up, or, where a fat
+right tail keeps the call strips from decaying, the bounded put payoff
+from the strike down and the call by parity.
 """
 
 from __future__ import annotations
@@ -398,26 +402,44 @@ def heston_price_with_diagnostics(opt: VanillaOption, p: HestonParams,
 
 
 def density_integrand(l, x, T, p: HestonParams):
-    """Fourier integrand of the marginal logreturn density (vectorized)."""
+    """Fourier integrand of the marginal logreturn density (vectorized).
+
+    Shape l.shape for a scalar x; an array x adds its axes after l's,
+    and every x shares one kernel evaluation per l.
+    """
     l = np.asarray(l, dtype=float)
-    return np.exp(1j * l * x + _strike_core(l, T, p))
+    x = np.asarray(x, dtype=float)
+    core = _strike_core(l, T, p).reshape(l.shape + (1,) * x.ndim)
+    return np.exp(1j * np.multiply.outer(l, x) + core)
 
 
-def marginal_density(x: float, T: float, p: HestonParams,
-                     cfg: QuadratureConfig | None = None) -> float:
+def marginal_density(x, T: float, p: HestonParams,
+                     cfg: QuadratureConfig | None = None):
     """Density of the logreturn x_T = ln(S_T/S0) - mu T at x.
 
-    The integrand is conjugate-symmetric over real l, so the imaginary
-    part of the integral is pure quadrature noise; it is checked against
-    the error estimate and discarded.
+    ``x`` is a scalar, giving a float, or an array, giving an array of
+    its shape from one adaptive integral whose integrand evaluates the
+    kernel once per node for every x; the tolerance then binds the x
+    whose integral is smallest.  The integrand is conjugate-symmetric
+    over real l, so the imaginary part of the integral is pure
+    quadrature noise; it is checked against the error estimate, for each
+    x, and discarded.
     """
     cfg = cfg or QuadratureConfig()
-    res = integrate_real_line(lambda l: density_integrand(l, x, T, p), cfg)
+    xs = np.asarray(x, dtype=float)
+    flat = xs.reshape(-1) if xs.ndim else xs
+    res = integrate_real_line(lambda l: density_integrand(l, flat, T, p),
+                              cfg)
     _check_result(res, "density")
-    if abs(res.value.imag) > 10.0 * res.error_estimate + 1e-12:
+    imag = np.abs(np.imag(res.value))
+    bad = np.flatnonzero(imag > 10.0 * res.error_estimate + 1e-12)
+    if bad.size:
         raise PricingError(
-            "density imaginary residual %.3e at x=%g" % (res.value.imag, x))
-    return res.value.real / _TWO_PI
+            "density imaginary residual %.3e at x=%g"
+            % (imag.flat[bad[0]], xs.flat[bad[0]]))
+    if not xs.ndim:
+        return res.value.real / _TWO_PI
+    return (res.value.real / _TWO_PI).reshape(xs.shape)
 
 
 # Phase entries (points x table nodes) in one block of the matrix route:
@@ -511,13 +533,19 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     Builds a uniform trapezoid table of the Fourier kernel in l; for an
     analytic integrand decaying exponentially at both ends the uniform
     rule converges near-spectrally, so a single table replaces one
-    adaptive quadrature per x.  The table is verified against the
-    adaptive :func:`marginal_density` at probe points.
+    adaptive quadrature per x.  Its error is set by the aliasing period
+    2 pi/h and the kernel's analyticity strip, not by an absolute step
+    (Trefethen and Weideman, SIAM Review 2014), so the step is h =
+    pi/(x_reach + 12 sd + 1), sd = sqrt((v0 + theta) T), alone: the
+    period clears twice the requested reach plus the density's support.
+    The table is verified against the adaptive :func:`marginal_density`
+    at three probe points (0, 0.9 sd and -1.7 sd), all in one call whose
+    integrand evaluates the kernel once per node for the three.
 
     The table's density is f(x) = Re sum_k c_k exp(i l_k x) / 2 pi.  An
     evenly spaced x grid (the CLI's and :func:`marginal_density_grid`'s
     usual input) sums it by a chirp-z transform, O((N + M) log(N + M))
-    in time and memory; every other x (the single-point probes, uneven
+    in time and memory; every other x (the three probe points, uneven
     grids) by cos/sin phase matrices, O(N M) in time, in blocks of
     bounded size.  Both routes stay, because the transform needs evenly
     spaced x.  A payoff strip needs no x at all: every mode integrates
@@ -531,9 +559,9 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     form, so it keeps the quadrature in x.
     """
     scale = math.sqrt((p.v0 + p.theta) * T)
-    # step small enough that the 2*pi/h aliasing period clears the
-    # requested x-range plus the density's own support
-    h = min(0.05, math.pi / (x_reach + 12.0 * scale + 1.0))
+    # the 2*pi/h aliasing period clears the requested x-range plus the
+    # density's own support
+    h = math.pi / (x_reach + 12.0 * scale + 1.0)
     l_max = 50.0
     while True:
         decay = float(np.real(_strike_core(np.array([l_max]), T, p))[0])
@@ -557,12 +585,10 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     def table_strip(lo, hi, a, k, outer):
         return _payoff_strip_sum(kernel, h, lo, hi, a, k) / _TWO_PI
 
-    peak = float(table_density(np.array([0.0]))[0])
-    for probe in (0.0, 0.9 * scale, -1.7 * scale):
-        ref = marginal_density(probe, T, p, cfg)
-        if abs(float(table_density(probe)[0]) - ref) > 1e-7 * (peak + 1.0):
-            break
-    else:
+    probes = np.array([0.0, 0.9 * scale, -1.7 * scale])
+    got = table_density(probes)
+    ref = marginal_density(probes, T, p, cfg)
+    if np.max(np.abs(got - ref)) <= 1e-7 * (got[0] + 1.0):
         return table_density, table_strip
 
     def scalar_density(xs):
@@ -597,65 +623,88 @@ def marginal_density_grid(xs, T: float, p: HestonParams,
     return density(xs)
 
 
+def _strip_tail(payoff_strip, start, sign, x_bail, scale, a, k, outer):
+    """Sum payoff strips from ``start`` away from the bulk of the density.
+
+    ``sign`` is +1 to go up (the call side) or -1 to go down (the put
+    side).  The strips widen from 0.5 to 2 and stop once a strip of
+    width 2, beyond 6 density widths on that side, adds less than 10
+    abs_tol; a deep strike thus never stops before the bulk of the mass
+    is reached.  Returns (total, None), or (None, (lo, hi, strip)) with the
+    last strip once a strip passes ``x_bail``.
+    """
+    total, edge, width = 0.0, start, 0.5
+    while True:
+        far = edge + sign * width
+        lo, hi = (edge, far) if sign > 0 else (far, edge)
+        strip = payoff_strip(lo, hi, a, k, outer)
+        total += strip
+        if abs(strip) < outer.abs_tol * 10 and width >= 2.0 \
+                and sign * far > 6.0 * scale:
+            return total, None
+        if sign * far > sign * x_bail:
+            return None, (lo, hi, strip)
+        edge, width = far, min(2.0 * width, 2.0)
+
+
 def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
                       cfg: QuadratureConfig | None = None) -> float:
     """Price by discounted expectation over the logreturn density.
 
     Cross-check of :func:`heston_call_price`.  Under mu = r the terminal
     spot is S0 exp(x_T + rT), so the call payoff is a e^x - K with
-    a = S0 e^{rT}, nonzero for x above ln(K/S0) - rT.  It is integrated
-    against the density of :func:`marginal_density_grid` in strips
-    [lo, hi] going up from there, each strip in closed form over the
-    density's l-table (see :func:`_density_evaluator`); only when that
-    table fails its probes is a strip an adaptive quadrature in x of the
-    scalar density.  The route shares nothing with the pricer's spot
-    core or its l-quadrature: it reads the strike core alone, on its own
-    uniform l-table, checked against the adaptive density at three
-    probes.  Puts follow by parity.
+    a = S0 e^{rT}, nonzero for x above x_lo = ln(K/S0) - rT.  It is
+    integrated against the density of :func:`marginal_density_grid` in
+    strips [lo, hi] going up from there, each strip in closed form over
+    the density's l-table (see :func:`_density_evaluator`); only when
+    that table fails its probes is a strip an adaptive quadrature in x
+    of the scalar density.  The route shares nothing with the pricer's
+    spot core or its l-quadrature: it reads the strike core alone, on
+    its own uniform l-table, checked against the adaptive density at
+    three probes.  Puts follow by parity.
 
     The strips widen from 0.5 to 2 and stop once a strip of width 2,
-    above 6 density widths, adds less than 10 abs_tol.  Limitation: on a
-    fat right tail (the moment E[S_T^w] explodes for w just above 1)
-    e^x f(x) decays so slowly that the density's rounding error,
-    magnified by a e^x, overtakes it before any strip falls below that
-    bound.  The strips then change sign and grow, and past x_bail (60
-    above max(x_lo, 0), or 40 density widths when more) a
-    :class:`PricingError` says so, in milliseconds on the table route.
-    With sigma = 0.5, kappa = 1.5, theta = 0.05 and v0 = 0.04 this
-    happens at T = 5 with rho = 0.9 and at T = 30 with rho >= 0, where
-    :func:`heston_call_price` still prices.
+    above 6 density widths, adds less than 10 abs_tol.  On a fat right
+    tail (the moment E[S_T^w] explodes for w just above 1) e^x f(x)
+    decays so slowly that the density's rounding error, magnified by
+    a e^x, overtakes it before any strip falls below that bound, and
+    the strips pass x_bail (60 above max(x_lo, 0), or 40 density widths
+    when more).  The call is then priced by parity from the bounded put
+    payoff K - a e^x, integrated down from x_lo by the mirrored strips
+    (stopping below -6 density widths, bailing 60 or 40 density widths
+    below min(x_lo, 0)): since E[e^x] = 1, call = disc (put integral +
+    a - K).  Only when both sides pass their bails does a
+    :class:`PricingError` say so, naming both.
     """
     cfg = cfg or QuadratureConfig()
     s0, k, T = opt.s0, opt.strike, opt.maturity
     disc = math.exp(-r * T)
     x_lo = math.log(k / s0) - r * T
     scale = math.sqrt((p.v0 + p.theta) * T)
-    x_bail = max(x_lo, 0.0) + max(60.0, 40.0 * scale)
+    span = max(60.0, 40.0 * scale)
+    x_bail = max(x_lo, 0.0) + span
     _, payoff_strip = _density_evaluator(T, p, cfg,
                                          abs(x_lo) + x_bail + 4.0)
 
     outer = QuadratureConfig(
         abs_tol=max(cfg.abs_tol, 1e-9), rel_tol=cfg.rel_tol,
         max_evals=cfg.max_evals)
-    # Expand the upper limit in doubling strips until the payoff tail
-    # is negligible; the density decays faster than the payoff grows.
-    # Never stop below 6 density widths above the origin, or a deep
-    # strike would bail before the bulk of the mass is even reached.
-    total = 0.0
-    lo, width = x_lo, 0.5
-    while True:
-        hi = lo + width
-        strip = payoff_strip(lo, hi, s0 / disc, k, outer)
-        total += strip
-        if abs(strip) < outer.abs_tol * 10 and width >= 2.0 \
-                and hi > 6.0 * scale:
-            break
-        if hi > x_bail:
+    a = s0 / disc
+    total, call_last = _strip_tail(payoff_strip, x_lo, 1, x_bail, scale,
+                                   a, k, outer)
+    if total is None:
+        put_bail = min(x_lo, 0.0) - span
+        put, put_last = _strip_tail(payoff_strip, x_lo, -1, put_bail, scale,
+                                    -a, -k, outer)
+        if put is None:
             raise PricingError(
-                "payoff integral failed to decay at T=%g: past x_bail=%.4g "
-                "the strip [%.4g, %.4g] still adds %.3e, not below %.1e"
-                % (T, x_bail, lo, hi, strip, outer.abs_tol * 10))
-        lo, width = hi, min(2.0 * width, 2.0)
+                "payoff integral failed to decay at T=%g on both sides: "
+                "past x_bail=%.4g the call strip [%.4g, %.4g] still adds "
+                "%.3e, and past %.4g the put strip [%.4g, %.4g] %.3e, "
+                "not below %.1e"
+                % (T, x_bail, *call_last, put_bail, *put_last,
+                   outer.abs_tol * 10))
+        total = put + a - k
     call = disc * total
     if opt.kind == "put":
         return call - s0 + k * disc

@@ -7,7 +7,10 @@ that refines in batches -- each round bisects the fewest worst panels
 whose errors can bring the total under tolerance, at most 128 of them,
 and evaluates all their children in one vectorized integrand call of
 at most 3840 nodes -- with geometric growth of the truncation window
-until the tail contribution is negligible.
+until the tail contribution is negligible.  An integrand may return
+several columns at once (several x of one kernel); they share the
+panels, and each panel is refined until its worst column meets the
+tolerance.
 
 Random variates come from counter-based Philox streams so that
 (master_seed, stream_id) pairs give independent, reproducible sequences
@@ -64,6 +67,10 @@ class QuadratureConfig:
 
 @dataclass
 class QuadratureResult:
+    """An integral's value (complex, or an array of complex with one per
+    integrand column), its error estimate, the integrand evaluations and
+    whether it met its tolerance within budget."""
+
     value: complex
     error_estimate: float
     evaluations: int
@@ -104,28 +111,55 @@ _MAX_SPLITS = 128
 def _gk_panels(f, a, b):
     """Gauss-Kronrod 7-15 on each panel [a[i], b[i]], in one call of f.
 
-    Returns (kronrod estimates, |kronrod - gauss| errors), one per panel.
+    f returns one value per node, shape (n,), or m per node, shape
+    (n, m).  Returns the kronrod estimates, shape (panels,) or
+    (panels, m), and one error per panel: |kronrod - gauss|, the largest
+    over the columns.
     """
     half = 0.5 * (b - a)
     nodes = ((0.5 * (a + b))[:, None] + half[:, None] * _XGK).ravel()
     vals = np.asarray(f(nodes), dtype=complex)
-    if vals.shape != nodes.shape:
+    if vals.shape != nodes.shape and (vals.ndim != 2
+                                      or vals.shape[0] != nodes.size):
         raise QuadratureError(
-            "integrand must be vectorized: expected shape %s, got %s"
-            % (nodes.shape, np.shape(vals)))
+            "integrand must be vectorized: expected shape %s or %s + (m,), "
+            "got %s" % (nodes.shape, nodes.shape, np.shape(vals)))
     bad = ~np.isfinite(vals)
     if np.any(bad):
         where = nodes[bad.nonzero()[0][0]]
         raise QuadratureError(
             "integrand returned a non-finite value at l=%r" % (where,))
-    vals = vals.reshape(-1, 15)
-    resk = half * (vals @ _WGK)
-    resg = half * (vals[:, 1::2] @ _WG)
-    return resk, np.abs(resk - resg)
+    if vals.ndim == 1:
+        vals = vals.reshape(-1, 15)
+        resk = half * (vals @ _WGK)
+        resg = half * (vals[:, 1::2] @ _WG)
+        return resk, np.abs(resk - resg)
+    vals = vals.reshape(a.size, 15, -1).swapaxes(1, 2)
+    resk = half[:, None] * (vals @ _WGK)
+    resg = half[:, None] * (vals[:, :, 1::2] @ _WG)
+    return resk, np.abs(resk - resg).max(axis=1)
+
+
+def _smallest(value):
+    """|value|, or the smallest |value_j| of a column vector."""
+    if isinstance(value, complex):
+        return abs(value)
+    return float(np.min(np.abs(value)))
+
+
+def _largest(value):
+    """|value|, or the largest |value_j| of a column vector."""
+    if isinstance(value, complex):
+        return abs(value)
+    return float(np.max(np.abs(value)))
 
 
 class _Panels:
-    """A set of panels refined in batches, one integrand call per round."""
+    """A set of panels refined in batches, one integrand call per round.
+
+    The integrand has one column or m; a panel's error is the largest
+    over its columns, and the value is complex or an array of m.
+    """
 
     def __init__(self, f, a, b):
         self.f = f
@@ -136,7 +170,9 @@ class _Panels:
 
     @property
     def value(self):
-        return complex(self.val.sum())
+        if self.val.ndim == 1:
+            return complex(self.val.sum())
+        return self.val.sum(axis=0)
 
     @property
     def error(self):
@@ -155,7 +191,7 @@ class _Panels:
         """
         while True:
             error = self.error
-            tol = max(abs_tol, rel_tol * abs(self.value))
+            tol = max(abs_tol, rel_tol * _smallest(self.value))
             if error <= tol:
                 return True
             a, b = self.a, self.b
@@ -192,17 +228,22 @@ def integrate_interval(f, a, b, cfg=None):
 def integrate_real_line(f, cfg=None):
     """Estimate the integral of f over (-inf, inf).
 
-    f must accept an ndarray of real abscissae and return complex values.
-    The initial window [-L, L] (L = cfg.truncation_bound) is cut into 8
+    f must accept an ndarray of n real abscissae and return complex
+    values, shape (n,), or m integrands at once, shape (n, m); the value
+    is then an array of m and every column shares the panels.  The
+    initial window [-L, L] (L = cfg.truncation_bound) is cut into 8
     equal panels (fewer if max_evals cannot pay for 8) with 0 as an
-    edge, so l = 0 is never an abscissa, and then grown by doubling; each new pair of strips [L, 2L] and
-    [-2L, -L] is refined jointly, and growth stops when that pair's
-    combined contribution is below abs_tol.  The pair is taken together
-    because odd parts of the integrand cancel only between mirrored
-    strips.  Refinement bisects, in each round, the fewest worst panels
-    that can bring the error under tolerance (at most 128, so one
-    integrand call gets at most 3840 nodes); ``evaluations`` never
-    exceeds ``cfg.max_evals``.
+    edge, so l = 0 is never an abscissa, and then grown by doubling;
+    each new pair of strips [L, 2L] and [-2L, -L] is refined jointly,
+    and growth stops when that pair's combined contribution is below
+    abs_tol, in every column.  The pair is taken together because odd
+    parts of the integrand cancel only between mirrored strips.
+    Refinement bisects, in each round, the fewest worst panels that can
+    bring the error under tolerance (at most 128, so one integrand call
+    gets at most 3840 nodes); ``evaluations`` never exceeds
+    ``cfg.max_evals``.  With m columns a panel's error is its largest
+    over the columns, and the tolerance is max(abs_tol, rel_tol
+    min_j |value_j|): at least as strict as each column on its own.
     """
     cfg = cfg or QuadratureConfig()
     L = cfg.truncation_bound
@@ -227,7 +268,7 @@ def integrate_real_line(f, cfg=None):
         error += strip.error
         converged = converged and ok
         L *= 2.0
-        if abs(contribution) < cfg.abs_tol:
+        if _largest(contribution) < cfg.abs_tol:
             break
     else:
         converged = False

@@ -13,8 +13,9 @@ at long maturity (the "little Heston trap").
 
 Parameters are the suite's ``fig1_heston``; x is the mode (to four
 decimals) and the mean -theta T/2 plus or minus 3 standard deviations
-sqrt(theta T) (v0 = theta).  Run ``python tests/mp_density_oracle.py``
-to print the literals stored in ``tests/test_heston.py`` (about 30 s).
+sqrt(theta T) (v0 = theta), for T = 0.02, 0.25, 1 and 30.  Run
+``python tests/mp_density_oracle.py`` to print the literals stored in
+``tests/test_heston.py`` (about 15 s on a 2-core VM).
 """
 
 import mpmath as mp
@@ -22,6 +23,7 @@ import mpmath as mp
 KAPPA, THETA, SIGMA, RHO, V0 = 1.0, 0.04, 0.2, -0.5, 0.04
 
 POINTS = (            # (T, x); the first x of each T is the mode
+    (0.02, 0.0011), (0.02, -0.0852528137423857), (0.02, 0.08445281374238571),
     (0.25, 0.0127), (0.25, -0.305), (0.25, 0.295),
     (1.0, 0.0358), (1.0, -0.62), (1.0, 0.58),
     (30.0, -0.4325), (30.0, -3.8863353450309965),

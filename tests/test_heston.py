@@ -277,6 +277,41 @@ class TestMarginalDensity:
                            for x in xs])
         np.testing.assert_allclose(grid, scalar, atol=1e-9)
 
+    @pytest.mark.parametrize("T", [0.02, 1.0, 30.0])
+    def test_array_x_matches_a_call_per_x(self, fig1_heston, T):
+        sd = math.sqrt(0.08 * T)
+        xs = np.array([0.0, 0.9 * sd, -1.7 * sd, 3.0 * sd])
+        got = marginal_density(xs, T, fig1_heston)
+        each = np.array([marginal_density(x, T, fig1_heston) for x in xs])
+        assert got.shape == xs.shape
+        assert np.max(np.abs(got - each)) <= 1e-12 * each[0]
+
+    def test_passing_table_makes_one_probe_call(self, fig1_heston,
+                                                monkeypatch):
+        real, calls = heston.marginal_density, []
+
+        def counted(x, *args):
+            calls.append(np.shape(x))
+            return real(x, *args)
+        monkeypatch.setattr(heston, "marginal_density", counted)
+        marginal_density_grid(np.linspace(-1.0, 1.0, 101), 1.0, fig1_heston)
+        assert calls == [(3,)]
+
+    def test_benchmark_grid_table_is_sized_by_its_aliasing_bound(
+            self, fig1_heston, monkeypatch):
+        # T = 0.25, 501 points over mean - 24 sd .. mean + 14 sd: a step
+        # capped at 0.05 made 16,001 nodes
+        real, sizes = heston._chirp_z_sum, []
+
+        def sized(kernel, *args):
+            sizes.append(kernel.size)
+            return real(kernel, *args)
+        monkeypatch.setattr(heston, "_chirp_z_sum", sized)
+        xs = np.linspace(-0.005 - 2.4, -0.005 + 1.4, 501)
+        dens = marginal_density_grid(xs, 0.25, fig1_heston)
+        assert len(sizes) == 1 and sizes[0] < 2000
+        assert abs(np.trapezoid(dens, xs) - 1.0) <= 1e-6
+
     @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5])
     def test_nonnegative_on_grid(self, rho):
         p = HestonParams(mu=0.03, kappa=1.0, theta=0.04, sigma=0.2,
@@ -317,8 +352,8 @@ class TestPriceViaDensity:
 FAT_TAIL = dict(mu=0.03, kappa=1.5, theta=0.05, sigma=0.5, v0=0.04)
 MONEYNESS = (0.5, 0.8, 1.0, 1.25, 2.0)
 # the sweep's (T, rho) cell where e^x times the density meets its
-# rounding floor before the payoff strips fall below 10 abs_tol (so do
-# T = 30 with rho >= 0, beyond the sweep)
+# rounding floor before the call-side strips fall below 10 abs_tol, so
+# the put side prices it by parity (so do T = 30 with rho >= 0)
 UNDECAYED = {(5.0, 0.9)}
 TIGHT = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-13)
 
@@ -380,26 +415,45 @@ class TestPriceViaDensitySweep:
         for m in MONEYNESS:
             for kind in ("call", "put"):
                 opt = VanillaOption(100.0, 100.0 * m, T, kind)
-                if (T, rho) in UNDECAYED:
-                    with pytest.raises(PricingError, match="failed to decay"):
-                        price_via_density(opt, p, 0.03)
-                    continue
                 direct = heston_call_price(opt, p, 0.03)
                 via = price_via_density(opt, p, 0.03)
                 assert abs(via - direct) <= 1e-9 * opt.s0, (m, kind)
 
-    def test_fat_tail_fails_fast_with_a_reason(self):
+    def test_undecayed_cell_takes_the_put_side(self, monkeypatch):
+        T, rho = next(iter(UNDECAYED))
+        sides = []
+        real = heston._strip_tail
+
+        def spy(*args):
+            sides.append(args[2])
+            return real(*args)
+        monkeypatch.setattr(heston, "_strip_tail", spy)
+        price_via_density(VanillaOption(100.0, 100.0, T),
+                          HestonParams(rho=rho, **FAT_TAIL), 0.03)
+        assert sides == [1, -1]
+
+    def test_fat_tail_prices_fast_by_parity(self):
         p = HestonParams(rho=0.9, **FAT_TAIL)
         opt = VanillaOption(100.0, 100.0, 30.0)
         start = time.perf_counter()
-        with pytest.raises(PricingError) as err:
-            price_via_density(opt, p, 0.03)
+        via = price_via_density(opt, p, 0.03)
         assert time.perf_counter() - start < 1.0
+        assert abs(via - heston_call_price(opt, p, 0.03)) <= 1e-9 * opt.s0
+
+    def test_both_sides_undecayed_names_both_bails(self, monkeypatch):
+        # a strip function that never decays: neither side can stop
+        monkeypatch.setattr(heston, "_density_evaluator",
+                            lambda *args: (None, lambda *strip: 1.0))
+        p = HestonParams(rho=0.9, **FAT_TAIL)
+        with pytest.raises(PricingError) as err:
+            price_via_density(VanillaOption(100.0, 100.0, 30.0), p, 0.03)
         msg = str(err.value)
         assert "failed to decay" in msg and "T=30" in msg
-        assert "x_bail=65.73" in msg and "strip [" in msg
-        # the direct formula still prices the quote
-        assert heston_call_price(opt, p, 0.03) > 0.0
+        assert "both sides" in msg
+        # x_lo = -0.9; the bails lie 40 density widths (65.73) beyond
+        # max(x_lo, 0) and min(x_lo, 0)
+        assert "x_bail=65.73" in msg and "past -66.63" in msg
+        assert "call strip [" in msg and "put strip [" in msg
 
 
 def _offset_first_probe(monkeypatch):
@@ -571,6 +625,9 @@ class TestChirpZ:
 # (T, x, density) for fig1 at 30 digits, printed by
 # tests/mp_density_oracle.py; the first x of each T is the mode
 MP_DENSITIES = (
+    (0.02, 0.0011, 14.137087409926300668),
+    (0.02, -0.0852528137423857, 0.20960151645447881513),
+    (0.02, 0.08445281374238571, 0.11200273904608207683),
     (0.25, 0.0127, 4.0925809100154809655),
     (0.25, -0.305, 0.096729136558436220344),
     (0.25, 0.295, 0.016032995817886225068),

@@ -12,6 +12,7 @@ from hestoncir import (
     sample_noncentral_chisq,
     sample_standard_normal,
 )
+from hestoncir.numerics import _gk_panels
 
 
 class TestIntegrateRealLine:
@@ -37,6 +38,52 @@ class TestIntegrateRealLine:
         oracle = np.trapezoid(f(grid), grid)
         assert res.converged
         assert abs(res.value - oracle) <= 1e-8 * (1.0 + abs(oracle))
+
+    def test_columns_match_their_own_integrals(self):
+        gauss = lambda l: np.exp(-l * l)
+        lorentz = lambda l: 1.0 / (1.0 + l * l)
+        both = integrate_real_line(
+            lambda l: np.stack([gauss(l), lorentz(l)], axis=1),
+            QuadratureConfig())
+        assert both.converged and both.value.shape == (2,)
+        for j, f in enumerate((gauss, lorentz)):
+            alone = integrate_real_line(f, QuadratureConfig())
+            assert abs(both.value[j] - alone.value) <= 1e-9
+        assert abs(both.value[0] - np.sqrt(np.pi)) <= 1e-9
+        assert abs(both.value[1] - np.pi) <= 1e-9
+
+    def test_a_column_short_of_budget_fails_the_integral(self):
+        # 600 evaluations converge the Gaussian alone, not the Lorentzian
+        cfg = QuadratureConfig(max_evals=600)
+        assert integrate_real_line(lambda l: np.exp(-l * l), cfg).converged
+        both = integrate_real_line(
+            lambda l: np.stack([np.exp(-l * l), 1.0 / (1.0 + l * l)],
+                               axis=1), cfg)
+        assert both.evaluations <= 600
+        assert both.converged is False
+
+    def test_panel_error_is_the_worst_column(self):
+        cols = (lambda l: np.exp(-l * l), lambda l: 1.0 / (1.0 + l * l))
+        a, b = np.array([-3.0, 0.0, 1.0]), np.array([0.0, 1.0, 7.0])
+        vals, errs = _gk_panels(
+            lambda l: np.stack([f(l) for f in cols], axis=1), a, b)
+        alone = [_gk_panels(f, a, b) for f in cols]
+        for j, (val, _) in enumerate(alone):
+            np.testing.assert_allclose(vals[:, j], val, rtol=1e-14)
+        np.testing.assert_allclose(
+            errs, np.maximum(alone[0][1], alone[1][1]), rtol=1e-12)
+        # the columns' worst panels differ, so max is not either column
+        assert not np.allclose(errs, alone[0][1], rtol=1e-12)
+        assert not np.allclose(errs, alone[1][1], rtol=1e-12)
+
+    def test_tolerance_binds_the_smallest_column(self):
+        # rel_tol applies to min_j |value_j|: a column a thousand times
+        # smaller is held to its own relative tolerance
+        cfg = QuadratureConfig(abs_tol=1e-20, rel_tol=1e-9)
+        res = integrate_real_line(
+            lambda l: np.exp(-l * l)[:, None] * np.array([1e3, 1.0]), cfg)
+        assert res.converged
+        assert res.error_estimate <= 1e-9 * abs(res.value[1])
 
     def test_polynomial_exactness_on_interval(self):
         # A single Gauss-Kronrod panel is exact for polynomials well past
