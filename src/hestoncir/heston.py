@@ -23,14 +23,14 @@ the table lacks.  Parameter sets priced once store nothing.
 
 The density is one Fourier integral over l as well, taken on a uniform
 l-table of its kernel whose step the aliasing bound of the requested
-x-range sets, checked by one adaptive integral at three probes.  An
-evenly spaced x grid sums that table by a chirp-z transform (Bluestein's
-algorithm on ``numpy.fft``); any other x (single points, uneven grids)
-by cos/sin phase matrices in blocks of bounded size.  The
-price-via-density cross-check integrates the payoff against each mode
-of the same table in closed form, from the strike up, or, where a fat
-right tail keeps the call strips from decaying, the bounded put payoff
-from the strike down and the call by parity.
+x-range sets, checked by one adaptive integral at three probes; a table
+that fails its probe raises.  An evenly spaced x grid sums that table by
+a chirp-z transform (Bluestein's algorithm on ``numpy.fft``); any other
+x (single points, uneven grids) by cos/sin phase matrices in blocks of
+bounded size.  The price-via-density cross-check integrates the bounded
+put payoff against each mode of the same table in closed form, as one
+integral from far below the strike up to it, and prices the call by
+parity.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ from collections import OrderedDict
 import numpy as np
 
 from .models import HestonParams, VanillaOption, risk_neutral_map
-from .numerics import QuadratureConfig, QuadratureError, integrate_interval, \
-    integrate_real_line
+from .numerics import QuadratureConfig, QuadratureError, integrate_real_line
+# nothing here calls it: bench/tracing.py wraps heston.integrate_interval
+from .numerics import integrate_interval  # noqa: F401
 
 __all__ = [
     "PricingError",
@@ -506,20 +507,23 @@ def _chirp_z_sum(kernel, h, x0, dx, m):
 def _payoff_strip_sum(kernel, h, lo, hi, a, k):
     """Re sum_k kernel_k int_lo^hi (a e^x - k) exp(i x l_k) dx, l_k = k h.
 
-    Each mode integrates in closed form.  About the midpoint m, with
-    half-width s and z = (1 + i l) s,
+    Each mode integrates in closed form: the spot mode from its end
+    points, the strike mode about the midpoint m with half-width s,
 
-        int e^{(1+il)x} dx = 2 s e^{(1+il)m} sinh(z)/z,
+        int e^{(1+il)x} dx = (e^{(1+il)hi} - e^{(1+il)lo})/(1 + il),
         int e^{ilx} dx     = 2 s e^{ilm} sin(l s)/(l s),
 
-    and neither cancels as l -> 0; the second is hi - lo at l = 0.
+    and neither cancels as l -> 0; the second is hi - lo at l = 0.  The
+    end points keep the spot mode finite on any strip below x = 709;
+    sinh((1 + il) s) about the midpoint would overflow past s = 710.
     """
     grid = np.arange(kernel.size) * h
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    z = half * (1.0 + 1j * grid)
-    modes = a * math.exp(mid) * (np.sinh(z) / z) \
-        - k * np.sinc(half / math.pi * grid)
-    return 2.0 * half * (kernel @ (np.exp(1j * mid * grid) * modes)).real
+    z = 1.0 + 1j * grid
+    spot = (np.exp(hi * z) - np.exp(lo * z)) / z
+    strike = (2.0 * half) * np.exp(1j * mid * grid) \
+        * np.sinc(half / math.pi * grid)
+    return (kernel @ (a * spot - k * strike)).real
 
 
 def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
@@ -527,7 +531,7 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     """Logreturn density for |x| <= x_reach, and its payoff strips.
 
     Returns ``(density, payoff_strip)``: ``density(xs)`` is vectorized
-    over x, and ``payoff_strip(lo, hi, a, k, outer)`` is the integral of
+    over x, and ``payoff_strip(lo, hi, a, k)`` is the integral of
     (a e^x - k) times the density over [lo, hi].
 
     Builds a uniform trapezoid table of the Fourier kernel in l; for an
@@ -540,7 +544,9 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     period clears twice the requested reach plus the density's support.
     The table is verified against the adaptive :func:`marginal_density`
     at three probe points (0, 0.9 sd and -1.7 sd), all in one call whose
-    integrand evaluates the kernel once per node for the three.
+    integrand evaluates the kernel once per node for the three; when it
+    disagrees with a probe, a :class:`PricingError` names T, the probe x
+    and both values.
 
     The table's density is f(x) = Re sum_k c_k exp(i l_k x) / 2 pi.  An
     evenly spaced x grid (the CLI's and :func:`marginal_density_grid`'s
@@ -549,14 +555,8 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     grids) by cos/sin phase matrices, O(N M) in time, in blocks of
     bounded size.  Both routes stay, because the transform needs evenly
     spaced x.  A payoff strip needs no x at all: every mode integrates
-    against a e^x - k in closed form, so a strip is one O(N) dot product
-    and exact for the table.
-
-    When the table disagrees with a probe, the scalar route is returned
-    instead: the density is one adaptive :func:`marginal_density` per x,
-    and a payoff strip an adaptive :func:`integrate_interval` of it to
-    ``outer``'s tolerance.  That route has no table to sum in closed
-    form, so it keeps the quadrature in x.
+    against a e^x - k in closed form (:func:`_payoff_strip_sum`), so a
+    strip is one O(N) dot product and exact for the table.
     """
     scale = math.sqrt((p.v0 + p.theta) * T)
     # the 2*pi/h aliasing period clears the requested x-range plus the
@@ -582,27 +582,19 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
             return _phase_matrix_sum(kernel, h, xs) / _TWO_PI
         return _chirp_z_sum(kernel, h, xs[0], dx, xs.size) / _TWO_PI
 
-    def table_strip(lo, hi, a, k, outer):
+    def table_strip(lo, hi, a, k):
         return _payoff_strip_sum(kernel, h, lo, hi, a, k) / _TWO_PI
 
     probes = np.array([0.0, 0.9 * scale, -1.7 * scale])
     got = table_density(probes)
     ref = marginal_density(probes, T, p, cfg)
-    if np.max(np.abs(got - ref)) <= 1e-7 * (got[0] + 1.0):
+    miss = np.abs(got - ref)
+    if np.max(miss) <= 1e-7 * (got[0] + 1.0):
         return table_density, table_strip
-
-    def scalar_density(xs):
-        return np.array([marginal_density(x, T, p, cfg)
-                         for x in np.atleast_1d(xs)])
-
-    def scalar_strip(lo, hi, a, k, outer):
-        res = integrate_interval(
-            lambda xs: (a * np.exp(xs) - k) * scalar_density(xs),
-            lo, hi, outer)
-        _check_result(res, "payoff")
-        return res.value.real
-
-    return scalar_density, scalar_strip
+    i = int(np.argmax(miss))     # a NaN counts as the largest
+    raise PricingError(
+        "density table fails its probe at T=%g: at x=%.6g the table gives "
+        "%.9e and the adaptive density %.9e" % (T, probes[i], got[i], ref[i]))
 
 
 def marginal_density_grid(xs, T: float, p: HestonParams,
@@ -610,7 +602,8 @@ def marginal_density_grid(xs, T: float, p: HestonParams,
     """Density of the logreturn at each x in xs (vectorized).
 
     The variable is the drift-adjusted logreturn x_T = ln(S_T/S0) - mu T,
-    as for :func:`marginal_density`.  A non-finite x raises ValueError.
+    as for :func:`marginal_density`.  A non-finite x raises ValueError,
+    and a table that fails its probe a :class:`PricingError`.
     """
     cfg = cfg or QuadratureConfig()
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -623,89 +616,44 @@ def marginal_density_grid(xs, T: float, p: HestonParams,
     return density(xs)
 
 
-def _strip_tail(payoff_strip, start, sign, x_bail, scale, a, k, outer):
-    """Sum payoff strips from ``start`` away from the bulk of the density.
-
-    ``sign`` is +1 to go up (the call side) or -1 to go down (the put
-    side).  The strips widen from 0.5 to 2 and stop once a strip of
-    width 2, beyond 6 density widths on that side, adds less than 10
-    abs_tol; a deep strike thus never stops before the bulk of the mass
-    is reached.  Returns (total, None), or (None, (lo, hi, strip)) with the
-    last strip once a strip passes ``x_bail``.
-    """
-    total, edge, width = 0.0, start, 0.5
-    while True:
-        far = edge + sign * width
-        lo, hi = (edge, far) if sign > 0 else (far, edge)
-        strip = payoff_strip(lo, hi, a, k, outer)
-        total += strip
-        if abs(strip) < outer.abs_tol * 10 and width >= 2.0 \
-                and sign * far > 6.0 * scale:
-            return total, None
-        if sign * far > sign * x_bail:
-            return None, (lo, hi, strip)
-        edge, width = far, min(2.0 * width, 2.0)
-
-
 def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
                       cfg: QuadratureConfig | None = None) -> float:
     """Price by discounted expectation over the logreturn density.
 
     Cross-check of :func:`heston_call_price`.  Under mu = r the terminal
-    spot is S0 exp(x_T + rT), so the call payoff is a e^x - K with
-    a = S0 e^{rT}, nonzero for x above x_lo = ln(K/S0) - rT.  It is
-    integrated against the density of :func:`marginal_density_grid` in
-    strips [lo, hi] going up from there, each strip in closed form over
-    the density's l-table (see :func:`_density_evaluator`); only when
-    that table fails its probes is a strip an adaptive quadrature in x
-    of the scalar density.  The route shares nothing with the pricer's
-    spot core or its l-quadrature: it reads the strike core alone, on
-    its own uniform l-table, checked against the adaptive density at
-    three probes.  Puts follow by parity.
+    spot is S0 exp(x_T + rT), so the put payoff is K - a e^x with
+    a = S0 e^{rT}, nonzero for x below x_lo = ln(K/S0) - rT.  The route
+    shares nothing with the pricer's spot core or its l-quadrature: it
+    reads the strike core alone, on the uniform l-table of
+    :func:`marginal_density_grid`, checked against the adaptive density
+    at three probes (see :func:`_density_evaluator`).
 
-    The strips widen from 0.5 to 2 and stop once a strip of width 2,
-    above 6 density widths, adds less than 10 abs_tol.  On a fat right
-    tail (the moment E[S_T^w] explodes for w just above 1) e^x f(x)
-    decays so slowly that the density's rounding error, magnified by
-    a e^x, overtakes it before any strip falls below that bound, and
-    the strips pass x_bail (60 above max(x_lo, 0), or 40 density widths
-    when more).  The call is then priced by parity from the bounded put
-    payoff K - a e^x, integrated down from x_lo by the mirrored strips
-    (stopping below -6 density widths, bailing 60 or 40 density widths
-    below min(x_lo, 0)): since E[e^x] = 1, call = disc (put integral +
-    a - K).  Only when both sides pass their bails does a
-    :class:`PricingError` say so, naming both.
+    The put is one integral of the bounded payoff against that table,
+    in closed form for each mode, over [lo, x_lo] with lo = min(x_lo, 0)
+    less 60 or 40 density widths, whichever is more.  Being bounded, the
+    payoff does not magnify the table's rounding or aliasing on a fat
+    right tail, where e^x f(x) barely decays.  The strip [lo, lo + 2]
+    checks that the integral has decayed at lo: unless it adds less than
+    10 max(abs_tol, 1e-9), a fat left tail is cut off there, and a
+    :class:`PricingError` names T and the strip.  Since E[e^x] = 1, the
+    call follows by parity, put + S0 - K e^{-rT}.
     """
     cfg = cfg or QuadratureConfig()
     s0, k, T = opt.s0, opt.strike, opt.maturity
     disc = math.exp(-r * T)
     x_lo = math.log(k / s0) - r * T
     scale = math.sqrt((p.v0 + p.theta) * T)
-    span = max(60.0, 40.0 * scale)
-    x_bail = max(x_lo, 0.0) + span
-    _, payoff_strip = _density_evaluator(T, p, cfg,
-                                         abs(x_lo) + x_bail + 4.0)
-
-    outer = QuadratureConfig(
-        abs_tol=max(cfg.abs_tol, 1e-9), rel_tol=cfg.rel_tol,
-        max_evals=cfg.max_evals)
+    lo = min(x_lo, 0.0) - max(60.0, 40.0 * scale)
+    _, payoff_strip = _density_evaluator(T, p, cfg, 4.0 - lo)
     a = s0 / disc
-    total, call_last = _strip_tail(payoff_strip, x_lo, 1, x_bail, scale,
-                                   a, k, outer)
-    if total is None:
-        put_bail = min(x_lo, 0.0) - span
-        put, put_last = _strip_tail(payoff_strip, x_lo, -1, put_bail, scale,
-                                    -a, -k, outer)
-        if put is None:
-            raise PricingError(
-                "payoff integral failed to decay at T=%g on both sides: "
-                "past x_bail=%.4g the call strip [%.4g, %.4g] still adds "
-                "%.3e, and past %.4g the put strip [%.4g, %.4g] %.3e, "
-                "not below %.1e"
-                % (T, x_bail, *call_last, put_bail, *put_last,
-                   outer.abs_tol * 10))
-        total = put + a - k
-    call = disc * total
+    edge = payoff_strip(lo, lo + 2.0, -a, -k)
+    bound = 10.0 * max(cfg.abs_tol, 1e-9)
+    if not abs(edge) < bound:
+        raise PricingError(
+            "put payoff integral failed to decay at T=%g: its edge strip "
+            "[%.4g, %.4g] adds %.3e, not below %.1e"
+            % (T, lo, lo + 2.0, edge, bound))
+    put = disc * payoff_strip(lo, x_lo, -a, -k)
     if opt.kind == "put":
-        return call - s0 + k * disc
-    return call
+        return put
+    return put + s0 - k * disc

@@ -351,17 +351,15 @@ class TestPriceViaDensity:
 # long maturity and positive correlation
 FAT_TAIL = dict(mu=0.03, kappa=1.5, theta=0.05, sigma=0.5, v0=0.04)
 MONEYNESS = (0.5, 0.8, 1.0, 1.25, 2.0)
-# the sweep's (T, rho) cell where e^x times the density meets its
-# rounding floor before the call-side strips fall below 10 abs_tol, so
-# the put side prices it by parity (so do T = 30 with rho >= 0)
-UNDECAYED = {(5.0, 0.9)}
 TIGHT = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-13)
 
 
 class TestPayoffStrips:
     STRIPS = [(-0.7, 0.5), (-1.0, 2.0), (0.3, 0.5), (0.2, 2.0)]
 
-    @pytest.mark.parametrize("lo,width", STRIPS)
+    # (-1500, 0): a half-width past sinh's overflow at 710; too wide for
+    # an adaptive reference to resolve the modes, so the l = 0 node alone
+    @pytest.mark.parametrize("lo,width", STRIPS + [(-1500.0, 1500.0)])
     def test_zero_mode_alone(self, lo, width):
         # a table of the l = 0 node only: int (a e^x - k) dx times c_0
         got = heston._payoff_strip_sum(np.array([0.7 - 0.4j]), 0.05,
@@ -390,28 +388,25 @@ class TestPayoffStrips:
             T, fig1_heston, QuadratureConfig(), 10.0)
         a, k = 100.0 * math.exp(0.03 * T), 100.0
         for lo, width in self.STRIPS:
-            got = strip(lo, lo + width, a, k, TIGHT)
+            got = strip(lo, lo + width, a, k)
             res = integrate_interval(
                 lambda xs: (a * np.exp(xs) - k) * density(xs),
                 lo, lo + width, TIGHT)
             assert res.converged
             assert abs(got - res.value.real) <= 1e-12 * a, (lo, width)
 
-    def test_payoff_takes_no_quadrature_in_x(self, fig1_heston, atm_option,
-                                             monkeypatch):
-        def refuse(*args):
-            raise AssertionError("integrate_interval called")
-        monkeypatch.setattr(heston, "integrate_interval", refuse)
-        direct = heston_call_price(atm_option, fig1_heston, 0.03)
-        via = price_via_density(atm_option, fig1_heston, 0.03)
-        assert abs(via - direct) <= 1e-9 * atm_option.s0
+
+def _quote(T, strike, kind="call", **params):
+    return VanillaOption(100.0, strike, T, kind), \
+        HestonParams(**{**FAT_TAIL, **params})
 
 
 class TestPriceViaDensitySweep:
+    @pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0])
     @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.9])
-    @pytest.mark.parametrize("T", [0.02, 0.25, 1.0, 5.0])
-    def test_matches_direct_formula(self, T, rho):
-        p = HestonParams(rho=rho, **FAT_TAIL)
+    @pytest.mark.parametrize("T", [0.02, 0.25, 1.0, 5.0, 30.0])
+    def test_matches_direct_formula(self, T, rho, sigma):
+        p = HestonParams(**{**FAT_TAIL, "rho": rho, "sigma": sigma})
         for m in MONEYNESS:
             for kind in ("call", "put"):
                 opt = VanillaOption(100.0, 100.0 * m, T, kind)
@@ -419,46 +414,44 @@ class TestPriceViaDensitySweep:
                 via = price_via_density(opt, p, 0.03)
                 assert abs(via - direct) <= 1e-9 * opt.s0, (m, kind)
 
-    def test_undecayed_cell_takes_the_put_side(self, monkeypatch):
-        T, rho = next(iter(UNDECAYED))
-        sides = []
-        real = heston._strip_tail
-
-        def spy(*args):
-            sides.append(args[2])
-            return real(*args)
-        monkeypatch.setattr(heston, "_strip_tail", spy)
-        price_via_density(VanillaOption(100.0, 100.0, T),
-                          HestonParams(rho=rho, **FAT_TAIL), 0.03)
-        assert sides == [1, -1]
-
-    def test_fat_tail_prices_fast_by_parity(self):
-        p = HestonParams(rho=0.9, **FAT_TAIL)
-        opt = VanillaOption(100.0, 100.0, 30.0)
+    @pytest.mark.parametrize("opt,p,literal", [
+        (*_quote(30.0, 100.0, rho=0.9), None),
+        # sigma 1, rho 0.5: E[S_T^w] explodes for w just above 1
+        (*_quote(30.0, 125.0, sigma=1.0, rho=0.5), None),
+        (*_quote(12.589255450688336, 30.36592809354669, "put",
+                 kappa=1.7790613846114538, theta=0.3344562648457191,
+                 sigma=0.18242136900387945, rho=-0.5221063390178755,
+                 v0=0.019920607298138562), 8.48158343405347),
+        # a put integral 2,000 (40 sd) wide
+        (*_quote(50.0, 100.0, v0=25.0, theta=25.0, rho=-0.5), None),
+    ], ids=["rho0.9", "sigma1-K125", "seed7-put", "v0-25-T50"])
+    def test_fat_tail_prices_fast_by_parity(self, opt, p, literal):
         start = time.perf_counter()
         via = price_via_density(opt, p, 0.03)
         assert time.perf_counter() - start < 1.0
-        assert abs(via - heston_call_price(opt, p, 0.03)) <= 1e-9 * opt.s0
+        direct = heston_call_price(opt, p, 0.03)
+        assert abs(via - direct) <= 1e-9 * opt.s0
+        if literal is not None:
+            assert abs(direct - literal) <= 1e-9 * opt.s0
 
-    def test_both_sides_undecayed_names_both_bails(self, monkeypatch):
-        # a strip function that never decays: neither side can stop
-        monkeypatch.setattr(heston, "_density_evaluator",
-                            lambda *args: (None, lambda *strip: 1.0))
-        p = HestonParams(rho=0.9, **FAT_TAIL)
+    def test_fat_left_tail_names_the_edge_strip(self):
+        opt, p = _quote(6.742206184121839, 76.17829956698068,
+                        kappa=0.12578862725835402, theta=0.02712460215111761,
+                        sigma=1.0164207908490666, rho=-0.9346146377940443,
+                        v0=0.14253016426158838)
+        start = time.perf_counter()
         with pytest.raises(PricingError) as err:
-            price_via_density(VanillaOption(100.0, 100.0, 30.0), p, 0.03)
+            price_via_density(opt, p, 0.03)
+        assert time.perf_counter() - start < 1.0
         msg = str(err.value)
-        assert "failed to decay" in msg and "T=30" in msg
-        assert "both sides" in msg
-        # x_lo = -0.9; the bails lie 40 density widths (65.73) beyond
-        # max(x_lo, 0) and min(x_lo, 0)
-        assert "x_bail=65.73" in msg and "past -66.63" in msg
-        assert "call strip [" in msg and "put strip [" in msg
+        assert "failed to decay" in msg and "T=6.74221" in msg
+        # lo = x_lo - 60, x_lo = ln(0.7618) - 0.03 T
+        assert "edge strip [-60.47, -58.47]" in msg
 
 
 def _offset_first_probe(monkeypatch):
-    """Make the table's first probe disagree; returns the real density
-    and the list of x that ``marginal_density`` is called at."""
+    """Make the table's first probe disagree; returns the list of x that
+    ``marginal_density`` is called at."""
     real = heston.marginal_density
     calls = []
 
@@ -466,35 +459,36 @@ def _offset_first_probe(monkeypatch):
         calls.append(x)
         return real(x, *args) + (1.0 if len(calls) == 1 else 0.0)
     monkeypatch.setattr(heston, "marginal_density", offset)
-    return real, calls
+    return calls
 
 
-class TestScalarFallback:
-    """The route taken when the density table disagrees with a probe."""
+class TestFailingProbe:
+    """A density table that disagrees with its probe raises."""
 
-    def test_grid_returns_adaptive_values(self, fig1_heston, monkeypatch):
-        real, calls = _offset_first_probe(monkeypatch)
-        xs = np.linspace(-0.4, 0.4, 9)
-        got = marginal_density_grid(xs, 1.0, fig1_heston)
-        np.testing.assert_array_equal(
-            got, [real(x, 1.0, fig1_heston) for x in xs])
-        assert len(calls) == 1 + xs.size     # the failed probe, then one per x
+    def test_grid_raises(self, fig1_heston, monkeypatch):
+        calls = _offset_first_probe(monkeypatch)
+        with pytest.raises(PricingError, match="probe at T=1: at x="):
+            marginal_density_grid(np.linspace(-0.4, 0.4, 9), 1.0,
+                                  fig1_heston)
+        assert len(calls) == 1
 
-    def test_price_takes_the_adaptive_strips(self, fig1_heston, monkeypatch):
-        opt = VanillaOption(100.0, 100.0, 0.1)
-        table = price_via_density(opt, fig1_heston, 0.03)
-        _, calls = _offset_first_probe(monkeypatch)
-        evals = []
+    def test_price_raises(self, fig1_heston, monkeypatch):
+        calls = _offset_first_probe(monkeypatch)
+        with pytest.raises(PricingError, match="probe at T=0.1: at x="):
+            price_via_density(VanillaOption(100.0, 100.0, 0.1), fig1_heston,
+                              0.03)
+        assert len(calls) == 1
 
-        def counted(*args):
-            res = integrate_interval(*args)
-            evals.append(res.evaluations)
-            return res
-        monkeypatch.setattr(heston, "integrate_interval", counted)
-        fallback = price_via_density(opt, fig1_heston, 0.03)
-        # the failed probe, then one adaptive density per payoff node
-        assert evals and len(calls) == 1 + sum(evals)
-        assert abs(fallback - table) <= 1e-8 * opt.s0
+    def test_unresolved_table_raises_fast(self):
+        # sigma 1.5, kappa 0.12: the table misses its probe at 0.9 sd
+        opt, p = _quote(20.86949557100178, 97.14537993827814, "put",
+                        kappa=0.11966803061195103, theta=0.02763668471683995,
+                        sigma=1.5179781404891466, rho=-0.6601583280571415,
+                        v0=0.020393727618420298)
+        start = time.perf_counter()
+        with pytest.raises(PricingError, match="probe at T=20.8695: at x="):
+            price_via_density(opt, p, 0.03)
+        assert time.perf_counter() - start < 1.0
 
 
 def _direct_sum(kernel, h, xs):
