@@ -12,7 +12,9 @@ The pricer, the density, the paper's N and M and the CIR rate side in
 :mod:`hestoncir.hybrid` take them by one route, :func:`_core_half`,
 as accurate at sigma -> 0 as at any other sigma.  Both pricers, here
 and in :mod:`hestoncir.hybrid`, share one integrand body and one
-post-processing.
+post-processing; both broadcast over a trailing axis of rates, so a
+contract's prices at many constant rates are one integral with one
+column per rate (:func:`heston_call_price` with an array of rates).
 
 The exponent cores depend on the parameters and the maturity but not on
 the strike or the rate, which enter only through phases.  Quotes on one
@@ -324,6 +326,8 @@ def _braced(l, opt: VanillaOption, x, spot_exp, strike_exp, bond):
 
     The braced integrand of both pricers: the exponents carry the
     volatility and rate cores, and the constant cancels the 1/l pole.
+    It broadcasts: l and the exponents as (n, 1) columns against x and
+    bond of shape (m,) give an (n, m) integrand, one column per rate.
     """
     phase = 1j * l * x
     spot_term = opt.s0 * np.exp(phase + spot_exp)
@@ -331,29 +335,37 @@ def _braced(l, opt: VanillaOption, x, spot_exp, strike_exp, bond):
     return (spot_term - strike_term - opt.s0 + opt.strike * bond) / l
 
 
-def price_integrand(l, opt: VanillaOption, p: HestonParams, r: float):
+def price_integrand(l, opt: VanillaOption, p: HestonParams, r):
     """The braced l-integrand of the single-integral call price.
 
     Vectorized over l; finite in the limit l -> 0 (the constant
     subtraction cancels the 1/l pole), but l = 0 itself must not be an
     abscissa -- the adaptive rule splits the domain there.  A constant
     rate is the rate model with cores (-i l rT, -i l rT - rT) and log
-    bond -rT; the -i l rT is folded into the phase.
+    bond -rT; the -i l rT is folded into the phase.  The rate enters
+    nowhere else, so for an array of m rates the integrand has shape
+    l.shape + (m,), one column per rate on one evaluation of the cores.
     """
     l = np.asarray(l, dtype=float)
     T = opt.maturity
-    rt = r * T
     spot_core, strike_core = _MEMO.cores(_heston_key(p, T), l,
                                          _core_exponents, T, p)
+    if isinstance(r, np.ndarray) and r.ndim:
+        l, spot_core, strike_core = (l[..., None], spot_core[..., None],
+                                     strike_core[..., None])
+        bond = np.exp(-r * T)
+    else:
+        bond = math.exp(-r * T)
+    rt = r * T
     return _braced(l, opt, math.log(opt.strike / opt.s0) - rt, spot_core,
-                   strike_core - rt, math.exp(-rt))
+                   strike_core - rt, bond)
 
 
 def _check_result(res, what):
     if not res.converged:
         raise PricingError(
             "%s quadrature did not converge: error=%.3e after %d evaluations"
-            % (what, res.error_estimate, res.evaluations))
+            % (what, np.max(res.error_estimate), res.evaluations))
 
 
 def _finish_price(res, opt: VanillaOption, bond, cfg: QuadratureConfig,
@@ -361,45 +373,72 @@ def _finish_price(res, opt: VanillaOption, bond, cfg: QuadratureConfig,
     """(price, res) from the braced integral ``res``, for both pricers.
 
     Checks convergence, the imaginary residual and the sign, and prices
-    a put by the parity C - P = S0 - K bond.
+    a put by the parity C - P = S0 - K bond.  With one integral column
+    per rate, ``bond`` holds one discount per column, the price is an
+    array, and the checks run column by column against each column's
+    own error estimate.
     """
     _check_result(res, what)
+    if not isinstance(res.value, np.ndarray):
+        return _column_price(res.value, res.error_estimate, opt, bond, cfg,
+                             what), res
+    return np.array([
+        _column_price(v, e, opt, b, cfg, what) for v, e, b in zip(
+            res.value.tolist(), res.error_estimate.tolist(),
+            bond.tolist())]), res
+
+
+def _column_price(value, error, opt: VanillaOption, bond,
+                  cfg: QuadratureConfig, what):
+    """The price from one column of the braced integral, checked."""
     s0, k = opt.s0, opt.strike
-    price_c = 0.5 * (s0 - k * bond) + 1j * res.value / _TWO_PI
+    price_c = 0.5 * (s0 - k * bond) + 1j * value / _TWO_PI
     imag = abs(price_c.imag)
-    if imag > 10.0 * res.error_estimate + 1e-10 * s0:
+    if imag > 10.0 * error + 1e-10 * s0:
         raise PricingError(
             "%s imaginary residual %.3e exceeds 10x quadrature error %.3e"
-            % (what, imag, res.error_estimate))
+            % (what, imag, error))
     call = price_c.real
-    if call < -10.0 * max(cfg.abs_tol, res.error_estimate):
+    if call < -10.0 * max(cfg.abs_tol, error):
         raise PricingError("%s gives a negative call %.6e" % (what, call))
     call = max(call, 0.0)
     if opt.kind == "put":
-        return call - s0 + k * bond, res
-    return call, res
+        return call - s0 + k * bond
+    return call
 
 
-def heston_call_price(opt: VanillaOption, p: HestonParams, r: float,
-                      cfg: QuadratureConfig | None = None) -> float:
+def heston_call_price(opt: VanillaOption, p: HestonParams, r,
+                      cfg: QuadratureConfig | None = None):
     """European vanilla price under Heston with constant rate r.
 
     ``p`` must carry risk-neutral (option-propagation) parameters with
     mu = r; apply :func:`hestoncir.models.risk_neutral_map` first if a
     volatility risk premium is in play.  Puts are priced via parity.
+
+    ``r`` may also be a sequence of rates, giving an array of prices:
+    the rates are the columns of one integral, which share its panels
+    and its cores, while each column meets its own tolerance and its own
+    checks; a failing column raises a :class:`PricingError` naming T and
+    the rate range.
     """
     price, _ = heston_price_with_diagnostics(opt, p, r, cfg)
     return price
 
 
-def heston_price_with_diagnostics(opt: VanillaOption, p: HestonParams,
-                                  r: float,
+def heston_price_with_diagnostics(opt: VanillaOption, p: HestonParams, r,
                                   cfg: QuadratureConfig | None = None):
     """Like :func:`heston_call_price`, also returning the QuadratureResult."""
     cfg = cfg or QuadratureConfig()
-    _MEMO.admit(_heston_key(p, opt.maturity))
+    T = opt.maturity
+    _MEMO.admit(_heston_key(p, T))
+    if isinstance(r, (list, tuple, np.ndarray)) and np.ndim(r):
+        r = np.asarray(r, dtype=float).reshape(-1)
+        bond = np.exp(-r * T)
+        what = "price at T=%g, r in [%.6g, %.6g]" % (T, r.min(), r.max())
+    else:
+        bond, what = math.exp(-r * T), "price"
     res = integrate_real_line(lambda l: price_integrand(l, opt, p, r), cfg)
-    return _finish_price(res, opt, math.exp(-r * opt.maturity), cfg, "price")
+    return _finish_price(res, opt, bond, cfg, what)
 
 
 def density_integrand(l, x, T, p: HestonParams):

@@ -3,8 +3,10 @@
 Two independent routes check the closed forms:
 
 * an averaged-rate scheme for the stochastic-rate price -- exact CIR
-  transitions build paths of the time-averaged rate, and the constant-
-  rate closed form is evaluated at each draw and averaged;
+  transitions, one noncentral chi-square draw per path and step, build
+  paths of the time-averaged rate, and the constant-rate closed form is
+  evaluated at each draw and averaged; the closed form's whole curve in
+  the rate comes from one multi-column integral;
 * a full-truncation Euler simulator of the variance/log-spot system,
   used as a formula-free oracle for the constant-rate price.
 
@@ -36,6 +38,11 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 16
+
+# Most rates priced in one integral when the curve falls back to exact
+# prices at every draw: an (n, m) integrand call then holds at most
+# 3840 x 64 complex values per array.
+_RATE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -116,24 +123,29 @@ def _price_curve_in_rate(opt, p, rates, cfg):
 
     The price is an analytic function of the rate over the narrow range
     the CIR average visits, so a Chebyshev interpolant through 17 exact
-    evaluations reproduces it to well below quadrature tolerance; the
-    interpolant is spot-checked against exact evaluations and the slow
-    pointwise path is used if the check ever fails.
+    evaluations reproduces it to well below quadrature tolerance.  The
+    17 nodes and 4 spot-check probes (quantiles of ``rates``) are priced
+    together, by one :func:`heston_call_price` call on the array of 21
+    rates: one integral with a column per rate.  Should the interpolant
+    miss a probe by more than 1e-8 S0, every rate is priced exactly by
+    the same route, in blocks of ``_RATE_BLOCK`` columns.
     """
+    rates = np.asarray(rates, dtype=float)
     lo, hi = float(np.min(rates)), float(np.max(rates))
     if hi - lo < 1e-12:
         return np.full(len(rates), heston_call_price(opt, p, lo, cfg))
     deg = 16
     k = np.arange(deg + 1)
     nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * k / deg)
-    vals = [heston_call_price(opt, p, r, cfg) for r in nodes]
-    poly = np.polynomial.chebyshev.Chebyshev.fit(nodes, vals, deg)
     probes = np.quantile(rates, [0.05, 0.35, 0.65, 0.95])
-    err = max(abs(poly(r) - heston_call_price(opt, p, r, cfg))
-              for r in probes)
-    if err > 1e-8 * opt.s0:
-        return np.array([heston_call_price(opt, p, r, cfg) for r in rates])
-    return poly(np.asarray(rates))
+    exact = heston_call_price(opt, p, np.concatenate([nodes, probes]), cfg)
+    poly = np.polynomial.chebyshev.Chebyshev.fit(nodes, exact[:deg + 1],
+                                                 deg)
+    if np.max(np.abs(poly(probes) - exact[deg + 1:])) > 1e-8 * opt.s0:
+        return np.concatenate([
+            heston_call_price(opt, p, rates[i:i + _RATE_BLOCK], cfg)
+            for i in range(0, rates.size, _RATE_BLOCK)])
+    return poly(rates)
 
 
 def mc_price_hybrid(opt: VanillaOption, p: HestonParams, rp: CirRateParams,
@@ -142,9 +154,12 @@ def mc_price_hybrid(opt: VanillaOption, p: HestonParams, rp: CirRateParams,
     """Averaged-rate Monte Carlo price for the stochastic-rate model.
 
     Draws paths of the averaged rate rbar, prices with the constant-rate
-    closed form at each draw, and averages.  With sigma_r = 0 the rate
-    is deterministic and the estimate degenerates to a single closed-
-    form evaluation with zero standard error.
+    closed form at each draw (through :func:`_price_curve_in_rate`, one
+    multi-column integral for the whole curve), and averages.  The rate
+    paths take one exact noncentral chi-square draw per path and step.
+    With sigma_r = 0 the rate is deterministic and the estimate
+    degenerates to a single closed-form evaluation with zero standard
+    error.
     """
     cfg = cfg or QuadratureConfig()
     if rp.sigma_r == 0.0:

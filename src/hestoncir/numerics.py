@@ -8,9 +8,8 @@ whose errors can bring the total under tolerance, at most 128 of them,
 and evaluates all their children in one vectorized integrand call of
 at most 3840 nodes -- with geometric growth of the truncation window
 until the tail contribution is negligible.  An integrand may return
-several columns at once (several x of one kernel); they share the
-panels, and each panel is refined until its worst column meets the
-tolerance.
+several columns at once (several x or rates of one kernel); they share
+the panels, and each column is judged against its own tolerance.
 
 Random variates come from counter-based Philox streams so that
 (master_seed, stream_id) pairs give independent, reproducible sequences
@@ -67,9 +66,12 @@ class QuadratureConfig:
 
 @dataclass
 class QuadratureResult:
-    """An integral's value (complex, or an array of complex with one per
-    integrand column), its error estimate, the integrand evaluations and
-    whether it met its tolerance within budget."""
+    """An integral's value and error estimate, the integrand evaluations
+    and whether it met its tolerance within budget.
+
+    The value is complex and the error a float, or, for an integrand with
+    m columns, an array of m values and one of their m errors.
+    """
 
     value: complex
     error_estimate: float
@@ -113,8 +115,7 @@ def _gk_panels(f, a, b):
 
     f returns one value per node, shape (n,), or m per node, shape
     (n, m).  Returns the kronrod estimates, shape (panels,) or
-    (panels, m), and one error per panel: |kronrod - gauss|, the largest
-    over the columns.
+    (panels, m), and their errors |kronrod - gauss| in the same shape.
     """
     half = 0.5 * (b - a)
     nodes = ((0.5 * (a + b))[:, None] + half[:, None] * _XGK).ravel()
@@ -137,14 +138,7 @@ def _gk_panels(f, a, b):
     vals = vals.reshape(a.size, 15, -1).swapaxes(1, 2)
     resk = half[:, None] * (vals @ _WGK)
     resg = half[:, None] * (vals[:, :, 1::2] @ _WG)
-    return resk, np.abs(resk - resg).max(axis=1)
-
-
-def _smallest(value):
-    """|value|, or the smallest |value_j| of a column vector."""
-    if isinstance(value, complex):
-        return abs(value)
-    return float(np.min(np.abs(value)))
+    return resk, np.abs(resk - resg)
 
 
 def _largest(value):
@@ -157,8 +151,8 @@ def _largest(value):
 class _Panels:
     """A set of panels refined in batches, one integrand call per round.
 
-    The integrand has one column or m; a panel's error is the largest
-    over its columns, and the value is complex or an array of m.
+    The integrand has one column or m; the value and the error are
+    complex and float, or arrays of m, one per column.
     """
 
     def __init__(self, f, a, b):
@@ -176,34 +170,63 @@ class _Panels:
 
     @property
     def error(self):
-        return float(self.err.sum())
+        if self.err.ndim == 1:
+            return float(self.err.sum())
+        return self.err.sum(axis=0)
+
+    def _to_split(self, abs_tol, rel_tol):
+        """The panels to bisect, worst first, or None at tolerance.
+
+        The fewest worst panels whose errors add up to at least
+        error - tol/2, among those still wide enough to split.  With m
+        columns each column has its own tolerance max(abs_tol, rel_tol
+        |value_j|); a panel ranks by its largest error/tolerance ratio,
+        and enough panels are taken for every column short of its
+        tolerance.  Panels narrower than ~1e-13 of their location are
+        frozen: below that width the error estimate reflects the
+        integrand's rounding noise, not truncation error.
+        """
+        error = self.error
+        if self.err.ndim == 1:
+            tol = max(abs_tol, rel_tol * abs(self.value))
+            if error <= tol:
+                return None
+        else:
+            tol = np.maximum(abs_tol, rel_tol * np.abs(self.value))
+            short = error > tol
+            if not short.any():
+                return None
+        a, b = self.a, self.b
+        open_ = np.flatnonzero(
+            b - a >= 1e-13 * (1.0 + np.abs(a) + np.abs(b)))
+        if self.err.ndim == 1:
+            worst = open_[np.argsort(-self.err[open_], kind="stable")]
+            need = np.searchsorted(np.cumsum(self.err[worst]),
+                                   error - 0.5 * tol) + 1
+            return worst[:need]
+        err = self.err[open_]
+        order = np.argsort(-(err / tol).max(axis=1), kind="stable")
+        cum = np.cumsum(err[order][:, short], axis=0)
+        need = int((cum < error[short] - 0.5 * tol[short]).sum(axis=0)
+                   .max()) + 1
+        return open_[order[:need]]
 
     def refine(self, abs_tol, rel_tol, evals_budget):
         """Bisect panels in rounds until tolerance or budget is exhausted.
 
-        Each round bisects the fewest worst panels whose errors add up
-        to at least error - tol/2, at most ``_MAX_SPLITS`` of them and
-        no more than the budget pays for, and evaluates every child in
-        one integrand call.  Panels narrower than ~1e-13 of their
-        location are frozen rather than split: below that width the
-        error estimate reflects the integrand's rounding noise, not
-        truncation error.
+        Each round bisects the panels :meth:`_to_split` picks, at most
+        ``_MAX_SPLITS`` of them and no more than the budget pays for,
+        and evaluates every child in one integrand call.
         """
         while True:
-            error = self.error
-            tol = max(abs_tol, rel_tol * _smallest(self.value))
-            if error <= tol:
+            split = self._to_split(abs_tol, rel_tol)
+            if split is None:
                 return True
-            a, b = self.a, self.b
-            open_ = np.flatnonzero(
-                b - a >= 1e-13 * (1.0 + np.abs(a) + np.abs(b)))
             room = (evals_budget - self.evals) // 30
-            if open_.size == 0 or room <= 0:
+            if split.size == 0 or room <= 0:
                 return False
-            worst = open_[np.argsort(-self.err[open_], kind="stable")]
-            need = np.searchsorted(np.cumsum(self.err[worst]),
-                                   error - 0.5 * tol) + 1
-            split = worst[:min(need, _MAX_SPLITS, room)]
+            a, b = self.a, self.b
+            split = split[:min(_MAX_SPLITS, room)]
             mid = 0.5 * (a[split] + b[split])
             ca = np.concatenate([a[split], mid])
             cb = np.concatenate([mid, b[split]])
@@ -241,9 +264,10 @@ def integrate_real_line(f, cfg=None):
     Refinement bisects, in each round, the fewest worst panels that can
     bring the error under tolerance (at most 128, so one integrand call
     gets at most 3840 nodes); ``evaluations`` never exceeds
-    ``cfg.max_evals``.  With m columns a panel's error is its largest
-    over the columns, and the tolerance is max(abs_tol, rel_tol
-    min_j |value_j|): at least as strict as each column on its own.
+    ``cfg.max_evals``.  With m columns each column j is held to its own
+    tolerance max(abs_tol, rel_tol |value_j|), as if integrated alone,
+    and the error estimate is one per column; a round bisects the panels
+    with the worst error/tolerance ratio over the columns.
     """
     cfg = cfg or QuadratureConfig()
     L = cfg.truncation_bound
@@ -307,23 +331,14 @@ def sample_standard_normal(rng: RngStream, size=None):
 def sample_noncentral_chisq(df, noncentrality, rng: RngStream, size=None):
     """Draw from the noncentral chi-square law chi2(df, noncentrality).
 
-    Uses the Poisson mixture representation: J ~ Poisson(nc / 2), then a
-    central chi-square with df + 2J degrees of freedom realized as
-    2 * Gamma(df/2 + J).  The gamma sampler is valid for shapes below 1,
-    so Feller-violating CIR parameter sets sample correctly.
+    One ``Generator.noncentral_chisquare`` call on the stream.  For
+    df > 1 numpy draws chi2(df - 1) + (Z + sqrt(nc))^2; for df <= 1 the
+    Poisson mixture J ~ Poisson(nc/2), then chi2(df + 2J) through a
+    gamma sampler valid for shapes below 1.  Both are exact, so
+    Feller-violating CIR parameter sets sample correctly too.
 
     ``df`` and ``noncentrality`` may be scalars or broadcastable arrays;
-    the output shape follows numpy broadcasting (plus ``size``).
+    the output shape follows numpy broadcasting (plus ``size``).  A
+    nonpositive df or negative noncentrality raises ValueError.
     """
-    df = np.asarray(df, dtype=float)
-    nc = np.asarray(noncentrality, dtype=float)
-    if np.any(df <= 0):
-        raise ValueError("df must be positive")
-    if np.any(nc < 0):
-        raise ValueError("noncentrality must be nonnegative")
-    gen = rng.generator
-    j = gen.poisson(0.5 * nc, size=size)
-    out = 2.0 * gen.standard_gamma(0.5 * df + j)
-    if size is None and out.ndim == 0:
-        return float(out)
-    return out
+    return rng.generator.noncentral_chisquare(df, noncentrality, size)

@@ -8,6 +8,8 @@ from hestoncir import (
     CirRateParams,
     HestonParams,
     McConfig,
+    PricingError,
+    QuadratureConfig,
     RngStream,
     VanillaOption,
     bs_price,
@@ -21,6 +23,8 @@ from hestoncir import (
     simulate_average_rates,
     simulate_heston_terminal,
 )
+from hestoncir import heston, mc
+from hestoncir.numerics import QuadratureResult
 
 
 class TestCirExactStep:
@@ -228,3 +232,124 @@ class TestHestonEulerMc:
                                      McConfig(paths=100_000, steps=50,
                                               seed=17, antithetic=True))
         assert anti.std_error < plain.std_error
+
+
+# (Heston parameters, CIR rate, T, K): the mc_verify band, T = 30, and a
+# Feller-violating sigma with |rho| = 0.9
+CURVE_MARKETS = {
+    "band": ((1.75, 0.045, 0.45, -0.65, 0.04), (1.25, 0.03, 0.1, 0.03),
+             1.2, 103.0),
+    "T30": ((1.0, 0.04, 0.2, -0.5, 0.04), (1.8, 0.03, 0.1, 0.035), 30.0,
+            120.0),
+    "feller": ((0.8, 0.12, 1.0, -0.9, 0.15), (0.5, 0.03, 0.3, 0.035), 2.0,
+               95.0),
+}
+
+
+def _curve_market(name, kind="call"):
+    (kappa, theta, sigma, rho, v0), rate, T, K = CURVE_MARKETS[name]
+    p = HestonParams(mu=rate[3], kappa=kappa, theta=theta, sigma=sigma,
+                     rho=rho, v0=v0)
+    return VanillaOption(100.0, K, T, kind), p, CirRateParams(*rate)
+
+
+def _curve_rates(opt, rp):
+    """A draw of averaged rates and the 21 rates its curve is priced at:
+    17 Chebyshev nodes on the draw's range and 4 quantile probes."""
+    rbars = simulate_average_rates(rp, opt.maturity,
+                                   McConfig(paths=2_000, steps=20, seed=5))
+    lo, hi = rbars.min(), rbars.max()
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(
+        np.pi * np.arange(17) / 16)
+    probes = np.quantile(rbars, [0.05, 0.35, 0.65, 0.95])
+    return rbars, np.concatenate([nodes, probes])
+
+
+class TestRateVectorRoute:
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    @pytest.mark.parametrize("market", sorted(CURVE_MARKETS))
+    def test_matches_the_scalar_pricer_at_every_curve_rate(self, market,
+                                                           kind):
+        opt, p, rp = _curve_market(market, kind)
+        _, rates = _curve_rates(opt, rp)
+        got = heston_call_price(opt, p, rates)
+        want = np.array([heston_call_price(opt, p, r) for r in rates])
+        assert got.shape == (21,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * opt.s0
+
+    def test_a_column_short_of_budget_names_T_and_the_rates(self):
+        opt, p, rp = _curve_market("band")
+        _, rates = _curve_rates(opt, rp)
+        with pytest.raises(PricingError, match="did not converge") as err:
+            heston_call_price(opt, p, rates, QuadratureConfig(max_evals=120))
+        assert "T=1.2, r in [%.6g, %.6g]" % (rates.min(), rates.max()) \
+            in str(err.value)
+
+    def test_a_column_failing_its_residual_names_T_and_the_rates(
+            self, monkeypatch):
+        # one column gets a real part that its error estimate cannot
+        # explain; the other 20 are left as computed
+        opt, p, rp = _curve_market("feller")
+        _, rates = _curve_rates(opt, rp)
+        real = heston.integrate_real_line
+
+        def spoiled(f, cfg):
+            res = real(f, cfg)
+            value = res.value.copy()
+            value[7] += 1.0
+            return QuadratureResult(value, res.error_estimate,
+                                    res.evaluations, res.converged)
+
+        monkeypatch.setattr(heston, "integrate_real_line", spoiled)
+        with pytest.raises(PricingError, match="imaginary residual") as err:
+            heston_call_price(opt, p, rates)
+        assert "T=2, r in [" in str(err.value)
+
+
+class TestPriceCurveInRate:
+    def test_one_integral_and_no_scalar_prices(self, monkeypatch):
+        opt, p, rp = _curve_market("band")
+        rbars, _ = _curve_rates(opt, rp)
+        integrals, priced = [], []
+        real_integral, real_price = heston.integrate_real_line, \
+            mc.heston_call_price
+
+        def counting(f, cfg):
+            integrals.append(f)
+            return real_integral(f, cfg)
+
+        def vector_only(opt_, p_, r, cfg):
+            assert isinstance(r, np.ndarray), "a rate priced on its own"
+            priced.append(r.size)
+            return real_price(opt_, p_, r, cfg)
+
+        monkeypatch.setattr(heston, "integrate_real_line", counting)
+        monkeypatch.setattr(mc, "heston_call_price", vector_only)
+        prices = mc._price_curve_in_rate(opt, p, rbars, QuadratureConfig())
+        assert len(integrals) == 1 and priced == [21]
+        monkeypatch.undo()
+        for i in (0, 777, 1999):
+            assert abs(prices[i] - heston_call_price(opt, p, rbars[i])) \
+                <= 1e-8 * opt.s0
+
+    def test_a_missed_probe_prices_every_rate_in_blocks(self, monkeypatch):
+        # spoil the probes of the first call: every rate is then priced
+        # exactly, by the same route, at most _RATE_BLOCK columns a call
+        opt, p, rp = _curve_market("band", "put")
+        rbars, _ = _curve_rates(opt, rp)
+        rbars = rbars[:150]
+        real = mc.heston_call_price
+        sizes = []
+
+        def first_probes_off(opt_, p_, rates, cfg):
+            sizes.append(len(rates))
+            out = real(opt_, p_, rates, cfg)
+            return out + 1.0 * (len(sizes) == 1) * (np.arange(out.size) > 16)
+
+        monkeypatch.setattr(mc, "heston_call_price", first_probes_off)
+        prices = mc._price_curve_in_rate(opt, p, rbars, QuadratureConfig())
+        assert sizes[0] == 21
+        assert sum(sizes[1:]) == 150
+        assert max(sizes[1:]) <= mc._RATE_BLOCK
+        want = [heston_call_price(opt, p, r) for r in rbars]
+        assert np.max(np.abs(prices - want)) <= 1e-12 * opt.s0
