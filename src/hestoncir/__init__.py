@@ -5,6 +5,7 @@ from .heston import (
     PricingError,
     big_m_of_l,
     big_n_of_l,
+    critical_moments,
     heston_call_price,
     heston_price_with_diagnostics,
     marginal_density,

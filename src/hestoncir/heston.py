@@ -24,15 +24,19 @@ cores at its second quote, and the integrand computes only the nodes
 the table lacks.  Parameter sets priced once store nothing.
 
 The density is one Fourier integral over l as well, taken on a uniform
-l-table of its kernel whose step the aliasing bound of the requested
-x-range sets, checked by one adaptive integral at three probes; a table
-that fails its probe raises.  An evenly spaced x grid sums that table by
+l-table of its kernel that ends where the kernel falls below e^-45 and
+whose step an aliasing period sets, checked by one adaptive integral at
+three probes; a table that fails its probe, or needs more nodes than the
+evaluation budget, raises.  An evenly spaced x grid sums that table by
 a chirp-z transform (Bluestein's algorithm on ``numpy.fft``); any other
 x (single points, uneven grids) by cos/sin phase matrices in blocks of
-bounded size.  The price-via-density cross-check integrates the bounded
-put payoff against each mode of the same table in closed form, as one
-integral from far below the strike up to it, and prices the call by
-parity.
+bounded size; the grid's period clears its x-range and the density's
+support.  The price-via-density cross-check integrates the bounded put
+payoff against each mode of the same table in closed form, as one
+integral from below the strike up to it, and prices the call by parity.
+How far below, and the table's period, come from Chernoff bounds on the
+moments E[exp(s x_T)], which are finite between the critical moments
+(:func:`critical_moments`) and are the strike core at l = i s.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ __all__ = [
     "density_integrand",
     "marginal_density",
     "marginal_density_grid",
+    "critical_moments",
     "heston_call_price",
     "heston_price_with_diagnostics",
     "price_via_density",
@@ -172,6 +177,114 @@ def _strike_core(l, T, p: HestonParams):
     b = kappa + (1j * p.rho * p.sigma) * l
     return _core_half(l * (l - 1j), kappa, b, T, p.v0, kappa * theta,
                       p.sigma * p.sigma)[0]
+
+
+def _log_moment(s, T, p: HestonParams):
+    """(log M(s), sign(s)) at real s, with M(s) = E[exp(s x_T)].
+
+    log M is the strike core at l = i s, where l2 = s(1 - s) and b =
+    kappa - rho sigma s are real.  The core's P is exp(-fT) D with D =
+    cosh fT + (b/2f) sinh fT real, and ``sign`` is the sign of D, 1 at
+    s = 0, whose first zero along s is where the moment explodes; it is
+    read off the phase of P, cos(arg P + Im fT).  P nears 0 only where
+    b < 0 or f is imaginary (elsewhere P >= 1/2), and there
+    :func:`_core_half` takes its branch that forms d = 2f - b directly
+    and log P of P itself, so log M stays finite up to the explosion;
+    l2 = 0 on that branch, at s = 1 with b < 0, gives a NaN log M,
+    though M(1) = 1.  Past the explosion log M is meaningless, and no
+    warning is raised for it.
+    """
+    kappa, theta = _pricing_kappa_theta(p)
+    sig2 = p.sigma * p.sigma
+    s = np.asarray(s, dtype=float)
+    l2 = s * (1.0 - s)
+    b = kappa - p.rho * p.sigma * s
+    direct = (b < 0.0) | (b * b + sig2 * l2 < 0.0)
+    log_m, sign = np.empty(s.shape), np.empty(s.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for branch, b0 in ((~direct, 1.0), (direct, -1.0)):
+            if branch.any():
+                core, two_f, log_p = _core_half(
+                    l2[branch].astype(complex), b0,
+                    b[branch].astype(complex), T, p.v0, kappa * theta, sig2)
+                log_m[branch] = core.real
+                sign[branch] = np.cos(log_p.imag + 0.5 * T * two_f.imag)
+    return log_m, sign
+
+
+# The explosion search: a first pass at s = 2^(-k/2) times the outer end
+# of its bracket, k <= _OCTAVE_STEPS, then rounds of _BRACKET_POINTS
+# evenly spaced points across the bracket left.
+_OCTAVE_STEPS = 50
+_BRACKET_POINTS = 64
+
+
+def _moment_bracket(p: HestonParams, T, rel_width):
+    """Each side's bracket of the moment explosion, and the log M samples.
+
+    Returns ``(inner, outer, samples)``: on the negative side (row 0) and
+    the positive side (row 1) the moment is finite at ``inner`` and has
+    exploded at ``outer``, and ``|outer - inner| <= rel_width |outer|``;
+    ``samples`` lists (s, log M) pairs of (2, n) arrays, log M = inf
+    where the moment has exploded.  The explosion lies before the s at
+    which f = i pi/T, a root of the quadratic 4 f^2 = -(2 pi/T)^2 in s,
+    where P = -1.  The first pass samples the bracket from 0 to that
+    root geometrically, and each further pass shrinks the bracket
+    ``_BRACKET_POINTS`` times; a pass is one :func:`_log_moment` call.
+    """
+    kappa, _ = _pricing_kappa_theta(p)
+    sig2 = p.sigma * p.sigma
+    qa = sig2 * (p.rho * p.rho - 1.0)
+    qb = sig2 - 2.0 * kappa * p.rho * p.sigma
+    qc = kappa * kappa + (_TWO_PI / T) ** 2
+    root = math.sqrt(qb * qb - 4.0 * qa * qc)
+    inner = np.zeros(2)
+    outer = np.array([qb - root, qb + root]) / (-2.0 * qa)
+    s = outer[:, None] * 2.0 ** (-0.5 * np.arange(_OCTAVE_STEPS, -1, -1))
+    t = np.linspace(0.0, 1.0, _BRACKET_POINTS + 1)[1:-1]
+    rows = np.arange(2)
+    samples = []
+    while True:
+        log_m, sign = _log_moment(s, T, p)
+        alive = np.logical_and.accumulate(sign > 0.0, axis=1)
+        samples.append((s, np.where(alive, log_m, np.inf)))
+        # between the last point alive and the first exploded one
+        j = alive.sum(axis=1)
+        n = s.shape[1]
+        inner = np.where(j > 0, s[rows, j - 1], inner)
+        outer = np.where(j < n, s[rows, np.minimum(j, n - 1)], outer)
+        if np.all(np.abs(outer - inner) <= rel_width * np.abs(outer)):
+            return inner, outer, samples
+        s = inner[:, None] + (outer - inner)[:, None] * t
+
+
+def critical_moments(p: HestonParams, T: float):
+    """(w-, w+): E[exp(s x_T)] is finite for s in (-w-, w+) at maturity T.
+
+    The critical moments of the logreturn x_T (Lee 2004): the first zero
+    of P along s on either side of s = 0, where P = 1, which is where the
+    moment explodes at T (Andersen and Piterbarg 2007).  Each is
+    bracketed to 1e-13 of its size, and the bracket's inner end is
+    returned, so the moment is finite at each w returned.
+    """
+    inner, _, _ = _moment_bracket(p, T, 1e-13)
+    return float(-inner[0]), float(inner[1])
+
+
+def _tail_depths(p: HestonParams, T, log_odds):
+    """(d-, d+): P(x_T < -d-) and P(x_T > d+) are below exp(-log_odds).
+
+    Chernoff: P(x_T < -d) <= M(-s) e^{-s d} for 0 < s < w-, so d- is the
+    least (log_odds + log M(-s))/s over the samples of log M on the way
+    to the explosion, and d+ the same with M(s).  The search stops at a
+    bracket of 1/_BRACKET_POINTS of the critical moment: one pass after
+    the geometric one.
+    """
+    _, _, samples = _moment_bracket(p, T, 1.0 / _BRACKET_POINTS)
+    s = np.concatenate([s for s, _ in samples], axis=1)
+    log_m = np.concatenate([log_m for _, log_m in samples], axis=1)
+    depth = np.nanmin((log_odds + log_m) / np.abs(s), axis=1)
+    return float(depth[0]), float(depth[1])
 
 
 def _spot_core(l, T, p: HestonParams):
@@ -565,9 +678,35 @@ def _payoff_strip_sum(kernel, h, lo, hi, a, k):
     return (kernel @ (a * spot - k * strike)).real
 
 
+# Re strike core at which the density's l-table ends: its kernel is then
+# below e^-45 of its value at l = 0
+_DECAY_FLOOR = -45.0
+
+
+def _decay_limit(T, p: HestonParams):
+    """The l-table's end: within 1% above the first l where the strike
+    core's real part falls below ``_DECAY_FLOOR``.
+
+    One call brackets the crossing on l = 2^(k/4), 2^-10 <= l <= 2^17,
+    and a second places it on 20 even steps across that bracket, each
+    under 1% of its lower end.  Past 2^17 the end is 2^17.
+    """
+    coarse = 2.0 ** (0.25 * np.arange(-40, 69))
+    below = _strike_core(coarse, T, p).real < _DECAY_FLOOR
+    if not below.any():
+        return float(coarse[-1])
+    k = int(np.argmax(below))
+    if k == 0:
+        return float(coarse[0])
+    fine = np.linspace(coarse[k - 1], coarse[k], 21)[1:]
+    return float(fine[np.argmax(_strike_core(fine, T, p).real
+                                < _DECAY_FLOOR)])
+
+
 def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
-                       x_reach: float):
-    """Logreturn density for |x| <= x_reach, and its payoff strips.
+                       period: float):
+    """Logreturn density from an l-table of aliasing period ``period``,
+    and its payoff strips.
 
     Returns ``(density, payoff_strip)``: ``density(xs)`` is vectorized
     over x, and ``payoff_strip(lo, hi, a, k)`` is the integral of
@@ -578,14 +717,18 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     rule converges near-spectrally, so a single table replaces one
     adaptive quadrature per x.  Its error is set by the aliasing period
     2 pi/h and the kernel's analyticity strip, not by an absolute step
-    (Trefethen and Weideman, SIAM Review 2014), so the step is h =
-    pi/(x_reach + 12 sd + 1), sd = sqrt((v0 + theta) T), alone: the
-    period clears twice the requested reach plus the density's support.
-    The table is verified against the adaptive :func:`marginal_density`
-    at three probe points (0, 0.9 sd and -1.7 sd), all in one call whose
-    integrand evaluates the kernel once per node for the three; when it
-    disagrees with a probe, a :class:`PricingError` names T, the probe x
-    and both values.
+    (Trefethen and Weideman, SIAM Review 2014): by Poisson summation the
+    table's density is sum_j f(x + j period), so the caller chooses the
+    period that keeps the images j != 0 off the x it reads, and the step
+    is h = 2 pi/period.  The table ends within 1% past the l where the
+    kernel falls below e^-45 (:func:`_decay_limit`).  A table of more
+    nodes than ``cfg.max_evals`` raises a :class:`PricingError` naming T,
+    the critical moments and the node count.  The table is verified
+    against the adaptive :func:`marginal_density` at three probe points
+    (0, 0.9 sd and -1.7 sd, sd = sqrt((v0 + theta) T)), all in one call
+    whose integrand evaluates the kernel once per node for the three;
+    when it disagrees with a probe, a :class:`PricingError` names T, the
+    probe x and both values.
 
     The table's density is f(x) = Re sum_k c_k exp(i l_k x) / 2 pi.  An
     evenly spaced x grid (the CLI's and :func:`marginal_density_grid`'s
@@ -597,18 +740,17 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     against a e^x - k in closed form (:func:`_payoff_strip_sum`), so a
     strip is one O(N) dot product and exact for the table.
     """
-    scale = math.sqrt((p.v0 + p.theta) * T)
-    # the 2*pi/h aliasing period clears the requested x-range plus the
-    # density's own support
-    h = math.pi / (x_reach + 12.0 * scale + 1.0)
-    l_max = 50.0
-    while True:
-        decay = float(np.real(_strike_core(np.array([l_max]), T, p))[0])
-        if decay < -45.0 or l_max >= 1e5:
-            break
-        l_max *= 2.0
+    h = _TWO_PI / period
+    l_max = _decay_limit(T, p)
+    nodes = math.ceil(l_max / h) + 1
+    if nodes > cfg.max_evals:
+        w_minus, w_plus = critical_moments(p, T)
+        raise PricingError(
+            "density table at T=%g needs %d nodes, more than max_evals=%d "
+            "(critical moments w- = %.6g, w+ = %.6g)"
+            % (T, nodes, cfg.max_evals, w_minus, w_plus))
     # conjugate symmetry of the kernel folds the line onto l >= 0
-    grid = np.arange(0.0, l_max + 0.5 * h, h)
+    grid = np.arange(nodes) * h
     weights = np.full(grid.shape, 2.0 * h)
     weights[0] = h
     weights[-1] = h
@@ -624,6 +766,7 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     def table_strip(lo, hi, a, k):
         return _payoff_strip_sum(kernel, h, lo, hi, a, k) / _TWO_PI
 
+    scale = math.sqrt((p.v0 + p.theta) * T)
     probes = np.array([0.0, 0.9 * scale, -1.7 * scale])
     got = table_density(probes)
     ref = marginal_density(probes, T, p, cfg)
@@ -651,7 +794,10 @@ def marginal_density_grid(xs, T: float, p: HestonParams,
         raise ValueError("marginal_density_grid needs finite x, got %r"
                          % float(xs[bad][0]))
     reach = float(np.max(np.abs(xs))) if xs.size else 1.0
-    density, _ = _density_evaluator(T, p, cfg, reach)
+    # the period clears twice the grid's reach plus the density's support
+    sd = math.sqrt((p.v0 + p.theta) * T)
+    density, _ = _density_evaluator(T, p, cfg,
+                                    2.0 * (reach + 12.0 * sd + 1.0))
     return density(xs)
 
 
@@ -668,22 +814,32 @@ def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
     at three probes (see :func:`_density_evaluator`).
 
     The put is one integral of the bounded payoff against that table,
-    in closed form for each mode, over [lo, x_lo] with lo = min(x_lo, 0)
-    less 60 or 40 density widths, whichever is more.  Being bounded, the
+    in closed form for each mode, over [lo, x_lo].  Being bounded, the
     payoff does not magnify the table's rounding or aliasing on a fat
-    right tail, where e^x f(x) barely decays.  The strip [lo, lo + 2]
-    checks that the integral has decayed at lo: unless it adds less than
-    10 max(abs_tol, 1e-9), a fat left tail is cut off there, and a
-    :class:`PricingError` names T and the strip.  Since E[e^x] = 1, the
-    call follows by parity, put + S0 - K e^{-rT}.
+    right tail, where e^x f(x) barely decays.  Both lo and the table's
+    period come from the moments M(s) = E[exp(s x_T)], finite between
+    the critical moments -w- < s < w+ (:func:`critical_moments`):
+    with L = log(1 + 3 K/abs_tol), the Chernoff bound
+    P(x_T < -d) <= M(-s) e^{-s d} puts mass under e^-L below -d- =
+    -min_s (L + log M(-s))/s, and likewise above d+.  Then lo =
+    min(x_lo, 0) - d- - 2, and the period max(d+ - lo, x_lo + d- + 2) + 1
+    keeps the table's two nearest images of [lo, x_lo] (its density is
+    sum_j f(x + j period), by Poisson summation) beyond d+ and below -d-.
+    The payoff is under K there, so the three masses cut off cost at
+    most 3 K e^-L < abs_tol.  The strip [lo, lo + 2], the 2 that lo has
+    below -d-, checks that the integral has decayed at lo: unless it
+    adds less than 10 max(abs_tol, 1e-9), a :class:`PricingError` names
+    T and the strip.  Since E[e^x] = 1, the call follows by parity,
+    put + S0 - K e^{-rT}.
     """
     cfg = cfg or QuadratureConfig()
     s0, k, T = opt.s0, opt.strike, opt.maturity
     disc = math.exp(-r * T)
     x_lo = math.log(k / s0) - r * T
-    scale = math.sqrt((p.v0 + p.theta) * T)
-    lo = min(x_lo, 0.0) - max(60.0, 40.0 * scale)
-    _, payoff_strip = _density_evaluator(T, p, cfg, 4.0 - lo)
+    d_minus, d_plus = _tail_depths(p, T, math.log1p(3.0 * k / cfg.abs_tol))
+    lo = min(x_lo, 0.0) - d_minus - 2.0
+    period = max(d_plus - lo, x_lo + d_minus + 2.0) + 1.0
+    _, payoff_strip = _density_evaluator(T, p, cfg, period)
     a = s0 / disc
     edge = payoff_strip(lo, lo + 2.0, -a, -k)
     bound = 10.0 * max(cfg.abs_tol, 1e-9)

@@ -33,9 +33,22 @@ theta_r + r0)/sigma_r^2 from about 1 to 2e11; eight cases have sigma_r
 in 3e-5 to 1e-4, around the 1e8 where a direct form of the rate cores
 loses up to 1.5e-7), T from 0.02 to 30 and |l| from 1e-3 to 316.
 
+It also finds the critical moments w- and w+ of x_T at 30 digits:
+E[exp(s x_T)] is finite for -w- < s < w+, and each end is the first
+zero, outward from s = 0, of the moment's explosion denominator
+
+    D(s) = cosh(f T) + b/(2 f) sinh(f T),
+    2 f = sqrt(b^2 + sigma^2 s (1 - s)),  b = kappa - rho sigma s,
+
+which is real on either sign of 4 f^2 (Andersen and Piterbarg 2007).
+A scan in steps of 0.01 finds the first s with D <= 0, and bisection
+on D narrows it to 30 digits.  The cases are the benchmark's market at
+T = 0.5, 1 and 2, the fat right tail (rho 0.9) at T = 30, a fat left
+tail at T = 6.74, and kappa < rho sigma with lam != 0.
+
 Run ``python tests/mp_core_oracle.py`` to print the rows stored in
-``tests/test_heston.py`` (MP_CORES) and ``tests/test_hybrid.py``
-(MP_RATE_CORES), in under a second.
+``tests/test_heston.py`` (MP_CORES, MP_CRITICAL_MOMENTS) and
+``tests/test_hybrid.py`` (MP_RATE_CORES), in a few seconds.
 """
 
 import mpmath as mp
@@ -99,6 +112,17 @@ RATE_CASES = (   # (kappa_r, theta_r, sigma_r, r0, T, l)
 )
 
 
+MOMENT_CASES = (   # (kappa, theta, sigma, rho, v0, lam, T)
+    (1.75, 0.045, 0.45, -0.65, 0.04, 0.0, 0.5),
+    (1.75, 0.045, 0.45, -0.65, 0.04, 0.0, 1.0),
+    (1.75, 0.045, 0.45, -0.65, 0.04, 0.0, 2.0),
+    (1.5, 0.05, 0.5, 0.9, 0.04, 0.0, 30.0),
+    (0.12578862725835402, 0.02712460215111761, 1.0164207908490666,
+     -0.9346146377940443, 0.14253016426158838, 0.0, 6.742206184121839),
+    (0.7, 0.1, 0.8, 0.95, 0.08, -0.4, 10.0),
+)
+
+
 def _exp_w(freq, b, t):
     """(log N, g) of N = 1/(cosh w + beta sinh w), w = freq t, via exp(-w).
 
@@ -152,6 +176,32 @@ def rate_core(side, kappa_r, theta_r, sigma_r, r0, t, l):
         + 2 * kappa_r * theta_r / sig2 * log_n
 
 
+def explosion_denominator(kappa, sigma, rho, lam, t, s):
+    """D(s) = cosh(f T) + b/(2 f) sinh(f T), real for real s."""
+    kappa = kappa + lam
+    b = kappa - rho * sigma * s
+    freq = mp.sqrt(mp.mpc(b * b + sigma * sigma * s * (1 - s))) / 2
+    return mp.re(mp.cosh(freq * t) + b / (2 * freq) * mp.sinh(freq * t))
+
+
+def critical_moment(sign, kappa, theta, sigma, rho, v0, lam, t):
+    """w+ (sign 1) or w- (sign -1): the first zero of D along sign * s."""
+    kappa, sigma, rho, lam, t = (mp.mpf(v)
+                                 for v in (kappa, sigma, rho, lam, t))
+
+    def dee(s):
+        return explosion_denominator(kappa, sigma, rho, lam, t, sign * s)
+    step = mp.mpf("0.01")
+    lo = mp.mpf(0)
+    while dee(lo + step) > 0:
+        lo += step
+    hi = lo + step
+    for _ in range(110):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if dee(mid) > 0 else (lo, mid)
+    return lo
+
+
 def _print_rows(name, cases, fn):
     print("%s = (" % name)
     for case in cases:
@@ -167,6 +217,13 @@ def main():
     mp.mp.dps = 50
     _print_rows("MP_CORES", CASES, core)
     _print_rows("MP_RATE_CORES", RATE_CASES, rate_core)
+    mp.mp.dps = 30
+    print("MP_CRITICAL_MOMENTS = (")
+    for case in MOMENT_CASES:
+        print("    (%s," % ", ".join(repr(v) for v in case))
+        print("     %s, %s)," % tuple(
+            mp.nstr(critical_moment(sign, *case), 20) for sign in (-1, 1)))
+    print(")")
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from hestoncir import (
     big_m_of_l,
     big_n_of_l,
     bs_price,
+    critical_moments,
     heston_call_price,
     heston_price_with_diagnostics,
     integrate_interval,
@@ -384,8 +385,10 @@ class TestPayoffStrips:
     @pytest.mark.parametrize("T", [0.02, 1.0, 30.0])
     def test_table_strips_match_quadrature_of_table_density(
             self, fig1_heston, T):
+        # the period marginal_density_grid gives a grid of reach 10
+        period = 2.0 * (10.0 + 12.0 * math.sqrt(0.08 * T) + 1.0)
         density, strip = heston._density_evaluator(
-            T, fig1_heston, QuadratureConfig(), 10.0)
+            T, fig1_heston, QuadratureConfig(), period)
         a, k = 100.0 * math.exp(0.03 * T), 100.0
         for lo, width in self.STRIPS:
             got = strip(lo, lo + width, a, k)
@@ -424,7 +427,18 @@ class TestPriceViaDensitySweep:
                  v0=0.019920607298138562), 8.48158343405347),
         # a put integral 2,000 (40 sd) wide
         (*_quote(50.0, 100.0, v0=25.0, theta=25.0, rho=-0.5), None),
-    ], ids=["rho0.9", "sigma1-K125", "seed7-put", "v0-25-T50"])
+        # a fat left tail, w- = 0.165: the put integral reaches -185
+        (*_quote(6.742206184121839, 76.17829956698068,
+                 kappa=0.12578862725835402, theta=0.02712460215111761,
+                 sigma=1.0164207908490666, rho=-0.9346146377940443,
+                 v0=0.14253016426158838), None),
+        # sigma 1.5, kappa 0.12, w- = 0.02: over 200,000 table nodes
+        (*_quote(20.86949557100178, 97.14537993827814, "put",
+                 kappa=0.11966803061195103, theta=0.02763668471683995,
+                 sigma=1.5179781404891466, rho=-0.6601583280571415,
+                 v0=0.020393727618420298), None),
+    ], ids=["rho0.9", "sigma1-K125", "seed7-put", "v0-25-T50", "fat-left",
+            "seed10-put"])
     def test_fat_tail_prices_fast_by_parity(self, opt, p, literal):
         start = time.perf_counter()
         via = price_via_density(opt, p, 0.03)
@@ -434,19 +448,106 @@ class TestPriceViaDensitySweep:
         if literal is not None:
             assert abs(direct - literal) <= 1e-9 * opt.s0
 
-    def test_fat_left_tail_names_the_edge_strip(self):
-        opt, p = _quote(6.742206184121839, 76.17829956698068,
-                        kappa=0.12578862725835402, theta=0.02712460215111761,
-                        sigma=1.0164207908490666, rho=-0.9346146377940443,
-                        v0=0.14253016426158838)
-        start = time.perf_counter()
+    def test_undecayed_edge_strip_names_it(self, fig1_heston, monkeypatch):
+        # depths that stop short of the density's left tail
+        monkeypatch.setattr(heston, "_tail_depths", lambda *args: (0.0, 5.0))
         with pytest.raises(PricingError) as err:
-            price_via_density(opt, p, 0.03)
-        assert time.perf_counter() - start < 1.0
+            price_via_density(VanillaOption(100.0, 100.0, 1.0), fig1_heston,
+                              0.03)
         msg = str(err.value)
-        assert "failed to decay" in msg and "T=6.74221" in msg
-        # lo = x_lo - 60, x_lo = ln(0.7618) - 0.03 T
-        assert "edge strip [-60.47, -58.47]" in msg
+        assert "failed to decay" in msg and "T=1:" in msg
+        # lo = x_lo - 2, x_lo = -0.03
+        assert "edge strip [-2.03, -0.03]" in msg
+
+
+BENCH_MARKET = dict(mu=0.03, kappa=1.75, theta=0.045, sigma=0.45,
+                    rho=-0.65, v0=0.04)
+
+
+class TestMomentSizing:
+    """The put integral's depth and the table's step from the moments."""
+
+    def test_bench_quote_table_is_small(self, monkeypatch):
+        real, sizes = heston._payoff_strip_sum, []
+
+        def sized(kernel, *args):
+            sizes.append(kernel.size)
+            return real(kernel, *args)
+        monkeypatch.setattr(heston, "_payoff_strip_sum", sized)
+        opt = VanillaOption(100.0, 100.0 * math.exp(0.03), 1.0)
+        p = HestonParams(**BENCH_MARKET)
+        via = price_via_density(opt, p, 0.03)
+        assert abs(via - heston_call_price(opt, p, 0.03)) <= 1e-9 * opt.s0
+        # the edge strip and the put, on one table
+        assert len(sizes) == 2 and sizes[0] == sizes[1] < 1000
+
+    @pytest.mark.parametrize("opt,p", [
+        (VanillaOption(100.0, 100.0 * math.exp(0.03), 1.0),
+         HestonParams(**BENCH_MARKET)),
+        _quote(30.0, 100.0, rho=0.9),
+        _quote(6.742206184121839, 76.17829956698068,
+               kappa=0.12578862725835402, theta=0.02712460215111761,
+               sigma=1.0164207908490666, rho=-0.9346146377940443,
+               v0=0.14253016426158838),
+    ], ids=["bench", "rho0.9", "fat-left"])
+    def test_put_mass_below_lo_is_under_the_chernoff_bound(self, opt, p):
+        cfg = QuadratureConfig()
+        T, k = opt.maturity, opt.strike
+        log_odds = math.log1p(3.0 * k / cfg.abs_tol)
+        d_minus, d_plus = heston._tail_depths(p, T, log_odds)
+        x_lo = math.log(k / opt.s0) - 0.03 * T
+        lo = min(x_lo, 0.0) - d_minus - 2.0
+        # a table whose images stay off [lo - 40, lo]
+        density, _ = heston._density_evaluator(T, p, cfg,
+                                               2.0 * (d_plus - lo + 40.0))
+        a = opt.s0 * math.exp(0.03 * T)
+        bound = k * math.exp(-log_odds)
+        res = integrate_interval(
+            lambda xs: (k - a * np.exp(xs)) * density(xs), lo - 40.0, lo,
+            QuadratureConfig(abs_tol=1e-2 * bound, rel_tol=0.0))
+        assert res.converged
+        assert res.value.real + res.error_estimate < bound
+
+    @pytest.mark.parametrize("params,T", [
+        ({"kappa": 1.0, "theta": 0.04, "sigma": 0.2, "rho": -0.5}, 0.02),
+        ({"kappa": 1.0, "theta": 0.04, "sigma": 0.2, "rho": -0.5}, 30.0),
+        (BENCH_MARKET, 0.25),
+        (BENCH_MARKET, 1.0),
+        (BENCH_MARKET, 10.0),
+        ({**FAT_TAIL, "rho": 0.9}, 30.0),
+        ({**FAT_TAIL, "v0": 25.0, "theta": 25.0, "rho": -0.5}, 50.0),
+    ])
+    def test_table_ends_within_1pc_past_the_decay_crossing(
+            self, monkeypatch, params, T):
+        p = HestonParams(**{"mu": 0.03, "v0": 0.04, **params})
+        l_max = heston._decay_limit(T, p)
+        core = heston._strike_core(np.array([l_max / 1.01, l_max]), T, p)
+        assert core[0].real >= -45.0 > core[1].real
+        real, tables = heston._chirp_z_sum, []
+
+        def kept(kernel, h, *args):
+            tables.append((kernel.size, h))
+            return real(kernel, h, *args)
+        monkeypatch.setattr(heston, "_chirp_z_sum", kept)
+        marginal_density_grid(np.linspace(-1.0, 1.0, 101), T, p)
+        (n, h), = tables
+        assert l_max <= (n - 1) * h < l_max + h
+
+    @pytest.mark.parametrize("price", [True, False], ids=["price", "grid"])
+    def test_table_over_budget_raises(self, fig1_heston, price):
+        cfg = QuadratureConfig(max_evals=100)
+        start = time.perf_counter()
+        with pytest.raises(PricingError,
+                           match=r"T=1 needs \d+ nodes, more than "
+                                 r"max_evals=100 \(critical moments w- = "
+                                 r"[\d.]+, w\+ = [\d.]+\)"):
+            if price:
+                price_via_density(VanillaOption(100.0, 100.0, 1.0),
+                                  fig1_heston, 0.03, cfg)
+            else:
+                marginal_density_grid(np.linspace(-1.0, 1.0, 101), 1.0,
+                                      fig1_heston, cfg)
+        assert time.perf_counter() - start < 1.0
 
 
 def _offset_first_probe(monkeypatch):
@@ -478,17 +579,6 @@ class TestFailingProbe:
             price_via_density(VanillaOption(100.0, 100.0, 0.1), fig1_heston,
                               0.03)
         assert len(calls) == 1
-
-    def test_unresolved_table_raises_fast(self):
-        # sigma 1.5, kappa 0.12: the table misses its probe at 0.9 sd
-        opt, p = _quote(20.86949557100178, 97.14537993827814, "put",
-                        kappa=0.11966803061195103, theta=0.02763668471683995,
-                        sigma=1.5179781404891466, rho=-0.6601583280571415,
-                        v0=0.020393727618420298)
-        start = time.perf_counter()
-        with pytest.raises(PricingError, match="probe at T=20.8695: at x="):
-            price_via_density(opt, p, 0.03)
-        assert time.perf_counter() - start < 1.0
 
 
 def _direct_sum(kernel, h, xs):
@@ -751,6 +841,52 @@ class TestCoreOracle:
         spot, strike = heston._core_exponents(np.array([l]), T, p)
         assert abs(np.exp(spot[0]) - complex(*row[8:10])) <= 1e-12
         assert abs(np.exp(strike[0]) - complex(*row[10:12])) <= 1e-12
+
+
+# (kappa, theta, sigma, rho, v0, lam, T, w-, w+) at 30 digits, printed by
+# tests/mp_core_oracle.py: the benchmark's market at T = 0.5, 1 and 2,
+# FAT_TAIL with rho 0.9 at T = 30, the fat left tail of
+# test_fat_tail_prices_fast_by_parity and kappa < rho sigma with lam != 0
+MP_CRITICAL_MOMENTS = (
+    (1.75, 0.045, 0.45, -0.65, 0.04, 0.0, 0.5,
+     11.341270750439182321, 34.866010309120388923),
+    (1.75, 0.045, 0.45, -0.65, 0.04, 0.0, 1.0,
+     6.3489105804952622327, 22.013494426708463597),
+    (1.75, 0.045, 0.45, -0.65, 0.04, 0.0, 2.0,
+     3.9190201433798659954, 16.100683315025484428),
+    (1.5, 0.05, 0.5, 0.9, 0.04, 0.0, 30.0,
+     25.082812056488394909, 1.9192429758428880888),
+    (0.12578862725835402, 0.02712460215111761, 1.0164207908490666,
+     -0.9346146377940443, 0.14253016426158838, 0.0, 6.742206184121839,
+     0.16538203776915783618, 10.351367942289276329),
+    (0.7, 0.1, 0.8, 0.95, 0.08, -0.4, 10.0,
+     1.4438683214573923762, 1.0133205177884048292),
+)
+
+
+def _moment_case(row):
+    kappa, theta, sigma, rho, v0, lam, T = row[:7]
+    return HestonParams(mu=0.03, kappa=kappa, theta=theta, sigma=sigma,
+                        rho=rho, v0=v0, lam=lam), T
+
+
+class TestCriticalMoments:
+    @pytest.mark.parametrize("row", MP_CRITICAL_MOMENTS)
+    def test_match_mpmath(self, row):
+        p, T = _moment_case(row)
+        w_minus, w_plus = critical_moments(p, T)
+        assert abs(w_minus / row[7] - 1.0) <= 1e-8
+        assert abs(w_plus / row[8] - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("row", MP_CRITICAL_MOMENTS)
+    def test_finite_inside_and_exploded_outside(self, row):
+        p, T = _moment_case(row)
+        w_minus, w_plus = critical_moments(p, T)
+        ends = np.array([-w_minus, w_plus])
+        log_m, sign = heston._log_moment(ends * (1.0 - 1e-9), T, p)
+        assert np.all(np.isfinite(log_m)) and np.all(sign > 0.0)
+        _, sign = heston._log_moment(ends * (1.0 + 1e-9), T, p)
+        assert np.all(sign <= 0.0)
 
 
 def _log1p_points():
