@@ -22,7 +22,7 @@ from .hybrid import cir_bond_price, hybrid_price_with_diagnostics
 from .mc import McConfig, McEstimate, RngStream, mc_price_heston_euler, \
     mc_price_hybrid
 from .models import CirRateParams, HestonParams, VanillaOption, bs_price
-from .numerics import QuadratureConfig, QuadratureError
+from .numerics import QuadratureConfig, QuadratureError, QuadratureResult
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -116,17 +116,16 @@ def _fmt(x: float) -> str:
 
 
 def _analytic_price(cfg: RunConfig):
-    """(price, error_estimate, evaluations) for the configured model."""
+    """(price, QuadratureResult) for the configured model; Black-Scholes
+    reports an exact result with no evaluations."""
     if cfg.model == "bs":
         price = bs_price(cfg.option, cfg.heston.mu, math.sqrt(cfg.heston.v0))
-        return price, 0.0, 0
+        return price, QuadratureResult(0j, 0.0, 0, True)
     if cfg.model == "heston":
-        price, res = heston_price_with_diagnostics(
+        return heston_price_with_diagnostics(
             cfg.option, cfg.heston, cfg.heston.mu, cfg.quadrature)
-    else:
-        price, res = hybrid_price_with_diagnostics(
-            cfg.option, cfg.heston, cfg.rate, cfg.quadrature)
-    return price, res.error_estimate, res.evaluations
+    return hybrid_price_with_diagnostics(
+        cfg.option, cfg.heston, cfg.rate, cfg.quadrature)
 
 
 def _mc_price(cfg: RunConfig) -> McEstimate:
@@ -178,12 +177,14 @@ def _open_out(path):
 def cmd_price(args) -> int:
     cfg = parse_run_config(args.config)
     t0 = time.perf_counter()
-    price, err, evals = _analytic_price(cfg)
+    price, res = _analytic_price(cfg)
     record = {
         "model": cfg.model,
         "price": price,
-        "error_estimate": err,
-        "evaluations": evals,
+        "error_estimate": res.error_estimate,
+        "evaluations": res.evaluations,
+        "integrand_calls": res.integrand_calls,
+        "window": res.window,
         "wall_time": time.perf_counter() - t0,
     }
     print(json.dumps(record))
@@ -246,7 +247,7 @@ def cmd_verify(args) -> int:
     if args.seed is not None:
         cfg.mc = McConfig(cfg.mc.paths, cfg.mc.steps, args.seed,
                           cfg.mc.antithetic)
-    analytic, err, _ = _analytic_price(cfg)
+    analytic, _ = _analytic_price(cfg)
     est = _mc_price(cfg)
     if est.std_error == 0.0:
         z = 0.0 if abs(analytic - est.mean) <= 1e-12 * cfg.option.s0 \

@@ -2,11 +2,13 @@
 
 The pricing formulas in this package all reduce to one integral of a
 smooth, oscillatory, rapidly decaying complex function over the real
-line.  The integrator here is an adaptive Gauss-Kronrod (7-15) scheme
-that refines in batches -- each round bisects the fewest worst panels
-whose errors can bring the total under tolerance, at most 128 of them,
-and evaluates all their children in one vectorized integrand call of
-at most 3840 nodes -- with geometric growth of the truncation window
+line.  The integrator here is an adaptive Gauss-Kronrod (7-15) scheme.
+It starts from geometric panels, 0, +-L/64, ..., +-L/2, +-L, so that
+one integrand call resolves any scale from L/64 to L; it then refines
+in batches -- each round bisects the fewest worst panels whose errors
+can bring the total under tolerance, at most 128 of them, and
+evaluates all their children in one vectorized integrand call of at
+most 3840 nodes -- with geometric growth of the truncation window
 until the tail contribution is negligible.  An integrand may return
 several columns at once (several x or rates of one kernel); they share
 the panels, and each column is judged against its own tolerance.
@@ -22,6 +24,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .models import _require_finite
 
 __all__ = [
     "QuadratureConfig",
@@ -54,6 +58,7 @@ class QuadratureConfig:
     truncation_bound: float = 100.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
         if self.rel_tol < 0:
@@ -71,12 +76,17 @@ class QuadratureResult:
 
     The value is complex and the error a float, or, for an integrand with
     m columns, an array of m values and one of their m errors.
+    ``integrand_calls`` counts the calls of the integrand (one per
+    refinement round, every strip included) and ``window`` is the final
+    half-width L of the real-line window, 0 for a finite interval.
     """
 
     value: complex
     error_estimate: float
     evaluations: int
     converged: bool
+    integrand_calls: int = 0
+    window: float = 0.0
 
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1].  The 7 Gauss nodes
@@ -161,6 +171,7 @@ class _Panels:
         self.b = np.asarray(b, dtype=float)
         self.val, self.err = _gk_panels(f, self.a, self.b)
         self.evals = 15 * self.a.size
+        self.calls = 1
 
     @property
     def value(self):
@@ -232,6 +243,7 @@ class _Panels:
             cb = np.concatenate([mid, b[split]])
             cval, cerr = _gk_panels(self.f, ca, cb)
             self.evals += 15 * ca.size
+            self.calls += 1
             keep = np.ones(a.size, dtype=bool)
             keep[split] = False
             self.a = np.concatenate([a[keep], ca])
@@ -245,7 +257,8 @@ def integrate_interval(f, a, b, cfg=None):
     cfg = cfg or QuadratureConfig()
     panels = _Panels(f, [a], [b])
     ok = panels.refine(cfg.abs_tol, cfg.rel_tol, cfg.max_evals)
-    return QuadratureResult(panels.value, panels.error, panels.evals, ok)
+    return QuadratureResult(panels.value, panels.error, panels.evals, ok,
+                            panels.calls)
 
 
 def integrate_real_line(f, cfg=None):
@@ -254,39 +267,45 @@ def integrate_real_line(f, cfg=None):
     f must accept an ndarray of n real abscissae and return complex
     values, shape (n,), or m integrands at once, shape (n, m); the value
     is then an array of m and every column shares the panels.  The
-    initial window [-L, L] (L = cfg.truncation_bound) is cut into 8
-    equal panels (fewer if max_evals cannot pay for 8) with 0 as an
-    edge, so l = 0 is never an abscissa, and then grown by doubling;
-    each new pair of strips [L, 2L] and [-2L, -L] is refined jointly,
-    and growth stops when that pair's combined contribution is below
-    abs_tol, in every column.  The pair is taken together because odd
-    parts of the integrand cancel only between mirrored strips.
-    Refinement bisects, in each round, the fewest worst panels that can
-    bring the error under tolerance (at most 128, so one integrand call
-    gets at most 3840 nodes); ``evaluations`` never exceeds
-    ``cfg.max_evals``.  With m columns each column j is held to its own
-    tolerance max(abs_tol, rel_tol |value_j|), as if integrated alone,
-    and the error estimate is one per column; a round bisects the panels
-    with the worst error/tolerance ratio over the columns.
+    initial window [-L, L] (L = cfg.truncation_bound) is cut into
+    geometric panels with edges 0, +-L/64, +-L/32, ..., +-L/2, +-L, 7 a
+    side (fewer if max_evals cannot pay for 7: the innermost go), so
+    that an integrand varying on any scale from L/64 to L is resolved
+    in the first call and l = 0 is never an abscissa.  The window is
+    then grown by doubling; each new pair of strips [L, 2L] and
+    [-2L, -L] is refined jointly, and growth stops when that pair's
+    combined contribution is below abs_tol, in every column.  The pair
+    is taken together because odd parts of the integrand cancel only
+    between mirrored strips.  Refinement bisects, in each round, the
+    fewest worst panels that can bring the error under tolerance (at
+    most 128, so one integrand call gets at most 3840 nodes);
+    ``evaluations`` never exceeds ``cfg.max_evals``.  With m columns
+    each column j is held to its own tolerance max(abs_tol, rel_tol
+    |value_j|), as if integrated alone, and the error estimate is one
+    per column; a round bisects the panels with the worst
+    error/tolerance ratio over the columns.  The result reports the
+    integrand calls of every round and strip, and the final L.
     """
     cfg = cfg or QuadratureConfig()
     L = cfg.truncation_bound
 
-    per_side = min(4, cfg.max_evals // 30)
+    per_side = min(7, cfg.max_evals // 30)
     if per_side == 0:   # the budget cannot pay for both halves
         return QuadratureResult(0j, math.inf, 0, False)
-    edges = np.linspace(-L, L, 2 * per_side + 1)
-    edges[per_side] = 0.0
+    pos = L * 2.0 ** -np.arange(per_side - 1, -1, -1.0)
+    edges = np.concatenate([-pos[::-1], [0.0], pos])
     window = _Panels(f, edges[:-1], edges[1:])
     converged = window.refine(cfg.abs_tol, cfg.rel_tol, cfg.max_evals)
     value = window.value
     error = window.error
     evals = window.evals
+    calls = window.calls
 
     while evals + 30 <= cfg.max_evals:
         strip = _Panels(f, [L, -2.0 * L], [2.0 * L, -L])
         ok = strip.refine(cfg.abs_tol, 0.0, cfg.max_evals - evals)
         evals += strip.evals
+        calls += strip.calls
         contribution = strip.value
         value += contribution
         error += strip.error
@@ -297,7 +316,7 @@ def integrate_real_line(f, cfg=None):
     else:
         converged = False
 
-    return QuadratureResult(value, error, evals, converged)
+    return QuadratureResult(value, error, evals, converged, calls, L)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from hestoncir import (
     deterministic_average_rate,
     heston_call_price,
     hybrid_call_price,
+    hybrid_price_with_diagnostics,
     marginal_density_grid,
 )
 from hestoncir.cli import ConfigError, main, parse_run_config
@@ -85,6 +86,15 @@ class TestExitCodes:
         assert main(["price", "--config", path]) == 2
         assert "v0 must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol",
+                                       "truncation_bound"])
+    def test_nan_quadrature_setting_exits_2(self, tmp_path, capsys, field):
+        # Python's json reads NaN; a NaN tolerance fails every comparison,
+        # so an unconverged integral would read as converged
+        path = write_config(tmp_path, {"quadrature": {field: math.nan}})
+        assert main(["price", "--config", path]) == 2
+        assert "%s must be finite" % field in capsys.readouterr().err
+
     def test_missing_rate_exits_2(self, tmp_path):
         cfg = json.loads(json.dumps(FIG1))
         del cfg["rate"]
@@ -121,6 +131,10 @@ class TestPriceCommand:
         assert record["price"] == ref
         assert record["error_estimate"] > 0
         assert record["evaluations"] > 0
+        _, res = hybrid_price_with_diagnostics(
+            VanillaOption(100.0, 100.0, 1.0), p, rp)
+        assert record["integrand_calls"] == res.integrand_calls > 0
+        assert record["window"] == res.window >= 100.0
 
     def test_deep_strike_collapses_to_spot(self, tmp_path, capsys):
         path = write_config(tmp_path,

@@ -5,7 +5,9 @@ from scipy import stats
 from hestoncir import (
     HestonParams,
     QuadratureConfig,
+    QuadratureResult,
     RngStream,
+    VanillaOption,
     integrate_interval,
     integrate_real_line,
     price_integrand,
@@ -166,19 +168,85 @@ class TestIntegrateRealLine:
         assert res.evaluations == sum(sizes)
         assert max(sizes) <= 3840
 
-    def test_price_refines_in_few_integrand_calls(self, fig1_heston,
-                                                  atm_option):
-        # Refinement is batched: a bisection round is one integrand call.
-        # Bisecting the worst panel alone took about 30 calls here.
+    @pytest.mark.parametrize("T, calls", [(1.0 / 52.0, 6), (1.0, 2),
+                                          (30.0, 4)],
+                             ids=["T=1/52", "T=1", "T=30"])
+    def test_price_refines_in_few_integrand_calls(self, fig1_heston, T,
+                                                  calls):
+        # Refinement is batched (a bisection round is one integrand call)
+        # and the geometric start panels resolve the integrand's scale in
+        # the first call; the bounds are the measured counts.
+        opt = VanillaOption(s0=100.0, strike=100.0, maturity=T)
         sizes = []
 
         def f(l):
             sizes.append(l.size)
-            return price_integrand(l, atm_option, fig1_heston, 0.03)
+            return price_integrand(l, opt, fig1_heston, 0.03)
 
         res = integrate_real_line(f, QuadratureConfig())
         assert res.converged
-        assert len(sizes) <= 12
+        assert len(sizes) <= calls
+
+    @pytest.mark.parametrize("s, calls", [(0.05, 6), (0.5, 3), (5.0, 2),
+                                          (50.0, 6)])
+    def test_gaussian_of_any_width_resolves_from_the_start(self, s, calls):
+        # The start panels reach from L/64 to L, so each width meets
+        # panels near its own size in the first call; the bounds are the
+        # measured counts.
+        sizes = []
+
+        def f(l):
+            sizes.append(l.size)
+            return np.exp(-(l / s) ** 2)
+
+        res = integrate_real_line(f, QuadratureConfig())
+        assert res.converged
+        assert abs(res.value - s * np.sqrt(np.pi)) <= 1e-9
+        assert len(sizes) <= calls
+
+    @pytest.mark.parametrize("max_evals", [30, 60, 120, 450, 500_000])
+    def test_zero_is_never_an_abscissa(self, max_evals):
+        # 0 is a panel edge however many start panels the budget pays
+        # for; the pricing integrands are a removable 0/0 there
+        def f(l):
+            assert not np.any(l == 0.0)
+            return np.exp(-(l / 0.05) ** 2) + 1.0 / (1.0 + l * l)
+
+        res = integrate_real_line(f, QuadratureConfig(max_evals=max_evals))
+        assert res.evaluations <= max_evals
+
+    @pytest.mark.parametrize("bound", [1.0, 100.0])
+    @pytest.mark.parametrize("which", ["gauss", "lorentz"])
+    def test_result_counts_its_calls_nodes_and_window(self, which, bound):
+        f = {"gauss": lambda l: np.exp(-l * l),
+             "lorentz": lambda l: 1.0 / (1.0 + l * l)}[which]
+        sizes = []
+
+        def counted(l):
+            sizes.append(l.size)
+            return f(l)
+
+        res = integrate_real_line(counted,
+                                  QuadratureConfig(truncation_bound=bound))
+        assert res.converged
+        assert res.integrand_calls == len(sizes)
+        assert res.evaluations == sum(sizes)
+        # the window doubles once per strip, from the configured bound
+        strips = np.log2(res.window / bound)
+        assert strips == int(strips) and strips >= 1
+
+    def test_gaussian_window_is_where_the_strips_fall_below_abs_tol(self):
+        # strips [1, 2], [2, 4] and [4, 8] contribute 0.14, 4e-3 and
+        # 1e-8; [8, 16] contributes nothing, so growth stops at L = 16
+        res = integrate_real_line(lambda l: np.exp(-l * l),
+                                  QuadratureConfig(truncation_bound=1.0))
+        assert res.window == 16.0
+
+    def test_result_fields_have_defaults(self):
+        res = QuadratureResult(1j, 0.0, 15, True)
+        assert res.integrand_calls == 0 and res.window == 0.0
+        one = integrate_interval(lambda x: x * x, 0.0, 1.0)
+        assert one.integrand_calls == 1 and one.window == 0.0
 
     def test_nonfinite_integrand_raises(self):
         from hestoncir import QuadratureError
@@ -191,6 +259,16 @@ class TestIntegrateRealLine:
             QuadratureConfig(abs_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureConfig(max_evals=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["abs_tol", "rel_tol",
+                                      "truncation_bound"])
+    def test_nonfinite_config_names_the_field(self, name, value):
+        # a NaN tolerance fails every comparison, so an unconverged
+        # integral would read as converged; an infinite window has no
+        # finite abscissae
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            QuadratureConfig(**{name: value})
 
 
 class TestNormalSampler:
