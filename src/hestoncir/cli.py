@@ -18,7 +18,7 @@ import numpy as np
 
 from .heston import PricingError, heston_price_with_diagnostics, \
     marginal_density_grid
-from .hybrid import cir_bond_price, hybrid_price_with_diagnostics
+from .hybrid import hybrid_price_with_diagnostics
 from .mc import McConfig, McEstimate, RngStream, mc_price_heston_euler, \
     mc_price_hybrid
 from .models import CirRateParams, HestonParams, VanillaOption, bs_price
@@ -208,14 +208,15 @@ def cmd_curve(args) -> int:
         for strike in np.linspace(lo, hi, n):
             opt = VanillaOption(opt0.s0, float(strike), opt0.maturity,
                                 opt0.kind)
+            # the two constant-rate columns are one integral, a column each
+            heston_r0, heston_theta_r = heston_price_with_diagnostics(
+                opt, p, [rp.r0, rp.theta_r], cfg.quadrature)[0]
             row = [
                 float(strike),
                 bs_price(opt, rp.r0, vol),
                 bs_price(opt, rp.theta_r, vol),
-                heston_price_with_diagnostics(opt, p, rp.r0,
-                                              cfg.quadrature)[0],
-                heston_price_with_diagnostics(opt, p, rp.theta_r,
-                                              cfg.quadrature)[0],
+                heston_r0,
+                heston_theta_r,
                 hybrid_price_with_diagnostics(opt, p, rp,
                                               cfg.quadrature)[0],
             ]

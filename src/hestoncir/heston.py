@@ -532,7 +532,8 @@ def heston_call_price(opt: VanillaOption, p: HestonParams, r,
     the rates are the columns of one integral, which share its panels
     and its cores, while each column meets its own tolerance and its own
     checks; a failing column raises a :class:`PricingError` naming T and
-    the rate range.
+    the rate range.  A NaN or infinite rate, or an empty array of rates,
+    raises a ValueError.
     """
     price, _ = heston_price_with_diagnostics(opt, p, r, cfg)
     return price
@@ -543,13 +544,20 @@ def heston_price_with_diagnostics(opt: VanillaOption, p: HestonParams, r,
     """Like :func:`heston_call_price`, also returning the QuadratureResult."""
     cfg = cfg or QuadratureConfig()
     T = opt.maturity
-    _MEMO.admit(_heston_key(p, T))
     if isinstance(r, (list, tuple, np.ndarray)) and np.ndim(r):
         r = np.asarray(r, dtype=float).reshape(-1)
+        if r.size == 0:
+            raise ValueError("rate r must not be an empty array")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("rate r must be finite, got %r"
+                             % (float(r[~np.isfinite(r)][0]),))
         bond = np.exp(-r * T)
         what = "price at T=%g, r in [%.6g, %.6g]" % (T, r.min(), r.max())
+    elif not math.isfinite(r):
+        raise ValueError("rate r must be finite, got %r" % (r,))
     else:
         bond, what = math.exp(-r * T), "price"
+    _MEMO.admit(_heston_key(p, T))
     res = integrate_real_line(lambda l: price_integrand(l, opt, p, r), cfg)
     return _finish_price(res, opt, bond, cfg, what)
 

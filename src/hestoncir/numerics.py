@@ -5,11 +5,11 @@ smooth, oscillatory, rapidly decaying complex function over the real
 line.  The integrator here is an adaptive Gauss-Kronrod (7-15) scheme.
 It starts from geometric panels, 0, +-L/64, ..., +-L/2, +-L, so that
 one integrand call resolves any scale from L/64 to L; it then refines
-in batches -- each round bisects the fewest worst panels whose errors
-can bring the total under tolerance, at most 128 of them, and
-evaluates all their children in one vectorized integrand call of at
-most 3840 nodes -- with geometric growth of the truncation window
-until the tail contribution is negligible.  An integrand may return
+in batches -- each round bisects every panel whose error is above its
+share, tol/(2n) of n panels, at most 128 of them, and evaluates all
+their children in one vectorized integrand call of at most 3840
+nodes -- with geometric growth of the truncation window until the
+tail contribution is negligible.  An integrand may return
 several columns at once (several x or rates of one kernel); they share
 the panels, and each column is judged against its own tolerance.
 
@@ -127,6 +127,7 @@ def _gk_panels(f, a, b):
     (n, m).  Returns the kronrod estimates, shape (panels,) or
     (panels, m), and their errors |kronrod - gauss| in the same shape.
     """
+    # (n,) kept beside (n, m): as m = 1, p50 `chain` +6%, `scatter` +7%
     half = 0.5 * (b - a)
     nodes = ((0.5 * (a + b))[:, None] + half[:, None] * _XGK).ravel()
     vals = np.asarray(f(nodes), dtype=complex)
@@ -149,13 +150,6 @@ def _gk_panels(f, a, b):
     resk = half[:, None] * (vals @ _WGK)
     resg = half[:, None] * (vals[:, :, 1::2] @ _WG)
     return resk, np.abs(resk - resg)
-
-
-def _largest(value):
-    """|value|, or the largest |value_j| of a column vector."""
-    if isinstance(value, complex):
-        return abs(value)
-    return float(np.max(np.abs(value)))
 
 
 class _Panels:
@@ -186,48 +180,34 @@ class _Panels:
         return self.err.sum(axis=0)
 
     def _to_split(self, abs_tol, rel_tol):
-        """The panels to bisect, worst first, or None at tolerance.
+        """The panels to bisect, in panel order, or None at tolerance.
 
-        The fewest worst panels whose errors add up to at least
-        error - tol/2, among those still wide enough to split.  With m
-        columns each column has its own tolerance max(abs_tol, rel_tol
-        |value_j|); a panel ranks by its largest error/tolerance ratio,
-        and enough panels are taken for every column short of its
-        tolerance.  Panels narrower than ~1e-13 of their location are
-        frozen: below that width the error estimate reflects the
-        integrand's rounding noise, not truncation error.
+        Column j is short when its error exceeds its tolerance tol_j =
+        max(abs_tol, rel_tol |value_j|).  With n panels, every panel
+        whose error in a short column exceeds tol_j/(2n) is taken, so
+        the panels left hold at most tol_j/2 in every column.  Panels
+        narrower than ~1e-13 of their location are frozen: below that
+        width the error estimate reflects the integrand's rounding
+        noise, not truncation error.
         """
-        error = self.error
-        if self.err.ndim == 1:
-            tol = max(abs_tol, rel_tol * abs(self.value))
-            if error <= tol:
-                return None
-        else:
-            tol = np.maximum(abs_tol, rel_tol * np.abs(self.value))
-            short = error > tol
-            if not short.any():
-                return None
+        tol = np.maximum(abs_tol, rel_tol * abs(self.value))
+        short = self.error > tol
+        if not short.any():
+            return None
         a, b = self.a, self.b
-        open_ = np.flatnonzero(
-            b - a >= 1e-13 * (1.0 + np.abs(a) + np.abs(b)))
-        if self.err.ndim == 1:
-            worst = open_[np.argsort(-self.err[open_], kind="stable")]
-            need = np.searchsorted(np.cumsum(self.err[worst]),
-                                   error - 0.5 * tol) + 1
-            return worst[:need]
-        err = self.err[open_]
-        order = np.argsort(-(err / tol).max(axis=1), kind="stable")
-        cum = np.cumsum(err[order][:, short], axis=0)
-        need = int((cum < error[short] - 0.5 * tol[short]).sum(axis=0)
-                   .max()) + 1
-        return open_[order[:need]]
+        over = (self.err > 0.5 * tol / a.size) & short
+        return np.flatnonzero(
+            over.reshape(a.size, -1).any(axis=1)
+            & (b - a >= 1e-13 * (1.0 + np.abs(a) + np.abs(b))))
 
     def refine(self, abs_tol, rel_tol, evals_budget):
         """Bisect panels in rounds until tolerance or budget is exhausted.
 
-        Each round bisects the panels :meth:`_to_split` picks, at most
-        ``_MAX_SPLITS`` of them and no more than the budget pays for,
-        and evaluates every child in one integrand call.
+        Each round bisects the panels :meth:`_to_split` picks, every
+        panel above its share of the tolerance, the first
+        ``_MAX_SPLITS`` of them in panel order and no more than the
+        budget pays for, and evaluates every child in one integrand
+        call.
         """
         while True:
             split = self._to_split(abs_tol, rel_tol)
@@ -276,15 +256,15 @@ def integrate_real_line(f, cfg=None):
     [-2L, -L] is refined jointly, and growth stops when that pair's
     combined contribution is below abs_tol, in every column.  The pair
     is taken together because odd parts of the integrand cancel only
-    between mirrored strips.  Refinement bisects, in each round, the
-    fewest worst panels that can bring the error under tolerance (at
-    most 128, so one integrand call gets at most 3840 nodes);
-    ``evaluations`` never exceeds ``cfg.max_evals``.  With m columns
-    each column j is held to its own tolerance max(abs_tol, rel_tol
-    |value_j|), as if integrated alone, and the error estimate is one
-    per column; a round bisects the panels with the worst
-    error/tolerance ratio over the columns.  The result reports the
-    integrand calls of every round and strip, and the final L.
+    between mirrored strips.  Each column j is held to its own
+    tolerance tol_j = max(abs_tol, rel_tol |value_j|), as if integrated
+    alone, and the error estimate is one per column.  Of n panels, a
+    refinement round bisects every panel whose error exceeds tol_j/(2n)
+    in a column short of tol_j, so the panels left hold at most tol_j/2
+    (at most 128 panels a round, in panel order, so one integrand call
+    gets at most 3840 nodes); ``evaluations`` never exceeds
+    ``cfg.max_evals``.  The result reports the integrand calls of every
+    round and strip, and the final L.
     """
     cfg = cfg or QuadratureConfig()
     L = cfg.truncation_bound
@@ -311,7 +291,7 @@ def integrate_real_line(f, cfg=None):
         error += strip.error
         converged = converged and ok
         L *= 2.0
-        if _largest(contribution) < cfg.abs_tol:
+        if np.max(np.abs(contribution)) < cfg.abs_tol:
             break
     else:
         converged = False

@@ -190,6 +190,19 @@ class TestHestonCallPrice:
         assert res.error_estimate < 1e-7
         assert price == heston_call_price(atm_option, fig1_heston, 0.03)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, [],
+                                   [0.03, math.nan], np.array([0.01, np.inf])],
+                             ids=["nan", "inf", "-inf", "empty",
+                                  "array-nan", "array-inf"])
+    @pytest.mark.parametrize("price", [heston_call_price,
+                                       heston_price_with_diagnostics])
+    def test_bad_rate_raises_naming_it(self, fig1_heston, atm_option, price,
+                                       r):
+        # a NaN rate used to end in a QuadratureError at some l, and an
+        # empty array in numpy's zero-size reduction error
+        with pytest.raises(ValueError, match="rate r must"):
+            price(atm_option, fig1_heston, r)
+
     @pytest.mark.parametrize("strike, r", [(100.0, 0.03), (73.0, 0.01)])
     def test_memo_is_transparent(self, fig1_heston, core_memo, monkeypatch,
                                  strike, r):

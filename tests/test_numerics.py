@@ -14,7 +14,7 @@ from hestoncir import (
     sample_noncentral_chisq,
     sample_standard_normal,
 )
-from hestoncir.numerics import _gk_panels
+from hestoncir.numerics import _gk_panels, _Panels
 
 
 class TestIntegrateRealLine:
@@ -117,6 +117,7 @@ class TestIntegrateRealLine:
         single = integrate_real_line(f, cfg)
         column = integrate_real_line(lambda l: f(l)[:, None], cfg)
         assert column.evaluations == single.evaluations
+        assert column.integrand_calls == single.integrand_calls
         assert abs(column.value[0] - single.value) \
             <= 1e-14 * abs(single.value)
 
@@ -269,6 +270,53 @@ class TestIntegrateRealLine:
         # finite abscissae
         with pytest.raises(ValueError, match="%s must be finite" % name):
             QuadratureConfig(**{name: value})
+
+
+def _panels_with(err, value):
+    """Four panels, the last frozen (1e-15 wide), carrying the given
+    per-panel errors, shape (4,) or (4, m), and column values."""
+    a = np.array([-4.0, -1.0, 0.0, 1.0])
+    b = np.array([-1.0, 0.0, 1.0, 1.0 + 1e-15])
+    err = np.asarray(err, dtype=float)
+    panels = _Panels(lambda l: np.zeros((l.size,) + err.shape[1:]), a, b)
+    panels.err = err
+    panels.val = np.zeros(err.shape, dtype=complex)
+    panels.val[0] = value
+    return panels
+
+
+class TestToSplit:
+    # abs_tol 1e-3 and rel_tol 1e-3 at values (0.5, 2) give the columns
+    # tolerances 1e-3 and 2e-3; a panel's share of a short column's
+    # tolerance is tol_j/(2 * 4 panels)
+    SHORT = [4e-4, 1e-4, 2e-4, 5e-4]   # 1.2e-3 > 1e-3; share 1.25e-4
+    WITHIN = [0.0, 1.5e-3, 0.0, 0.0]   # 1.5e-3 <= 2e-3, though one panel
+                                       # is above its share 2.5e-4
+
+    def test_single_column_takes_the_open_panels_above_their_share(self):
+        panels = _panels_with(self.SHORT, 0.5)
+        # panel 1 is below its share, panel 3 is above it but frozen
+        np.testing.assert_array_equal(panels._to_split(1e-3, 1e-3), [0, 2])
+
+    def test_columns_within_tolerance_pick_nothing(self):
+        panels = _panels_with(np.column_stack([self.SHORT, self.WITHIN]),
+                              [0.5, 2.0])
+        np.testing.assert_array_equal(panels._to_split(1e-3, 1e-3), [0, 2])
+        # at value 2 the first column's tolerance is 2e-3 too
+        panels = _panels_with(np.column_stack([self.SHORT, self.WITHIN]),
+                              [2.0, 2.0])
+        assert panels._to_split(1e-3, 1e-3) is None
+
+    def test_a_frozen_panel_alone_over_its_share_is_not_split(self):
+        panels = _panels_with([1e-4, 1e-4, 1e-4, 2e-3], 0.5)
+        assert panels._to_split(1e-3, 1e-3).size == 0
+
+    @pytest.mark.parametrize("err, value", [
+        ([2.5e-4] * 4, 0.5),
+        (np.column_stack([[2.5e-4] * 4, WITHIN]), [0.5, 2.0])],
+        ids=["one-column", "two-columns"])
+    def test_at_tolerance_returns_none(self, err, value):
+        assert _panels_with(err, value)._to_split(1e-3, 1e-3) is None
 
 
 class TestNormalSampler:
