@@ -41,6 +41,7 @@ moments E[exp(s x_T)], which are finite between the critical moments
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import threading
 from collections import OrderedDict
@@ -736,7 +737,10 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     (0, 0.9 sd and -1.7 sd, sd = sqrt((v0 + theta) T)), all in one call
     whose integrand evaluates the kernel once per node for the three;
     when it disagrees with a probe, a :class:`PricingError` names T, the
-    probe x and both values.
+    probe x and both values.  The probe's truncation bound is the
+    table's end l_max, so its start window [-2 l_max, 2 l_max] holds
+    the whole kernel: the outer pair past l_max, where the kernel is
+    below e^-45, still tests the tail, and the window need not grow.
 
     The table's density is f(x) = Re sum_k c_k exp(i l_k x) / 2 pi.  An
     evenly spaced x grid (the CLI's and :func:`marginal_density_grid`'s
@@ -777,7 +781,8 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     scale = math.sqrt((p.v0 + p.theta) * T)
     probes = np.array([0.0, 0.9 * scale, -1.7 * scale])
     got = table_density(probes)
-    ref = marginal_density(probes, T, p, cfg)
+    ref = marginal_density(probes, T, p,
+                           dataclasses.replace(cfg, truncation_bound=l_max))
     miss = np.abs(got - ref)
     if np.max(miss) <= 1e-7 * (got[0] + 1.0):
         return table_density, table_strip
@@ -838,8 +843,10 @@ def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
     below -d-, checks that the integral has decayed at lo: unless it
     adds less than 10 max(abs_tol, 1e-9), a :class:`PricingError` names
     T and the strip.  Since E[e^x] = 1, the call follows by parity,
-    put + S0 - K e^{-rT}.
+    put + S0 - K e^{-rT}.  A NaN or infinite rate raises a ValueError.
     """
+    if not math.isfinite(r):
+        raise ValueError("rate r must be finite, got %r" % (r,))
     cfg = cfg or QuadratureConfig()
     s0, k, T = opt.s0, opt.strike, opt.maturity
     disc = math.exp(-r * T)

@@ -3,15 +3,17 @@
 The pricing formulas in this package all reduce to one integral of a
 smooth, oscillatory, rapidly decaying complex function over the real
 line.  The integrator here is an adaptive Gauss-Kronrod (7-15) scheme.
-It starts from geometric panels, 0, +-L/64, ..., +-L/2, +-L, so that
-one integrand call resolves any scale from L/64 to L; it then refines
+It starts from geometric panels, 0, +-L/64, ..., +-L, +-2L, so that
+one integrand call resolves any scale from L/64 to 2L; it then refines
 in batches -- each round bisects every panel whose error is above its
 share, tol/(2n) of n panels, at most 128 of them, and evaluates all
 their children in one vectorized integrand call of at most 3840
-nodes -- with geometric growth of the truncation window until the
-tail contribution is negligible.  An integrand may return
-several columns at once (several x or rates of one kernel); they share
-the panels, and each column is judged against its own tolerance.
+nodes.  The start window's outer pair, [L, 2L] and [-2L, -L], is the
+first test of the tail; while the outermost pair contributes more than
+the tolerance, the window grows geometrically by strips.  An integrand
+may return several columns at once (several x or rates of one kernel);
+they share the panels, and each column is judged against its own
+tolerance.
 
 Random variates come from counter-based Philox streams so that
 (master_seed, stream_id) pairs give independent, reproducible sequences
@@ -47,9 +49,9 @@ class QuadratureError(Exception):
 class QuadratureConfig:
     """Tolerances and budget for the adaptive integrator.
 
-    ``truncation_bound`` is the initial half-width L of the window
-    [-L, L]; the window is doubled until the outermost strip contributes
-    less than ``abs_tol``.
+    ``truncation_bound`` is L in the start window [-2L, 2L], whose outer
+    pair [L, 2L] and [-2L, -L] is the first tail test; the window is
+    doubled until the outermost pair contributes less than ``abs_tol``.
     """
 
     abs_tol: float = 1e-9
@@ -137,7 +139,7 @@ def _gk_panels(f, a, b):
             "integrand must be vectorized: expected shape %s or %s + (m,), "
             "got %s" % (nodes.shape, nodes.shape, np.shape(vals)))
     bad = ~np.isfinite(vals)
-    if np.any(bad):
+    if bad.any():
         where = nodes[bad.nonzero()[0][0]]
         raise QuadratureError(
             "integrand returned a non-finite value at l=%r" % (where,))
@@ -247,32 +249,36 @@ def integrate_real_line(f, cfg=None):
     f must accept an ndarray of n real abscissae and return complex
     values, shape (n,), or m integrands at once, shape (n, m); the value
     is then an array of m and every column shares the panels.  The
-    initial window [-L, L] (L = cfg.truncation_bound) is cut into
-    geometric panels with edges 0, +-L/64, +-L/32, ..., +-L/2, +-L, 7 a
-    side (fewer if max_evals cannot pay for 7: the innermost go), so
-    that an integrand varying on any scale from L/64 to L is resolved
-    in the first call and l = 0 is never an abscissa.  The window is
-    then grown by doubling; each new pair of strips [L, 2L] and
-    [-2L, -L] is refined jointly, and growth stops when that pair's
-    combined contribution is below abs_tol, in every column.  The pair
-    is taken together because odd parts of the integrand cancel only
-    between mirrored strips.  Each column j is held to its own
-    tolerance tol_j = max(abs_tol, rel_tol |value_j|), as if integrated
-    alone, and the error estimate is one per column.  Of n panels, a
-    refinement round bisects every panel whose error exceeds tol_j/(2n)
-    in a column short of tol_j, so the panels left hold at most tol_j/2
-    (at most 128 panels a round, in panel order, so one integrand call
-    gets at most 3840 nodes); ``evaluations`` never exceeds
-    ``cfg.max_evals``.  The result reports the integrand calls of every
-    round and strip, and the final L.
+    start window [-2L, 2L] (L = cfg.truncation_bound) is cut into
+    geometric panels with edges 0, +-L/64, +-L/32, ..., +-L, +-2L, 8 a
+    side (fewer if max_evals cannot pay for 8: the innermost go), so
+    that an integrand varying on any scale from L/64 to 2L is resolved
+    in the first call and l = 0 is never an abscissa.  Once the window
+    is refined, its outer pair [L, 2L] and [-2L, -L] is the first tail
+    test: if the pair's combined contribution is below abs_tol, in
+    every column, the integral stops with window 2L.  Otherwise the
+    window grows by doubling; each new pair of strips [2L, 4L] and
+    [-4L, -2L], and so on, is refined jointly at abs_tol, and growth
+    stops at the first pair below abs_tol.  A pair is taken together
+    because odd parts of the integrand cancel only between mirrored
+    strips.  A budget of one panel a side (max_evals under 60) has no
+    edge at +-L and so no tail test: the integral is not converged.
+    Each column j is held to its own tolerance tol_j = max(abs_tol,
+    rel_tol |value_j|), as if integrated alone, and the error estimate
+    is one per column.  Of n panels, a refinement round bisects every
+    panel whose error exceeds tol_j/(2n) in a column short of tol_j, so
+    the panels left hold at most tol_j/2 (at most 128 panels a round, in
+    panel order, so one integrand call gets at most 3840 nodes);
+    ``evaluations`` never exceeds ``cfg.max_evals``.  The result reports
+    the integrand calls of every round and strip, and the final L.
     """
     cfg = cfg or QuadratureConfig()
     L = cfg.truncation_bound
 
-    per_side = min(7, cfg.max_evals // 30)
+    per_side = min(8, cfg.max_evals // 30)
     if per_side == 0:   # the budget cannot pay for both halves
         return QuadratureResult(0j, math.inf, 0, False)
-    pos = L * 2.0 ** -np.arange(per_side - 1, -1, -1.0)
+    pos = 2.0 * L * 2.0 ** -np.arange(per_side - 1, -1, -1.0)
     edges = np.concatenate([-pos[::-1], [0.0], pos])
     window = _Panels(f, edges[:-1], edges[1:])
     converged = window.refine(cfg.abs_tol, cfg.rel_tol, cfg.max_evals)
@@ -280,6 +286,13 @@ def integrate_real_line(f, cfg=None):
     error = window.error
     evals = window.evals
     calls = window.calls
+    # the outer pair [L, 2L] and [-2L, -L] is the first tail test; one
+    # panel a side has no edge at L, so it tests no tail
+    outer = (window.a >= L) | (window.b <= -L)
+    tail = window.val[outer].sum(axis=0)
+    L *= 2.0
+    if per_side > 1 and np.max(np.abs(tail)) < cfg.abs_tol:
+        return QuadratureResult(value, error, evals, converged, calls, L)
 
     while evals + 30 <= cfg.max_evals:
         strip = _Panels(f, [L, -2.0 * L], [2.0 * L, -L])

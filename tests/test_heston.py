@@ -311,6 +311,29 @@ class TestMarginalDensity:
         marginal_density_grid(np.linspace(-1.0, 1.0, 101), 1.0, fig1_heston)
         assert calls == [(3,)]
 
+    def test_probe_window_is_the_table_end(self, fig1_heston, monkeypatch):
+        # the probe's start window [-2 l_max, 2 l_max] holds the whole
+        # table, so its outer pair is below abs_tol and it never grows;
+        # the call bound is the measured count
+        real_density, cfgs = heston.marginal_density, []
+        real_integral, results = heston.integrate_real_line, []
+
+        def captured(x, T, p, cfg):
+            cfgs.append(cfg)
+            return real_density(x, T, p, cfg)
+
+        def counted(f, cfg):
+            results.append(real_integral(f, cfg))
+            return results[-1]
+        monkeypatch.setattr(heston, "marginal_density", captured)
+        monkeypatch.setattr(heston, "integrate_real_line", counted)
+        marginal_density_grid(np.linspace(-1.0, 1.0, 101), 1.0, fig1_heston)
+        l_max = heston._decay_limit(1.0, fig1_heston)
+        assert len(cfgs) == 1 and cfgs[0].truncation_bound == l_max
+        assert len(results) == 1 and results[0].converged
+        assert results[0].window == 2.0 * l_max
+        assert results[0].integrand_calls <= 3
+
     def test_benchmark_grid_table_is_sized_by_its_aliasing_bound(
             self, fig1_heston, monkeypatch):
         # T = 0.25, 501 points over mean - 24 sd .. mean + 14 sd: a step
@@ -359,6 +382,19 @@ class TestPriceViaDensity:
         opt = VanillaOption(100.0, 1e-8, 1.0)
         assert price_via_density(opt, fig1_heston, 0.03) == pytest.approx(
             100.0, abs=1e-4)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_bad_rate_raises_naming_it(self, fig1_heston, atm_option,
+                                       monkeypatch, r):
+        # NaN used to fail in int() with "cannot convert float NaN to
+        # integer" and inf in a ZeroDivisionError; the check comes before
+        # the tail depths, the first work the route does
+        def no_work(*args):
+            raise AssertionError("a bad rate reached the tail depths")
+        monkeypatch.setattr(heston, "_tail_depths", no_work)
+        with pytest.raises(ValueError, match="rate r must be finite"):
+            price_via_density(atm_option, fig1_heston, r)
 
 
 # fat right tails: the moment E[S_T^w] explodes for w just above 1 at

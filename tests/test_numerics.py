@@ -169,8 +169,8 @@ class TestIntegrateRealLine:
         assert res.evaluations == sum(sizes)
         assert max(sizes) <= 3840
 
-    @pytest.mark.parametrize("T, calls", [(1.0 / 52.0, 6), (1.0, 2),
-                                          (30.0, 4)],
+    @pytest.mark.parametrize("T, calls", [(1.0 / 52.0, 4), (1.0, 1),
+                                          (30.0, 2)],
                              ids=["T=1/52", "T=1", "T=30"])
     def test_price_refines_in_few_integrand_calls(self, fig1_heston, T,
                                                   calls):
@@ -188,10 +188,10 @@ class TestIntegrateRealLine:
         assert res.converged
         assert len(sizes) <= calls
 
-    @pytest.mark.parametrize("s, calls", [(0.05, 6), (0.5, 3), (5.0, 2),
-                                          (50.0, 6)])
+    @pytest.mark.parametrize("s, calls", [(0.05, 5), (0.5, 2), (5.0, 1),
+                                          (50.0, 4)])
     def test_gaussian_of_any_width_resolves_from_the_start(self, s, calls):
-        # The start panels reach from L/64 to L, so each width meets
+        # The start panels reach from L/64 to 2L, so each width meets
         # panels near its own size in the first call; the bounds are the
         # measured counts.
         sizes = []
@@ -232,16 +232,52 @@ class TestIntegrateRealLine:
         assert res.converged
         assert res.integrand_calls == len(sizes)
         assert res.evaluations == sum(sizes)
-        # the window doubles once per strip, from the configured bound
+        # the start window is twice the configured bound, and it doubles
+        # once per strip
         strips = np.log2(res.window / bound)
         assert strips == int(strips) and strips >= 1
 
     def test_gaussian_window_is_where_the_strips_fall_below_abs_tol(self):
-        # strips [1, 2], [2, 4] and [4, 8] contribute 0.14, 4e-3 and
-        # 1e-8; [8, 16] contributes nothing, so growth stops at L = 16
+        # the start window's outer pair [1, 2] and strips [2, 4] and
+        # [4, 8] contribute 0.14, 4e-3 and 1e-8; [8, 16] contributes
+        # nothing, so growth stops at L = 16
         res = integrate_real_line(lambda l: np.exp(-l * l),
                                   QuadratureConfig(truncation_bound=1.0))
         assert res.window == 16.0
+
+    def test_lorentzian_grows_by_strips_past_the_start_window(self):
+        # 1/(1 + l^2) adds about 1/L on a pair [L, 2L], [-2L, -L], so the
+        # start window's outer pair fails the tail test and one strip
+        # follows per doubling, until the pair [2^30, 2^31] adds 9.3e-10
+        # < abs_tol
+        sizes = []
+
+        def f(l):
+            sizes.append(l.size)
+            return 1.0 / (1.0 + l * l)
+
+        res = integrate_real_line(f, QuadratureConfig(truncation_bound=1.0))
+        assert res.converged and abs(res.value - np.pi) <= 1e-9
+        assert res.window == 2.0 ** 31
+        assert res.integrand_calls == len(sizes) == 31
+
+    def test_gaussian_converges_in_the_first_call(self):
+        # e^{-l^2} underflows to 0 on the outer pair [100, 200], so the
+        # first call of 16 panels prices it and the window stays 2L
+        res = integrate_real_line(lambda l: np.exp(-l * l),
+                                  QuadratureConfig())
+        assert res.converged and abs(res.value - np.sqrt(np.pi)) <= 1e-9
+        assert res.integrand_calls == 1 and res.window == 200.0
+
+    @pytest.mark.parametrize("max_evals", [30, 45, 59])
+    def test_one_panel_a_side_tests_no_tail(self, max_evals):
+        # below 60 evaluations the start window is [-2L, 0] and [0, 2L]:
+        # no panel lies outside [-L, L], so nothing says the tail is
+        # negligible, and the integral of 1 (400 here) is not converged
+        res = integrate_real_line(lambda l: np.ones_like(l),
+                                  QuadratureConfig(max_evals=max_evals))
+        assert res.evaluations <= max_evals
+        assert res.converged is False
 
     def test_result_fields_have_defaults(self):
         res = QuadratureResult(1j, 0.0, 15, True)
