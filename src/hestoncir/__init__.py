@@ -48,6 +48,7 @@ from .numerics import (
     QuadratureError,
     QuadratureResult,
     RngStream,
+    integrate_half_line,
     integrate_interval,
     integrate_real_line,
     sample_noncentral_chisq,

@@ -2,6 +2,9 @@
 
 The marginal density of the drift-adjusted logreturn and the vanilla
 price both come out as one integral over a real frequency variable l.
+Both integrands are Fourier transforms of real laws, conjugate-symmetric
+in l, so each is integrated over l > 0 only, as 2 Re or 2 Im of the
+integrand (:func:`hestoncir.numerics.integrate_half_line`).
 All hyperbolic expressions are evaluated in the cosh/sinh form through
 exp(-w) factors: with the principal square root the argument w has
 nonnegative real part, so nothing overflows at long maturity or large
@@ -49,9 +52,10 @@ from collections import OrderedDict
 import numpy as np
 
 from .models import HestonParams, VanillaOption, risk_neutral_map
-from .numerics import QuadratureConfig, QuadratureError, integrate_real_line
-# nothing here calls it: bench/tracing.py wraps heston.integrate_interval
-from .numerics import integrate_interval  # noqa: F401
+from .numerics import QuadratureConfig, QuadratureError, integrate_half_line
+# nothing here calls them: bench/tracing.py wraps heston.integrate_interval
+# and heston.integrate_real_line
+from .numerics import integrate_interval, integrate_real_line  # noqa: F401
 
 __all__ = [
     "PricingError",
@@ -73,7 +77,15 @@ _TWO_PI = 2.0 * math.pi
 
 
 class PricingError(Exception):
-    """Quadrature failure or internal-consistency violation in a pricer."""
+    """Quadrature failure or internal-consistency violation in a pricer.
+
+    ``result`` is the :class:`~hestoncir.numerics.QuadratureResult` of an
+    integral that did not converge, else None.
+    """
+
+    def __init__(self, message, result=None):
+        super().__init__(message)
+        self.result = result
 
 
 def omega_of_l(l, p: HestonParams):
@@ -304,10 +316,21 @@ def _core_exponents(l, T, p: HestonParams):
     and i*l*(x_e - rT) - rT + strike_core for the strike term; the
     i*l*(rho/sigma)*a phase and the kappa*a/sigma^2 offset are folded in
     by :func:`_core_half`, the one route for every amplification
-    2(kappa theta + v0)/sigma^2.
+    2(kappa theta + v0)/sigma^2.  Both rows go through one
+    :func:`_core_half` call, elementwise the same arithmetic as
+    :func:`_spot_core` and :func:`_strike_core`, unless the spot side's
+    kappa - rho sigma is negative and takes the other branch.
     """
     l = np.asarray(l, dtype=float)
-    return _spot_core(l, T, p), _strike_core(l, T, p)
+    kappa, theta = _pricing_kappa_theta(p)
+    b0 = kappa - p.rho * p.sigma
+    if b0 < 0.0:
+        return _spot_core(l, T, p), _strike_core(l, T, p)
+    rs = (1j * p.rho * p.sigma) * l
+    core = _core_half(np.stack([l * (l + 1j), l * (l - 1j)]), b0,
+                      np.stack([b0 + rs, kappa + rs]), T, p.v0,
+                      kappa * theta, p.sigma * p.sigma)[0]
+    return core[0], core[1]
 
 
 # Bounds of the exponent-core memo: the kernel keys it remembers (seen
@@ -454,7 +477,11 @@ def price_integrand(l, opt: VanillaOption, p: HestonParams, r):
 
     Vectorized over l; finite in the limit l -> 0 (the constant
     subtraction cancels the 1/l pole), but l = 0 itself must not be an
-    abscissa -- the adaptive rule splits the domain there.  A constant
+    abscissa -- the adaptive rule splits the domain there.  It is
+    f(-l) = -conj f(l), so the call is (S0 - K bond)/2 minus 1/(2 pi)
+    times the integral of 2 Im f over l > 0, where the real constant
+    (K bond - S0)/l drops out and what is left decays like the
+    characteristic function.  A constant
     rate is the rate model with cores (-i l rT, -i l rT - rT) and log
     bond -rT; the -i l rT is folded into the phase.  The rate enters
     nowhere else, so for an array of m rates the integrand has shape
@@ -476,43 +503,47 @@ def price_integrand(l, opt: VanillaOption, p: HestonParams, r):
 
 
 def _check_result(res, what):
+    """Raise a :class:`PricingError` carrying ``res`` unless it converged."""
     if not res.converged:
         raise PricingError(
-            "%s quadrature did not converge: error=%.3e after %d evaluations"
-            % (what, np.max(res.error_estimate), res.evaluations))
+            "%s quadrature did not converge: error=%.3e after %d evaluations "
+            "in %d integrand calls, window %g"
+            % (what, np.max(res.error_estimate), res.evaluations,
+               res.integrand_calls, res.window), res)
 
 
 def _finish_price(res, opt: VanillaOption, bond, cfg: QuadratureConfig,
                   what):
-    """(price, res) from the braced integral ``res``, for both pricers.
+    """(price, res) from the folded braced integral ``res``, for both
+    pricers.
 
-    Checks convergence, the imaginary residual and the sign, and prices
-    a put by the parity C - P = S0 - K bond.  With one integral column
-    per rate, ``bond`` holds one discount per column, the price is an
-    array, and the checks run column by column against each column's
-    own error estimate.
+    ``res`` integrates 2 Im of the braced integrand over l > 0, which is
+    real.  Checks convergence and the sign, and prices a put by the
+    parity C - P = S0 - K bond.  With one integral column per rate,
+    ``bond`` holds one discount per column, the price is an array, and
+    the checks run column by column against each column's own error
+    estimate.
     """
     _check_result(res, what)
     if not isinstance(res.value, np.ndarray):
-        return _column_price(res.value, res.error_estimate, opt, bond, cfg,
-                             what), res
+        return _column_price(res.value.real, res.error_estimate, opt, bond,
+                             cfg, what), res
     return np.array([
         _column_price(v, e, opt, b, cfg, what) for v, e, b in zip(
-            res.value.tolist(), res.error_estimate.tolist(),
+            res.value.real.tolist(), res.error_estimate.tolist(),
             bond.tolist())]), res
 
 
 def _column_price(value, error, opt: VanillaOption, bond,
                   cfg: QuadratureConfig, what):
-    """The price from one column of the braced integral, checked."""
+    """The price from one column of the folded braced integral, checked.
+
+    The folded integral is real by construction, so there is no
+    imaginary residual to check; a call below -10 max(abs_tol, error)
+    raises.
+    """
     s0, k = opt.s0, opt.strike
-    price_c = 0.5 * (s0 - k * bond) + 1j * value / _TWO_PI
-    imag = abs(price_c.imag)
-    if imag > 10.0 * error + 1e-10 * s0:
-        raise PricingError(
-            "%s imaginary residual %.3e exceeds 10x quadrature error %.3e"
-            % (what, imag, error))
-    call = price_c.real
+    call = 0.5 * (s0 - k * bond) - value / _TWO_PI
     if call < -10.0 * max(cfg.abs_tol, error):
         raise PricingError("%s gives a negative call %.6e" % (what, call))
     call = max(call, 0.0)
@@ -559,7 +590,8 @@ def heston_price_with_diagnostics(opt: VanillaOption, p: HestonParams, r,
     else:
         bond, what = math.exp(-r * T), "price"
     _MEMO.admit(_heston_key(p, T))
-    res = integrate_real_line(lambda l: price_integrand(l, opt, p, r), cfg)
+    res = integrate_half_line(
+        lambda l: 2.0 * price_integrand(l, opt, p, r).imag, cfg)
     return _finish_price(res, opt, bond, cfg, what)
 
 
@@ -583,22 +615,16 @@ def marginal_density(x, T: float, p: HestonParams,
     its shape from one adaptive integral whose integrand evaluates the
     kernel once per node for every x; the tolerance then binds the x
     whose integral is smallest.  The integrand is conjugate-symmetric
-    over real l, so the imaginary part of the integral is pure
-    quadrature noise; it is checked against the error estimate, for each
-    x, and discarded.
+    over real l, so the density is 1/(2 pi) times the integral of 2 Re
+    of it over l > 0; that integral is real by construction, and no
+    imaginary residual is left to check.
     """
     cfg = cfg or QuadratureConfig()
     xs = np.asarray(x, dtype=float)
     flat = xs.reshape(-1) if xs.ndim else xs
-    res = integrate_real_line(lambda l: density_integrand(l, flat, T, p),
-                              cfg)
+    res = integrate_half_line(
+        lambda l: 2.0 * density_integrand(l, flat, T, p).real, cfg)
     _check_result(res, "density")
-    imag = np.abs(np.imag(res.value))
-    bad = np.flatnonzero(imag > 10.0 * res.error_estimate + 1e-12)
-    if bad.size:
-        raise PricingError(
-            "density imaginary residual %.3e at x=%g"
-            % (imag.flat[bad[0]], xs.flat[bad[0]]))
     if not xs.ndim:
         return res.value.real / _TWO_PI
     return (res.value.real / _TWO_PI).reshape(xs.shape)
@@ -738,9 +764,9 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     whose integrand evaluates the kernel once per node for the three;
     when it disagrees with a probe, a :class:`PricingError` names T, the
     probe x and both values.  The probe's truncation bound is the
-    table's end l_max, so its start window [-2 l_max, 2 l_max] holds
-    the whole kernel: the outer pair past l_max, where the kernel is
-    below e^-45, still tests the tail, and the window need not grow.
+    table's end l_max, so its start window [0, 2 l_max] holds the whole
+    kernel: the outer panel past l_max, where the kernel is below
+    e^-45, still tests the tail, and the window need not grow.
 
     The table's density is f(x) = Re sum_k c_k exp(i l_k x) / 2 pi.  An
     evenly spaced x grid (the CLI's and :func:`marginal_density_grid`'s

@@ -12,7 +12,9 @@ route, :func:`heston._core_half` with b = kappa_r, through
 :func:`rate_kernel` at every sigma_r > 0, so the price stays exact as
 sigma_r -> 0.  At sigma_r = 0 the printed formulas are singular and the
 pricer delegates to the constant-rate one at the deterministic average
-rate.
+rate.  As in :mod:`hestoncir.heston`, the braced integrand is
+conjugate-antisymmetric in l, so the price integrates 2 Im of it over
+l > 0 only.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ import numpy as np
 from .heston import _MEMO, _braced, _core_exponents, _core_half, \
     _finish_price, _heston_key, heston_price_with_diagnostics
 from .models import CirRateParams, HestonParams, VanillaOption
-from .numerics import QuadratureConfig, integrate_real_line
+from .numerics import QuadratureConfig, integrate_half_line
+# nothing here calls it: bench/tracing.py wraps hybrid.integrate_real_line
+from .numerics import integrate_real_line  # noqa: F401
 
 __all__ = [
     "RateKernelTerms",
@@ -72,13 +76,13 @@ class RateKernelTerms:
 def rate_kernel(l, T: float, rp: CirRateParams) -> RateKernelTerms:
     """Evaluate the rate-side kernel quantities at l.
 
-    Both sides go through :func:`heston._core_half` with b = kappa_r:
-    the spot side on nu_r(l) with l2 = 2 i l, the strike side on
-    omega_r(l) with l2 = 2(i l + 1), so no 1/sigma_r^2 cancellation is
-    left at any sigma_r > 0.  N_r(l) mirrors M_r with nu_r replaced by
-    omega_r(l); at l = 0 the strike core reduces to the log CIR bond
-    price, which the tests pin against the textbook A exp(-B r0)
-    formula.
+    Both sides go through one :func:`heston._core_half` call with b =
+    kappa_r, stacked as two rows: the spot side on nu_r(l) with l2 =
+    2 i l, the strike side on omega_r(l) with l2 = 2(i l + 1), so no
+    1/sigma_r^2 cancellation is left at any sigma_r > 0.  N_r(l)
+    mirrors M_r with nu_r replaced by omega_r(l); at l = 0 the strike
+    core reduces to the log CIR bond price, which the tests pin against
+    the textbook A exp(-B r0) formula.
     """
     if rp.sigma_r <= 0:
         raise ValueError("rate_kernel requires sigma_r > 0; use the "
@@ -88,10 +92,9 @@ def rate_kernel(l, T: float, rp: CirRateParams) -> RateKernelTerms:
     kt = rp.kappa_r * rp.theta_r
     a_r = rp.r0 + kt * T
     offset = rp.kappa_r * a_r / sig2
-    spot, two_nu, log_pm = _core_half(2j * l, rp.kappa_r, rp.kappa_r, T,
-                                      rp.r0, kt, sig2)
-    strike, two_om, log_pn = _core_half(2.0 * (1j * l + 1.0), rp.kappa_r,
-                                        rp.kappa_r, T, rp.r0, kt, sig2)
+    (spot, strike), (two_nu, two_om), (log_pm, log_pn) = _core_half(
+        np.stack([2j * l, 2.0 * (1j * l + 1.0)]), rp.kappa_r, rp.kappa_r,
+        T, rp.r0, kt, sig2)
     return RateKernelTerms(
         a_r=a_r, nu_r=0.5 * two_nu, omega_r=0.5 * two_om,
         spot_core=spot, strike_core=strike,
@@ -183,6 +186,6 @@ def hybrid_price_with_diagnostics(opt: VanillaOption, p: HestonParams,
     _MEMO.admit(_heston_key(p, T))
     _MEMO.admit((rp, T))
     bond = cir_bond_price(rp, T)
-    res = integrate_real_line(
-        lambda l: hybrid_price_integrand(l, opt, p, rp), cfg)
+    res = integrate_half_line(
+        lambda l: 2.0 * hybrid_price_integrand(l, opt, p, rp).imag, cfg)
     return _finish_price(res, opt, bond, cfg, "hybrid price")

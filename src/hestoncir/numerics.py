@@ -1,19 +1,23 @@
 """Shared numerical machinery: adaptive complex quadrature and random streams.
 
-The pricing formulas in this package all reduce to one integral of a
-smooth, oscillatory, rapidly decaying complex function over the real
-line.  The integrator here is an adaptive Gauss-Kronrod (7-15) scheme.
-It starts from geometric panels, 0, +-L/64, ..., +-L, +-2L, so that
+The pricing formulas in this package all reduce to one integral over the
+real line of the Fourier transform of a real law, a smooth, oscillatory,
+rapidly decaying function f with f(-l) = conj f(l) (the density) or
+-conj f(l) (the braced price).  Folded onto l > 0 it is 2 Re f or 2 Im
+f, so every pricer integrates over (0, inf) only, with one engine,
+:func:`integrate_half_line`, an adaptive Gauss-Kronrod (7-15) scheme.
+It starts from geometric panels with edges 0, L/64, ..., L, 2L, so that
 one integrand call resolves any scale from L/64 to 2L; it then refines
 in batches -- each round bisects every panel whose error is above its
 share, tol/(2n) of n panels, at most 128 of them, and evaluates all
 their children in one vectorized integrand call of at most 3840
-nodes.  The start window's outer pair, [L, 2L] and [-2L, -L], is the
-first test of the tail; while the outermost pair contributes more than
-the tolerance, the window grows geometrically by strips.  An integrand
-may return several columns at once (several x or rates of one kernel);
-they share the panels, and each column is judged against its own
-tolerance.
+nodes.  The start window's outer panel [L, 2L] is the first test of
+the tail; while the outermost panel contributes more than the
+tolerance, the window grows geometrically by strips [2L, 4L], ....  An
+integrand may return several columns at once (several x or rates of
+one kernel); they share the panels, and each column is judged against
+its own tolerance.  :func:`integrate_real_line` integrates any f over
+the whole line on the same engine, as f(l) + f(-l) over l > 0.
 
 Random variates come from counter-based Philox streams so that
 (master_seed, stream_id) pairs give independent, reproducible sequences
@@ -34,6 +38,7 @@ __all__ = [
     "QuadratureResult",
     "QuadratureError",
     "RngStream",
+    "integrate_half_line",
     "integrate_real_line",
     "integrate_interval",
     "sample_standard_normal",
@@ -49,9 +54,12 @@ class QuadratureError(Exception):
 class QuadratureConfig:
     """Tolerances and budget for the adaptive integrator.
 
-    ``truncation_bound`` is L in the start window [-2L, 2L], whose outer
-    pair [L, 2L] and [-2L, -L] is the first tail test; the window is
-    doubled until the outermost pair contributes less than ``abs_tol``.
+    ``truncation_bound`` is L in the start window [0, 2L], whose outer
+    panel [L, 2L] is the first tail test; the window is doubled until
+    the outermost strip contributes less than ``abs_tol``.  The
+    whole-line :func:`integrate_real_line` takes [-2L, 2L] as f(l) +
+    f(-l) on [0, 2L], so its first tail test is the pair [L, 2L] and
+    [-2L, -L].
     """
 
     abs_tol: float = 1e-9
@@ -80,7 +88,8 @@ class QuadratureResult:
     m columns, an array of m values and one of their m errors.
     ``integrand_calls`` counts the calls of the integrand (one per
     refinement round, every strip included) and ``window`` is the final
-    half-width L of the real-line window, 0 for a finite interval.
+    end L of the half-line window [0, L], or half-width of the
+    real-line window [-L, L]; it is 0 for a finite interval.
     """
 
     value: complex
@@ -243,60 +252,64 @@ def integrate_interval(f, a, b, cfg=None):
                             panels.calls)
 
 
-def integrate_real_line(f, cfg=None):
-    """Estimate the integral of f over (-inf, inf).
+def integrate_half_line(f, cfg=None):
+    """Estimate the integral of f over (0, inf).
 
-    f must accept an ndarray of n real abscissae and return complex
+    f must accept an ndarray of n positive abscissae and return complex
     values, shape (n,), or m integrands at once, shape (n, m); the value
     is then an array of m and every column shares the panels.  The
-    start window [-2L, 2L] (L = cfg.truncation_bound) is cut into
-    geometric panels with edges 0, +-L/64, +-L/32, ..., +-L, +-2L, 8 a
-    side (fewer if max_evals cannot pay for 8: the innermost go), so
-    that an integrand varying on any scale from L/64 to 2L is resolved
-    in the first call and l = 0 is never an abscissa.  Once the window
-    is refined, its outer pair [L, 2L] and [-2L, -L] is the first tail
-    test: if the pair's combined contribution is below abs_tol, in
-    every column, the integral stops with window 2L.  Otherwise the
-    window grows by doubling; each new pair of strips [2L, 4L] and
-    [-4L, -2L], and so on, is refined jointly at abs_tol, and growth
-    stops at the first pair below abs_tol.  A pair is taken together
-    because odd parts of the integrand cancel only between mirrored
-    strips.  A budget of one panel a side (max_evals under 60) has no
-    edge at +-L and so no tail test: the integral is not converged.
-    Each column j is held to its own tolerance tol_j = max(abs_tol,
-    rel_tol |value_j|), as if integrated alone, and the error estimate
-    is one per column.  Of n panels, a refinement round bisects every
-    panel whose error exceeds tol_j/(2n) in a column short of tol_j, so
-    the panels left hold at most tol_j/2 (at most 128 panels a round, in
-    panel order, so one integrand call gets at most 3840 nodes);
-    ``evaluations`` never exceeds ``cfg.max_evals``.  The result reports
-    the integrand calls of every round and strip, and the final L.
+    start window [0, 2L] (L = cfg.truncation_bound) is cut into
+    geometric panels with edges 0, L/64, L/32, ..., L, 2L, 8 of them
+    (fewer if max_evals cannot pay for 8: the innermost go), so that an
+    integrand varying on any scale from L/64 to 2L is resolved in the
+    first call and l = 0 is never an abscissa.  Once the window is
+    refined, its outer panel [L, 2L] is the first tail test: if its
+    contribution is below abs_tol, in every column, the integral stops
+    with window 2L.  Otherwise the window grows by doubling; each new
+    strip [2L, 4L], and so on, is one panel refined at abs_tol, and
+    growth stops at the first strip below abs_tol.  A budget of one
+    panel (max_evals under 30) has no edge at L and so no tail test:
+    the integral is not converged.  Each column j is held to its own
+    tolerance tol_j = max(abs_tol, rel_tol |value_j|), as if integrated
+    alone, and the error estimate is one per column.  Of n panels, a
+    refinement round bisects every panel whose error exceeds tol_j/(2n)
+    in a column short of tol_j, so the panels left hold at most tol_j/2
+    (at most 128 panels a round, in panel order, so one integrand call
+    gets at most 3840 nodes); ``evaluations`` never exceeds
+    ``cfg.max_evals``.  The result reports the integrand calls of every
+    round and strip, and the final L.
     """
     cfg = cfg or QuadratureConfig()
-    L = cfg.truncation_bound
+    return _half_line(f, cfg, cfg.max_evals)
 
-    per_side = min(8, cfg.max_evals // 30)
-    if per_side == 0:   # the budget cannot pay for both halves
+
+def _half_line(f, cfg, budget):
+    """:func:`integrate_half_line` within ``budget`` evaluations of f.
+
+    Under 15 nothing is evaluated, and the integral is not converged.
+    """
+    L = cfg.truncation_bound
+    panels = min(8, budget // 15)
+    if panels == 0:
         return QuadratureResult(0j, math.inf, 0, False)
-    pos = 2.0 * L * 2.0 ** -np.arange(per_side - 1, -1, -1.0)
-    edges = np.concatenate([-pos[::-1], [0.0], pos])
+    edges = np.concatenate(
+        [[0.0], 2.0 * L * 2.0 ** -np.arange(panels - 1, -1, -1.0)])
     window = _Panels(f, edges[:-1], edges[1:])
-    converged = window.refine(cfg.abs_tol, cfg.rel_tol, cfg.max_evals)
+    converged = window.refine(cfg.abs_tol, cfg.rel_tol, budget)
     value = window.value
     error = window.error
     evals = window.evals
     calls = window.calls
-    # the outer pair [L, 2L] and [-2L, -L] is the first tail test; one
-    # panel a side has no edge at L, so it tests no tail
-    outer = (window.a >= L) | (window.b <= -L)
-    tail = window.val[outer].sum(axis=0)
+    # the outer panel [L, 2L] is the first tail test; one panel has no
+    # edge at L, so it tests no tail
+    tail = window.val[window.a >= L].sum(axis=0)
     L *= 2.0
-    if per_side > 1 and np.max(np.abs(tail)) < cfg.abs_tol:
+    if panels > 1 and np.max(np.abs(tail)) < cfg.abs_tol:
         return QuadratureResult(value, error, evals, converged, calls, L)
 
-    while evals + 30 <= cfg.max_evals:
-        strip = _Panels(f, [L, -2.0 * L], [2.0 * L, -L])
-        ok = strip.refine(cfg.abs_tol, 0.0, cfg.max_evals - evals)
+    while evals + 15 <= budget:
+        strip = _Panels(f, [L], [2.0 * L])
+        ok = strip.refine(cfg.abs_tol, 0.0, budget - evals)
         evals += strip.evals
         calls += strip.calls
         contribution = strip.value
@@ -310,6 +323,33 @@ def integrate_real_line(f, cfg=None):
         converged = False
 
     return QuadratureResult(value, error, evals, converged, calls, L)
+
+
+def integrate_real_line(f, cfg=None):
+    """Estimate the integral of f over (-inf, inf).
+
+    The integral of f(l) + f(-l) over (0, inf) by
+    :func:`integrate_half_line`: each integrand call evaluates f once,
+    at the nodes and their mirror images together, so a call has at
+    most 7680 nodes, and the window [-L, L] grows by pairs of strips
+    [L, 2L] and [-2L, -L].  f takes abscissae of either sign and
+    returns values as for :func:`integrate_half_line`; l = 0 is never
+    an abscissa.  ``evaluations`` counts the nodes
+    at which f was evaluated, both signs, and never exceeds
+    ``cfg.max_evals``; a budget under 60 has no tail test, and one under
+    30 evaluates nothing.
+    """
+    cfg = cfg or QuadratureConfig()
+
+    def folded(l):
+        vals = np.asarray(f(np.concatenate([l, -l])))
+        if vals.shape[:1] != (2 * l.size,):
+            return vals         # _gk_panels names the shape it wanted
+        return vals[:l.size] + vals[l.size:]
+
+    res = _half_line(folded, cfg, cfg.max_evals // 2)
+    res.evaluations *= 2
+    return res
 
 
 @dataclass

@@ -190,6 +190,27 @@ class TestHestonCallPrice:
         assert res.error_estimate < 1e-7
         assert price == heston_call_price(atm_option, fig1_heston, 0.03)
 
+    def test_at_the_money_takes_the_measured_evaluations(self, fig1_heston,
+                                                         atm_option):
+        # the folded integral evaluates 8 start panels on l > 0, where the
+        # whole line took 16, and converges in that first call
+        price, res = heston_price_with_diagnostics(atm_option, fig1_heston,
+                                                   0.03)
+        assert res.evaluations == 120 and res.integrand_calls == 1
+        assert abs(price - 9.290246306287323672) <= 1e-9 * atm_option.s0
+
+    def test_unconverged_quote_names_its_window_and_calls(self, fig1_heston,
+                                                          atm_option):
+        # 60 evaluations pay for four start panels and no refinement
+        with pytest.raises(PricingError, match="did not converge") as err:
+            heston_call_price(atm_option, fig1_heston, 0.03,
+                              QuadratureConfig(max_evals=60))
+        res = err.value.result
+        assert res is not None and res.converged is False
+        assert res.evaluations == 60 and res.integrand_calls == 1
+        assert "after 60 evaluations in 1 integrand calls, window 200" \
+            in str(err.value)
+
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, [],
                                    [0.03, math.nan], np.array([0.01, np.inf])],
                              ids=["nan", "inf", "-inf", "empty",
@@ -227,6 +248,34 @@ class TestHestonCallPrice:
         assert price == cold_price
         assert (res.value, res.error_estimate, res.evaluations) == \
             (cold.value, cold.error_estimate, cold.evaluations)
+
+
+# kappa < rho sigma takes the spot core's other branch; lam != 0 moves
+# kappa and theta to the pricing measure; sigma 1e-6 is the near-
+# deterministic limit
+_STACK_PARAMS = [
+    HestonParams(mu=0.03, kappa=1.0, theta=0.04, sigma=0.2, rho=-0.5,
+                 v0=0.04),
+    HestonParams(mu=0.03, kappa=0.3, theta=0.1, sigma=1.5, rho=0.95,
+                 v0=0.5),
+    HestonParams(mu=0.03, kappa=2.0, theta=0.05, sigma=0.6, rho=0.3,
+                 v0=0.02, lam=0.7),
+    HestonParams(mu=0.03, kappa=1.5, theta=0.04, sigma=1e-6, rho=-0.9,
+                 v0=0.09),
+    HestonParams(mu=0.03, kappa=0.5, theta=0.04, sigma=0.5, rho=0.99,
+                 v0=0.04, lam=-0.1),
+]
+
+
+class TestStackedCores:
+    @pytest.mark.parametrize("p", _STACK_PARAMS)
+    @pytest.mark.parametrize("T", [1.0 / 52.0, 1.0, 30.0])
+    def test_equal_to_the_per_core_calls_bit_for_bit(self, p, T):
+        mag = np.geomspace(1e-6, 1e4, 301)
+        l = np.concatenate([-mag[::-1], mag])
+        spot, strike = heston._core_exponents(l, T, p)
+        assert spot.tobytes() == heston._spot_core(l, T, p).tobytes()
+        assert strike.tobytes() == heston._strike_core(l, T, p).tobytes()
 
 
 class TestCoreMemo:
@@ -312,11 +361,11 @@ class TestMarginalDensity:
         assert calls == [(3,)]
 
     def test_probe_window_is_the_table_end(self, fig1_heston, monkeypatch):
-        # the probe's start window [-2 l_max, 2 l_max] holds the whole
-        # table, so its outer pair is below abs_tol and it never grows;
-        # the call bound is the measured count
+        # the probe's start window [0, 2 l_max] holds the whole table, so
+        # its outer panel is below abs_tol and it never grows; the call
+        # bound is the measured count
         real_density, cfgs = heston.marginal_density, []
-        real_integral, results = heston.integrate_real_line, []
+        real_integral, results = heston.integrate_half_line, []
 
         def captured(x, T, p, cfg):
             cfgs.append(cfg)
@@ -326,7 +375,7 @@ class TestMarginalDensity:
             results.append(real_integral(f, cfg))
             return results[-1]
         monkeypatch.setattr(heston, "marginal_density", captured)
-        monkeypatch.setattr(heston, "integrate_real_line", counted)
+        monkeypatch.setattr(heston, "integrate_half_line", counted)
         marginal_density_grid(np.linspace(-1.0, 1.0, 101), 1.0, fig1_heston)
         l_max = heston._decay_limit(1.0, fig1_heston)
         assert len(cfgs) == 1 and cfgs[0].truncation_bound == l_max

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hestoncir import hybrid
+from hestoncir.heston import _core_half
 from hestoncir import (
     CirRateParams,
     HestonParams,
@@ -128,6 +129,31 @@ class TestRateKernel:
         for name, want in ref.items():
             got = complex(np.asarray(getattr(terms, name)).reshape(()))
             assert got == pytest.approx(want, rel=1e-12), name
+
+    @pytest.mark.parametrize("sigma_r", [1e-6, 1e-3, 0.05, 0.1, 0.3])
+    @pytest.mark.parametrize("T", [1.0 / 52.0, 1.0, 30.0])
+    def test_one_stacked_call_equals_the_per_side_calls(self, sigma_r, T):
+        # both rate sides in one _core_half call, bit for bit the two
+        # calls it replaces
+        rp = CirRateParams(kappa_r=1.8, theta_r=0.03, sigma_r=sigma_r,
+                           r0=0.035)
+        mag = np.geomspace(1e-6, 1e4, 301)
+        l = np.concatenate([-mag[::-1], [0.0], mag])
+        terms = rate_kernel(l, T, rp)
+        sig2, kt = sigma_r * sigma_r, rp.kappa_r * rp.theta_r
+        offset = rp.kappa_r * (rp.r0 + kt * T) / sig2
+        spot, two_nu, log_pm = _core_half(2j * l, rp.kappa_r, rp.kappa_r,
+                                          T, rp.r0, kt, sig2)
+        strike, two_om, log_pn = _core_half(2.0 * (1j * l + 1.0),
+                                            rp.kappa_r, rp.kappa_r, T,
+                                            rp.r0, kt, sig2)
+        want = {"nu_r": 0.5 * two_nu, "omega_r": 0.5 * two_om,
+                "spot_core": spot, "strike_core": strike,
+                "theta_exp": spot - offset, "upsilon_exp": strike - offset,
+                "log_m_r": -0.5 * T * two_nu - log_pm,
+                "log_n_r": -0.5 * T * two_om - log_pn}
+        for name, value in want.items():
+            assert getattr(terms, name).tobytes() == value.tobytes(), name
 
     def test_strike_exponent_at_origin_is_log_bond(self, fig1_rate):
         terms = rate_kernel(0.0, 1.0, fig1_rate)

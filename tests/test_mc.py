@@ -285,23 +285,23 @@ class TestRateVectorRoute:
         assert "T=1.2, r in [%.6g, %.6g]" % (rates.min(), rates.max()) \
             in str(err.value)
 
-    def test_a_column_failing_its_residual_names_T_and_the_rates(
+    def test_a_column_with_a_negative_call_names_T_and_the_rates(
             self, monkeypatch):
-        # one column gets a real part that its error estimate cannot
-        # explain; the other 20 are left as computed
+        # one column's integral is spoiled into a call of -S0; the other
+        # 20 are left as computed
         opt, p, rp = _curve_market("feller")
         _, rates = _curve_rates(opt, rp)
-        real = heston.integrate_real_line
+        real = heston.integrate_half_line
 
         def spoiled(f, cfg):
             res = real(f, cfg)
             value = res.value.copy()
-            value[7] += 1.0
+            value[7] += 2.0 * np.pi * (opt.s0 + opt.strike)
             return QuadratureResult(value, res.error_estimate,
                                     res.evaluations, res.converged)
 
-        monkeypatch.setattr(heston, "integrate_real_line", spoiled)
-        with pytest.raises(PricingError, match="imaginary residual") as err:
+        monkeypatch.setattr(heston, "integrate_half_line", spoiled)
+        with pytest.raises(PricingError, match="negative call") as err:
             heston_call_price(opt, p, rates)
         assert "T=2, r in [" in str(err.value)
 
@@ -311,7 +311,7 @@ class TestPriceCurveInRate:
         opt, p, rp = _curve_market("band")
         rbars, _ = _curve_rates(opt, rp)
         integrals, priced = [], []
-        real_integral, real_price = heston.integrate_real_line, \
+        real_integral, real_price = heston.integrate_half_line, \
             mc.heston_call_price
 
         def counting(f, cfg):
@@ -323,7 +323,7 @@ class TestPriceCurveInRate:
             priced.append(r.size)
             return real_price(opt_, p_, r, cfg)
 
-        monkeypatch.setattr(heston, "integrate_real_line", counting)
+        monkeypatch.setattr(heston, "integrate_half_line", counting)
         monkeypatch.setattr(mc, "heston_call_price", vector_only)
         prices = mc._price_curve_in_rate(opt, p, rbars, QuadratureConfig())
         assert len(integrals) == 1 and priced == [21]

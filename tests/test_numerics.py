@@ -8,6 +8,7 @@ from hestoncir import (
     QuadratureResult,
     RngStream,
     VanillaOption,
+    integrate_half_line,
     integrate_interval,
     integrate_real_line,
     price_integrand,
@@ -153,21 +154,28 @@ class TestIntegrateRealLine:
         assert res.evaluations <= max_evals
         assert res.converged is False
 
-    def test_noise_never_converges_within_budget_and_call_cap(self):
+    @pytest.mark.parametrize("whole_line", [False, True])
+    def test_noise_never_converges_within_budget_and_call_cap(self,
+                                                              whole_line):
         # The sign noise keeps every panel's error estimate near
         # 1e-6 * width, so refinement runs until the default budget is
-        # spent; no integrand call may exceed 128 bisected panels.
+        # spent; no round may bisect more than 128 panels, 3840 nodes,
+        # which the whole line evaluates at both signs in one call.  The
+        # noise is even in l: the whole line's f(l) + f(-l) would cancel
+        # odd noise exactly.
         sizes = []
 
         def f(l):
             sizes.append(l.size)
-            return np.exp(-l * l) + 1e-6 * np.sign(np.sin(1e6 * l))
+            return np.exp(-l * l) + 1e-6 * np.sign(np.cos(1e6 * l))
 
-        res = integrate_real_line(f, QuadratureConfig())
+        integrate = integrate_real_line if whole_line \
+            else integrate_half_line
+        res = integrate(f, QuadratureConfig())
         assert res.converged is False
         assert res.evaluations <= 500_000
         assert res.evaluations == sum(sizes)
-        assert max(sizes) <= 3840
+        assert max(sizes) <= (2 if whole_line else 1) * 3840
 
     @pytest.mark.parametrize("T, calls", [(1.0 / 52.0, 4), (1.0, 1),
                                           (30.0, 2)],
@@ -306,6 +314,95 @@ class TestIntegrateRealLine:
         # finite abscissae
         with pytest.raises(ValueError, match="%s must be finite" % name):
             QuadratureConfig(**{name: value})
+
+
+class TestIntegrateHalfLine:
+    def test_gaussian_converges_in_the_first_call(self):
+        # e^{-l^2} underflows to 0 on the outer panel [100, 200], so the
+        # first call of 8 panels prices it and the window stays 2L
+        res = integrate_half_line(lambda l: np.exp(-l * l),
+                                  QuadratureConfig())
+        assert res.converged
+        assert abs(res.value - 0.5 * np.sqrt(np.pi)) <= 1e-9
+        assert res.integrand_calls == 1 and res.window == 200.0
+        assert res.evaluations == 8 * 15
+
+    def test_lorentzian_grows_by_strips_past_the_start_window(self):
+        # 1/(1 + l^2) adds about 1/(2L) on a strip [L, 2L], so the outer
+        # panel [1, 2] fails the tail test and one strip follows per
+        # doubling, until [2^29, 2^30] adds 9.3e-10 < abs_tol; the window
+        # and the calls are the measured ones
+        sizes = []
+
+        def f(l):
+            sizes.append(l.size)
+            return 1.0 / (1.0 + l * l)
+
+        res = integrate_half_line(f, QuadratureConfig(truncation_bound=1.0))
+        assert res.converged and abs(res.value - 0.5 * np.pi) <= 1e-9
+        assert res.window == 2.0 ** 30
+        assert res.integrand_calls == len(sizes) == 30
+        assert res.evaluations == sum(sizes)
+
+    @pytest.mark.parametrize("max_evals", [15, 20, 29])
+    def test_one_panel_tests_no_tail(self, max_evals):
+        # below 30 evaluations the start window is the one panel [0, 2L]:
+        # no edge at L, so nothing says the tail is negligible
+        res = integrate_half_line(lambda l: np.exp(-l * l),
+                                  QuadratureConfig(max_evals=max_evals))
+        assert res.evaluations == 15
+        assert res.converged is False
+
+    @pytest.mark.parametrize("max_evals", [15, 29])
+    def test_whole_line_under_fifteen_a_side_evaluates_nothing(self,
+                                                               max_evals):
+        # the whole line pays two evaluations a node, so its half-line
+        # budget is under one panel
+        calls = []
+        res = integrate_real_line(lambda l: calls.append(l) or np.ones_like(l),
+                                  QuadratureConfig(max_evals=max_evals))
+        assert calls == [] and res.evaluations == 0
+        assert res.converged is False
+
+    @pytest.mark.parametrize("max_evals", [15, 30, 60, 120, 450, 500_000])
+    def test_zero_is_never_an_abscissa(self, max_evals):
+        def f(l):
+            assert np.all(l > 0.0)
+            return np.exp(-(l / 0.05) ** 2) + 1.0 / (1.0 + l * l)
+
+        res = integrate_half_line(f, QuadratureConfig(max_evals=max_evals))
+        assert res.evaluations <= max_evals
+
+    @pytest.mark.parametrize("max_evals", [15, 29, 30, 59, 60, 119, 120,
+                                           449, 450, 500])
+    @pytest.mark.parametrize("whole_line", [False, True])
+    def test_evaluations_stay_within_the_budget(self, max_evals, whole_line):
+        # a Lorentzian from L = 1 needs 555 evaluations on the half line
+        # and 1140 on the whole line, more than any of these budgets
+        nodes = []
+
+        def f(l):
+            nodes.append(l.size)
+            return 1.0 / (1.0 + l * l)
+
+        integrate = integrate_real_line if whole_line \
+            else integrate_half_line
+        res = integrate(f, QuadratureConfig(max_evals=max_evals,
+                                            truncation_bound=1.0))
+        assert res.evaluations == sum(nodes) <= max_evals
+        assert res.converged is False
+
+    def test_whole_line_is_the_fold_of_the_half_line(self):
+        # f(l) + f(-l) on one call at both signs: the same panels, calls
+        # and window, and twice the evaluations
+        f = lambda l: np.exp(-(l - 0.3) ** 2) + 1.0 / (1.0 + l * l)
+        whole = integrate_real_line(f, QuadratureConfig())
+        half = integrate_half_line(lambda l: f(l) + f(-l),
+                                   QuadratureConfig(max_evals=250_000))
+        assert whole.value == half.value
+        assert whole.evaluations == 2 * half.evaluations
+        assert (whole.integrand_calls, whole.window) == \
+            (half.integrand_calls, half.window)
 
 
 def _panels_with(err, value):
