@@ -316,21 +316,23 @@ def _core_exponents(l, T, p: HestonParams):
     and i*l*(x_e - rT) - rT + strike_core for the strike term; the
     i*l*(rho/sigma)*a phase and the kappa*a/sigma^2 offset are folded in
     by :func:`_core_half`, the one route for every amplification
-    2(kappa theta + v0)/sigma^2.  Both rows go through one
-    :func:`_core_half` call, elementwise the same arithmetic as
-    :func:`_spot_core` and :func:`_strike_core`, unless the spot side's
-    kappa - rho sigma is negative and takes the other branch.
+    2(kappa theta + v0)/sigma^2.  Returns the two rows as one 2 x n
+    array.  Both rows go through one :func:`_core_half` call,
+    elementwise the same arithmetic as :func:`_spot_core` and
+    :func:`_strike_core`, unless the spot side's kappa - rho sigma is
+    negative and takes the other branch: then each row has its own call.
     """
     l = np.asarray(l, dtype=float)
     kappa, theta = _pricing_kappa_theta(p)
     b0 = kappa - p.rho * p.sigma
-    if b0 < 0.0:
-        return _spot_core(l, T, p), _strike_core(l, T, p)
     rs = (1j * p.rho * p.sigma) * l
-    core = _core_half(np.stack([l * (l + 1j), l * (l - 1j)]), b0,
-                      np.stack([b0 + rs, kappa + rs]), T, p.v0,
-                      kappa * theta, p.sigma * p.sigma)[0]
-    return core[0], core[1]
+    l2 = np.stack([l * (l + 1j), l * (l - 1j)])
+    b = np.stack([b0 + rs, kappa + rs])
+    rest = (T, p.v0, kappa * theta, p.sigma * p.sigma)
+    if b0 >= 0.0:
+        return _core_half(l2, b0, b, *rest)[0]
+    return np.stack([_core_half(l2[0], b0, b[0], *rest)[0],
+                     _core_half(l2[1], kappa, b[1], *rest)[0]])
 
 
 # Bounds of the exponent-core memo: the kernel keys it remembers (seen
@@ -420,7 +422,7 @@ class _CoreMemo:
         since the lookup are skipped; a table that would pass the node
         budget is left as it is.
         """
-        got = np.array(got)
+        got = np.asarray(got)
         new, first = np.unique(new, return_index=True)
         with self._lock:
             table = self._entries.get(key)

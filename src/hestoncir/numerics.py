@@ -127,7 +127,8 @@ _WG = np.array([
 
 
 # Most panels bisected in one refinement round: their 256 children are
-# 3840 nodes, which bounds the memory of one integrand call.
+# 3840 nodes, which bounds the memory of one integrand call.  The whole
+# line evaluates f at both signs of a node, so it bisects half as many.
 _MAX_SPLITS = 128
 
 
@@ -211,14 +212,14 @@ class _Panels:
             over.reshape(a.size, -1).any(axis=1)
             & (b - a >= 1e-13 * (1.0 + np.abs(a) + np.abs(b))))
 
-    def refine(self, abs_tol, rel_tol, evals_budget):
+    def refine(self, abs_tol, rel_tol, evals_budget,
+               max_splits=_MAX_SPLITS):
         """Bisect panels in rounds until tolerance or budget is exhausted.
 
         Each round bisects the panels :meth:`_to_split` picks, every
-        panel above its share of the tolerance, the first
-        ``_MAX_SPLITS`` of them in panel order and no more than the
-        budget pays for, and evaluates every child in one integrand
-        call.
+        panel above its share of the tolerance, the first ``max_splits``
+        of them in panel order and no more than the budget pays for, and
+        evaluates every child in one integrand call.
         """
         while True:
             split = self._to_split(abs_tol, rel_tol)
@@ -228,7 +229,7 @@ class _Panels:
             if split.size == 0 or room <= 0:
                 return False
             a, b = self.a, self.b
-            split = split[:min(_MAX_SPLITS, room)]
+            split = split[:min(max_splits, room)]
             mid = 0.5 * (a[split] + b[split])
             ca = np.concatenate([a[split], mid])
             cb = np.concatenate([mid, b[split]])
@@ -280,14 +281,21 @@ def integrate_half_line(f, cfg=None):
     round and strip, and the final L.
     """
     cfg = cfg or QuadratureConfig()
-    return _half_line(f, cfg, cfg.max_evals)
+    return _half_line(f, cfg)
 
 
-def _half_line(f, cfg, budget):
-    """:func:`integrate_half_line` within ``budget`` evaluations of f.
+def _half_line(f, cfg, per_node=1):
+    """:func:`integrate_half_line` of an f that costs ``per_node``
+    evaluations a node.
 
-    Under 15 nothing is evaluated, and the integral is not converged.
+    The budget is cfg.max_evals // per_node nodes, and a round bisects
+    at most _MAX_SPLITS // per_node panels, so a call never costs more
+    than 3840 evaluations; ``evaluations`` counts per_node a node.
+    Under 15 nodes nothing is evaluated, and the integral is not
+    converged.
     """
+    budget = cfg.max_evals // per_node
+    max_splits = _MAX_SPLITS // per_node
     L = cfg.truncation_bound
     panels = min(8, budget // 15)
     if panels == 0:
@@ -295,7 +303,7 @@ def _half_line(f, cfg, budget):
     edges = np.concatenate(
         [[0.0], 2.0 * L * 2.0 ** -np.arange(panels - 1, -1, -1.0)])
     window = _Panels(f, edges[:-1], edges[1:])
-    converged = window.refine(cfg.abs_tol, cfg.rel_tol, budget)
+    converged = window.refine(cfg.abs_tol, cfg.rel_tol, budget, max_splits)
     value = window.value
     error = window.error
     evals = window.evals
@@ -305,11 +313,12 @@ def _half_line(f, cfg, budget):
     tail = window.val[window.a >= L].sum(axis=0)
     L *= 2.0
     if panels > 1 and np.max(np.abs(tail)) < cfg.abs_tol:
-        return QuadratureResult(value, error, evals, converged, calls, L)
+        return QuadratureResult(value, error, per_node * evals, converged,
+                                calls, L)
 
     while evals + 15 <= budget:
         strip = _Panels(f, [L], [2.0 * L])
-        ok = strip.refine(cfg.abs_tol, 0.0, budget - evals)
+        ok = strip.refine(cfg.abs_tol, 0.0, budget - evals, max_splits)
         evals += strip.evals
         calls += strip.calls
         contribution = strip.value
@@ -322,7 +331,8 @@ def _half_line(f, cfg, budget):
     else:
         converged = False
 
-    return QuadratureResult(value, error, evals, converged, calls, L)
+    return QuadratureResult(value, error, per_node * evals, converged,
+                            calls, L)
 
 
 def integrate_real_line(f, cfg=None):
@@ -330,8 +340,9 @@ def integrate_real_line(f, cfg=None):
 
     The integral of f(l) + f(-l) over (0, inf) by
     :func:`integrate_half_line`: each integrand call evaluates f once,
-    at the nodes and their mirror images together, so a call has at
-    most 7680 nodes, and the window [-L, L] grows by pairs of strips
+    at the nodes and their mirror images together, and a round bisects
+    at most 64 panels, so a call still has at most 3840 abscissae; the
+    window [-L, L] grows by pairs of strips
     [L, 2L] and [-2L, -L].  f takes abscissae of either sign and
     returns values as for :func:`integrate_half_line`; l = 0 is never
     an abscissa.  ``evaluations`` counts the nodes
@@ -347,9 +358,7 @@ def integrate_real_line(f, cfg=None):
             return vals         # _gk_panels names the shape it wanted
         return vals[:l.size] + vals[l.size:]
 
-    res = _half_line(folded, cfg, cfg.max_evals // 2)
-    res.evaluations *= 2
-    return res
+    return _half_line(folded, cfg, per_node=2)
 
 
 @dataclass

@@ -159,10 +159,10 @@ class TestIntegrateRealLine:
                                                               whole_line):
         # The sign noise keeps every panel's error estimate near
         # 1e-6 * width, so refinement runs until the default budget is
-        # spent; no round may bisect more than 128 panels, 3840 nodes,
-        # which the whole line evaluates at both signs in one call.  The
-        # noise is even in l: the whole line's f(l) + f(-l) would cancel
-        # odd noise exactly.
+        # spent; no integrand call may exceed 3840 nodes, 128 bisected
+        # panels, or 64 on the whole line, which evaluates each at both
+        # signs.  The noise is even in l: the whole line's f(l) + f(-l)
+        # would cancel odd noise exactly.
         sizes = []
 
         def f(l):
@@ -175,7 +175,7 @@ class TestIntegrateRealLine:
         assert res.converged is False
         assert res.evaluations <= 500_000
         assert res.evaluations == sum(sizes)
-        assert max(sizes) <= (2 if whole_line else 1) * 3840
+        assert max(sizes) <= 3840
 
     @pytest.mark.parametrize("T, calls", [(1.0 / 52.0, 4), (1.0, 1),
                                           (30.0, 2)],
