@@ -1,15 +1,15 @@
 """Closed-form Heston pricing via a single Fourier integral.
 
-The marginal density of the drift-adjusted logreturn and the vanilla
-price both come out as one integral over a real frequency variable l.
-Both integrands are Fourier transforms of real laws, conjugate-symmetric
-in l, so each is integrated over l > 0 only, as 2 Re or 2 Im of the
-integrand (:func:`hestoncir.numerics.integrate_half_line`).
-All hyperbolic expressions are evaluated in the cosh/sinh form through
-exp(-w) factors: with the principal square root the argument w has
-nonnegative real part, so nothing overflows at long maturity or large
-|l|, and the complex logarithm stays on its principal branch without
-manual rotation-counting.
+The put is one integral along z = l + i c, Lewis's (2001) contour form,
+one strike core per node on a line c in (-w-, 0) that
+:func:`_contour_shift` certifies; the call follows by parity, and the
+density is the same core on the real line.  Both integrands are
+conjugate-symmetric in l, so each is integrated as 2 Re of it over l > 0
+(:func:`hestoncir.numerics.integrate_half_line`).  All hyperbolic
+expressions are evaluated in the cosh/sinh form through exp(-w) factors:
+with the principal square root w has nonnegative real part, so nothing
+overflows at long maturity or large |l|, and the complex logarithm stays
+on its principal branch without manual rotation-counting.
 
 The pricer, the density, the paper's N and M and the CIR rate side in
 :mod:`hestoncir.hybrid` take them by one route, :func:`_core_half`,
@@ -19,10 +19,10 @@ post-processing; both broadcast over a trailing axis of rates, so a
 contract's prices at many constant rates are one integral with one
 column per rate (:func:`heston_call_price` with an array of rates).
 
-The exponent cores depend on the parameters and the maturity but not on
-the strike or the rate, which enter only through phases.  Quotes on one
-(params, T) therefore share their cores through a bounded memo: the
-pricer admits the kernel key once per quote, the key gets a table of
+The core depends on the parameters and the maturity (which fix c) but
+not on the strike or the rate, which enter only through phases.  Quotes
+on one (params, T) therefore share their cores through a bounded memo:
+the pricer admits the kernel key once per quote, the key gets a table of
 cores at its second quote, and the integrand computes only the nodes
 the table lacks.  Parameter sets priced once store nothing.
 
@@ -137,10 +137,10 @@ def _log1p_c(z):
 def _core_half(l2, b0, b, T, v0, kappa_theta, sig2):
     """One exponent core, cancellation-free for every sigma.
 
-    The one route for every exp(-w) quantity: the volatility cores
-    (b = kappa + i l rho sigma, less rho sigma on the spot side, l2 =
-    l(l -/+ i)), the rate cores (b = kappa_r, l2 = 2 i l or 2(i l + 1))
-    and the paper's N, M, N_r and M_r.  Returns (core, 2f, log P).
+    The one route for every exp(-w) quantity: the volatility strike
+    core at z (b = kappa + i z rho sigma, l2 = z(z - i)), the rate cores
+    (b = kappa_r, l2 = 2 i z or 2(i z + 1)) and the paper's N, M, N_r
+    and M_r.  Returns (core, 2f, log P).
 
     With 4 f^2 = b^2 + sig2 l2, s = 2f + b, d = 2f - b (s d = sig2 l2)
     and e = exp(-2fT), the exp(-w) form of the core is exactly
@@ -151,9 +151,9 @@ def _core_half(l2, b0, b, T, v0, kappa_theta, sig2):
     N = 1/(cosh fT + (b/2f) sinh fT) = exp(-fT - log P), with f on the
     principal square root, so Re fT >= 0 and log N is the principal one
     without rotation-counting.  P - 1 is O(sig2) and its log1p exact, so
-    no 1/sig2 goes uncancelled.  b = b0 + i l rho sigma with b0 real; as
-    Re 4f^2 > 0 for real l, s cancels only if b0 < 0 (kappa < rho sigma,
-    spot side, near l = 0).  There d is formed directly, s = sig2 l2/d,
+    no 1/sig2 goes uncancelled.  b = b0 + i l rho sigma at z = l + i c,
+    b0 = kappa - rho sigma c; as Re 2f >= 0, s cancels only if b0 < 0
+    (rho sigma c > kappa).  There d is formed directly, s = sig2 l2/d,
     and log P is taken of P itself, which may be near 0 rather than 1.
     """
     sl2 = sig2 * l2
@@ -161,16 +161,16 @@ def _core_half(l2, b0, b, T, v0, kappa_theta, sig2):
     em1 = np.expm1(-T * two_f)
     if b0 >= 0.0:
         s = two_f + b
-        d = sl2 / s
-        p = 2.0 * two_f + d * em1
-        log_p = _log1p_c((0.5 * d) * em1 / two_f)
+        d_em1 = sl2 / s * em1
+        p = 2.0 * two_f + d_em1
+        log_p = _log1p_c(0.5 * d_em1 / two_f)
     else:
         d = two_f - b
         s = sl2 / d
         p = s + d * np.exp(-T * two_f)
         log_p = np.log(p / (2.0 * two_f))
-    core = (v0 * l2) * em1 / p \
-        - kappa_theta * (T * l2 / s + (2.0 / sig2) * log_p)
+    core = l2 * (v0 * em1 / p - (kappa_theta * T) / s) \
+        - (2.0 * kappa_theta / sig2) * log_p
     return core, two_f, log_p
 
 
@@ -181,15 +181,57 @@ def _pricing_kappa_theta(p: HestonParams):
     return p.kappa, p.theta
 
 
-def _strike_core(l, T, p: HestonParams):
-    """Strike-side core i l rho a/sigma + kappa a/sigma^2 + upsilon(l).
+def _strike_core(l, T, p: HestonParams, c=0.0):
+    """Strike core i z rho a/sigma + kappa a/sigma^2 + upsilon(z) at l + i c.
 
-    Its exp is the density's kernel, the characteristic function of x_T.
+    Its exp is E[exp(-i z x_T)], finite for -w- < c < w+: the density's
+    kernel at c = 0, the paper's spot-side core at l at c = 1.
     """
     kappa, theta = _pricing_kappa_theta(p)
-    b = kappa + (1j * p.rho * p.sigma) * l
-    return _core_half(l * (l - 1j), kappa, b, T, p.v0, kappa * theta,
+    z = l + 1j * c
+    b0 = kappa - p.rho * p.sigma * c
+    b = b0 + (1j * p.rho * p.sigma) * l
+    return _core_half(z * (z - 1j), b0, b, T, p.v0, kappa * theta,
                       p.sigma * p.sigma)[0]
+
+
+def _explosion_time(s, p: HestonParams):
+    """T*(s), where E[exp(s x_T)] explodes (Andersen and Piterbarg 2007):
+    the first zero in T of :func:`_log_moment`'s D, at beta T/2 =
+    atan2(beta, -b) if 4 f^2 = -beta^2 < 0, else at 2 atanh(2f/-b)/(2f)
+    if b < -2f, else never (inf)."""
+    b = _pricing_kappa_theta(p)[0] - p.rho * p.sigma * s
+    four_f2 = b * b + p.sigma * p.sigma * s * (1.0 - s)
+    if four_f2 < 0.0:
+        beta = math.sqrt(-four_f2)
+        return 2.0 * math.atan2(beta, -b) / beta
+    two_f = math.sqrt(four_f2)
+    if b + two_f >= 0.0:
+        return math.inf
+    return 2.0 * math.atanh(two_f / -b) / two_f if two_f else -2.0 / b
+
+
+def _contour_shift(p: HestonParams, T):
+    """The pricing contour's Im z = c, a power of 2 in [-4, 0).
+
+    Of c = -4, -2, -1, ..., those with T*(2c) > T lie in (-w-/2, 0); c
+    minimizes among them c (c - 1) V/2 - log(c (c - 1)), the log of the
+    at-the-money integrand at l = 0, M(c)/(|c| (1 - c)), for the
+    Gaussian moment M(c) at the mean integrated variance V: it grows as
+    c -> 0 and, at large V, with |c| (e^524 at c = -1/2 for v0 = theta
+    = 25, T = 50).  It depends on (params, T) only.
+    """
+    kappa, theta = _pricing_kappa_theta(p)
+    var = theta * T - (p.v0 - theta) * math.expm1(-kappa * T) / kappa
+    best, c = math.inf, -4.0
+    while True:
+        # T*(2c) > T holds for every c after the first that passes
+        if _explosion_time(2.0 * c, p) > T:
+            size = 0.5 * c * (c - 1.0) * var - math.log(c * (c - 1.0))
+            if size >= best:
+                return 2.0 * c
+            best = size
+        c *= 0.5
 
 
 def _log_moment(s, T, p: HestonParams):
@@ -300,57 +342,22 @@ def _tail_depths(p: HestonParams, T, log_odds):
     return float(depth[0]), float(depth[1])
 
 
-def _spot_core(l, T, p: HestonParams):
-    """Spot-side exponent core, on nu(l) as the strike core is on omega(l)."""
-    kappa, theta = _pricing_kappa_theta(p)
-    b0 = kappa - p.rho * p.sigma
-    b = b0 + (1j * p.rho * p.sigma) * l
-    return _core_half(l * (l + 1j), b0, b, T, p.v0, kappa * theta,
-                      p.sigma * p.sigma)[0]
-
-
-def _core_exponents(l, T, p: HestonParams):
-    """Spot- and strike-side exponent cores of the price integrand.
-
-    The full exponents are i*l*(x_e - rT) + spot_core for the spot term
-    and i*l*(x_e - rT) - rT + strike_core for the strike term; the
-    i*l*(rho/sigma)*a phase and the kappa*a/sigma^2 offset are folded in
-    by :func:`_core_half`, the one route for every amplification
-    2(kappa theta + v0)/sigma^2.  Returns the two rows as one 2 x n
-    array.  Both rows go through one :func:`_core_half` call,
-    elementwise the same arithmetic as :func:`_spot_core` and
-    :func:`_strike_core`, unless the spot side's kappa - rho sigma is
-    negative and takes the other branch: then each row has its own call.
-    """
-    l = np.asarray(l, dtype=float)
-    kappa, theta = _pricing_kappa_theta(p)
-    b0 = kappa - p.rho * p.sigma
-    rs = (1j * p.rho * p.sigma) * l
-    l2 = np.stack([l * (l + 1j), l * (l - 1j)])
-    b = np.stack([b0 + rs, kappa + rs])
-    rest = (T, p.v0, kappa * theta, p.sigma * p.sigma)
-    if b0 >= 0.0:
-        return _core_half(l2, b0, b, *rest)[0]
-    return np.stack([_core_half(l2[0], b0, b[0], *rest)[0],
-                     _core_half(l2[1], kappa, b[1], *rest)[0]])
-
-
 # Bounds of the exponent-core memo: the kernel keys it remembers (seen
 # once or holding a table) and the nodes all its tables hold together.
-# A node costs 40 bytes (l and two complex cores), so the tables stay
-# within about 1 MB; a table that meets the budget still serves hits.
+# A node costs 24 bytes (l and its complex core), so the tables stay
+# within about 600 KB; a table that meets the budget still serves hits.
 _MEMO_KEYS = 64
 _MEMO_NODES = 25_000
 
 
 class _CoreMemo:
-    """Bounded memo of a kernel's two exponent cores, one table per key.
+    """Bounded memo of a kernel's exponent core, one table per key.
 
-    A key holds every value the core function reads (parameters and T).
-    A table is (sorted nodes, 2 x n cores); a lookup is a searchsorted
-    with an equality test, and the misses are computed by the core
-    function and merged into a new table that replaces the old one
-    whole, so a reader never sees a table change.  A hit returns the
+    A key holds every value the core function reads (parameters, T and
+    the contour's c).  A table is (sorted nodes, cores); a lookup is a
+    searchsorted with an equality test, and the misses are computed by
+    the core function and merged into a new table that replaces the old
+    one whole, so a reader never sees a table change.  A hit returns the
     values the core function computed for that node.  Past ``max_keys``
     remembered keys the least recently admitted one is forgotten.
     """
@@ -394,10 +401,10 @@ class _CoreMemo:
                 return
             self._entries.move_to_end(key)
             if self._entries[key] is None:
-                self._entries[key] = (np.empty(0), np.empty((2, 0), complex))
+                self._entries[key] = (np.empty(0), np.empty(0, complex))
 
     def cores(self, key, l, fn, *args):
-        """``fn(l, *args)``, a pair of core arrays, through key's table."""
+        """``fn(l, *args)``, an array of cores, through key's table."""
         table = self._entries.get(key)
         if table is None:
             return fn(l, *args)
@@ -406,23 +413,22 @@ class _CoreMemo:
         nodes, vals = table
         idx, miss = _locate(nodes, flat)
         if not miss.any():
-            out = vals[:, idx]
+            out = vals[idx]
         elif miss.all():
             out = self._fill(key, flat, fn(flat, *args))
         else:
-            out = vals[:, idx]
+            out = vals[idx]
             new = flat[miss]
-            out[:, miss] = self._fill(key, new, fn(new, *args))
-        return out[0].reshape(l.shape), out[1].reshape(l.shape)
+            out[miss] = self._fill(key, new, fn(new, *args))
+        return out.reshape(l.shape)
 
     def _fill(self, key, new, got):
         """Merge the cores ``got`` at nodes ``new`` into key's table.
 
-        Returns ``got`` as one 2 x n array.  Nodes another thread stored
-        since the lookup are skipped; a table that would pass the node
-        budget is left as it is.
+        Returns ``got``.  Nodes another thread stored since the lookup
+        are skipped; a table that would pass the node budget is left as
+        it is.
         """
-        got = np.asarray(got)
         new, first = np.unique(new, return_index=True)
         with self._lock:
             table = self._entries.get(key)
@@ -435,7 +441,7 @@ class _CoreMemo:
                 return got
             pos = nodes.searchsorted(new)
             self._entries[key] = (np.insert(nodes, pos, new),
-                                  np.insert(vals, pos, got[:, first], axis=1))
+                                  np.insert(vals, pos, got[first]))
             self._nodes += new.size
         return got
 
@@ -455,53 +461,49 @@ def _locate(nodes, x):
 _MEMO = _CoreMemo()
 
 
-def _heston_key(p: HestonParams, T):
-    """The fields :func:`_core_exponents` reads, plus T (mu is unused)."""
-    return (p.kappa, p.theta, p.sigma, p.rho, p.v0, p.lam, T)
+def _heston_key(p: HestonParams, T, c):
+    """The fields :func:`_strike_core` reads, T and c (mu is unused)."""
+    return (p.kappa, p.theta, p.sigma, p.rho, p.v0, p.lam, T, c)
 
 
-def _braced(l, opt: VanillaOption, x, spot_exp, strike_exp, bond):
-    """(S0 e^{ilx + spot_exp} - K e^{ilx + strike_exp} - S0 + K bond)/l.
+def _put_integrand(l, c, x, exponent):
+    """e^{i z x + exponent}/(i z (1 + i z)) at z = l + i c.
 
-    The braced integrand of both pricers: the exponents carry the
-    volatility and rate cores, and the constant cancels the 1/l pole.
-    It broadcasts: l and the exponents as (n, 1) columns against x and
-    bond of shape (m,) give an (n, m) integrand, one column per rate.
+    The contour integrand of both pricers: ``exponent`` carries log K,
+    the volatility core, and the rate core or the constant rate's -rT.
+    It broadcasts: l and the exponent as (n, 1) columns against an x of
+    shape (m,) give an (n, m) integrand, one column per rate.
     """
-    phase = 1j * l * x
-    spot_term = opt.s0 * np.exp(phase + spot_exp)
-    strike_term = opt.strike * np.exp(phase + strike_exp)
-    return (spot_term - strike_term - opt.s0 + opt.strike * bond) / l
+    iz = 1j * l - c
+    return np.exp(iz * x + exponent) / (iz * (1.0 + iz))
 
 
-def price_integrand(l, opt: VanillaOption, p: HestonParams, r):
-    """The braced l-integrand of the single-integral call price.
+def price_integrand(l, opt: VanillaOption, p: HestonParams, r, c=None):
+    """The l-integrand of the single-integral put price, on Im z = c.
 
-    Vectorized over l; finite in the limit l -> 0 (the constant
-    subtraction cancels the 1/l pole), but l = 0 itself must not be an
-    abscissa -- the adaptive rule splits the domain there.  It is
-    f(-l) = -conj f(l), so the call is (S0 - K bond)/2 minus 1/(2 pi)
-    times the integral of 2 Im f over l > 0, where the real constant
-    (K bond - S0)/l drops out and what is left decays like the
-    characteristic function.  A constant
-    rate is the rate model with cores (-i l rT, -i l rT - rT) and log
-    bond -rT; the -i l rT is folded into the phase.  The rate enters
-    nowhere else, so for an array of m rates the integrand has shape
-    l.shape + (m,), one column per rate on one evaluation of the cores.
+    With z = l + i c and x = ln(K/S0) - rT, the put is 1/(2 pi) times
+    the integral over the real l of
+
+        f(l) = K exp(i z x - rT + strike core(z)) / (i z (1 + i z)),
+
+    the bounded put payoff's transform against E[exp(-i z x_T)], finite
+    for -w- < c < w+, with poles at z = 0 and z = i only, so c in
+    (-w-, 0); ``c`` defaults to the pricer's, :func:`_contour_shift`.
+    The law of x_T is real, so f(-l) = conj f(l): the put is 1/(2 pi)
+    times the integral of 2 Re f over l > 0.  For an array of m rates
+    the integrand has shape l.shape + (m,), one column per rate on one
+    evaluation of the core.
     """
     l = np.asarray(l, dtype=float)
     T = opt.maturity
-    spot_core, strike_core = _MEMO.cores(_heston_key(p, T), l,
-                                         _core_exponents, T, p)
+    if c is None:
+        c = _contour_shift(p, T)
+    core = _MEMO.cores(_heston_key(p, T, c), l, _strike_core, T, p, c)
     if isinstance(r, np.ndarray) and r.ndim:
-        l, spot_core, strike_core = (l[..., None], spot_core[..., None],
-                                     strike_core[..., None])
-        bond = np.exp(-r * T)
-    else:
-        bond = math.exp(-r * T)
+        l, core = l[..., None], core[..., None]
     rt = r * T
-    return _braced(l, opt, math.log(opt.strike / opt.s0) - rt, spot_core,
-                   strike_core - rt, bond)
+    return _put_integrand(l, c, math.log(opt.strike / opt.s0) - rt,
+                          core + (math.log(opt.strike) - rt))
 
 
 def _check_result(res, what):
@@ -514,18 +516,22 @@ def _check_result(res, what):
                res.integrand_calls, res.window), res)
 
 
-def _finish_price(res, opt: VanillaOption, bond, cfg: QuadratureConfig,
-                  what):
-    """(price, res) from the folded braced integral ``res``, for both
+def _finish_price(res, opt: VanillaOption, p: HestonParams, c, bond,
+                  cfg: QuadratureConfig, what):
+    """(price, res) from the folded contour integral ``res``, for both
     pricers.
 
-    ``res`` integrates 2 Im of the braced integrand over l > 0, which is
-    real.  Checks convergence and the sign, and prices a put by the
-    parity C - P = S0 - K bond.  With one integral column per rate,
+    ``res`` integrates 2 Re of the put integrand over l > 0 on Im z =
+    c, 2 pi times the put.  Checks convergence, naming the contour and
+    the critical moments if it fails, and the sign, and prices a call by
+    the parity C - P = S0 - K bond.  With one integral column per rate,
     ``bond`` holds one discount per column, the price is an array, and
     the checks run column by column against each column's own error
     estimate.
     """
+    if not res.converged:
+        what += (" on the contour Im z = %.6g (critical moments w- = %.6g, "
+                 "w+ = %.6g)" % ((c,) + critical_moments(p, opt.maturity)))
     _check_result(res, what)
     if not isinstance(res.value, np.ndarray):
         return _column_price(res.value.real, res.error_estimate, opt, bond,
@@ -538,20 +544,20 @@ def _finish_price(res, opt: VanillaOption, bond, cfg: QuadratureConfig,
 
 def _column_price(value, error, opt: VanillaOption, bond,
                   cfg: QuadratureConfig, what):
-    """The price from one column of the folded braced integral, checked.
+    """The price from one column of the folded contour integral, checked.
 
     The folded integral is real by construction, so there is no
-    imaginary residual to check; a call below -10 max(abs_tol, error)
-    raises.
+    imaginary residual to check; a call or put below
+    -10 max(abs_tol, error) raises.
     """
-    s0, k = opt.s0, opt.strike
-    call = 0.5 * (s0 - k * bond) - value / _TWO_PI
-    if call < -10.0 * max(cfg.abs_tol, error):
-        raise PricingError("%s gives a negative call %.6e" % (what, call))
-    call = max(call, 0.0)
-    if opt.kind == "put":
-        return call - s0 + k * bond
-    return call
+    put = value / _TWO_PI
+    call = put + opt.s0 - opt.strike * bond
+    floor = -10.0 * max(cfg.abs_tol, error)
+    for kind, price in (("call", call), ("put", put)):
+        if price < floor:
+            raise PricingError("%s gives a negative %s %.6e"
+                               % (what, kind, price))
+    return max(call if opt.kind == "call" else put, 0.0)
 
 
 def heston_call_price(opt: VanillaOption, p: HestonParams, r,
@@ -560,7 +566,7 @@ def heston_call_price(opt: VanillaOption, p: HestonParams, r,
 
     ``p`` must carry risk-neutral (option-propagation) parameters with
     mu = r; apply :func:`hestoncir.models.risk_neutral_map` first if a
-    volatility risk premium is in play.  Puts are priced via parity.
+    volatility risk premium is in play.  Calls are priced via parity.
 
     ``r`` may also be a sequence of rates, giving an array of prices:
     the rates are the columns of one integral, which share its panels
@@ -590,11 +596,12 @@ def heston_price_with_diagnostics(opt: VanillaOption, p: HestonParams, r,
     elif not math.isfinite(r):
         raise ValueError("rate r must be finite, got %r" % (r,))
     else:
-        bond, what = math.exp(-r * T), "price"
-    _MEMO.admit(_heston_key(p, T))
+        bond, what = math.exp(-r * T), "price at T=%g" % T
+    c = _contour_shift(p, T)
+    _MEMO.admit(_heston_key(p, T, c))
     res = integrate_half_line(
-        lambda l: 2.0 * price_integrand(l, opt, p, r).imag, cfg)
-    return _finish_price(res, opt, bond, cfg, what)
+        lambda l: 2.0 * price_integrand(l, opt, p, r, c).real, cfg)
+    return _finish_price(res, opt, p, c, bond, cfg, what)
 
 
 def density_integrand(l, x, T, p: HestonParams):
@@ -849,10 +856,10 @@ def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
     Cross-check of :func:`heston_call_price`.  Under mu = r the terminal
     spot is S0 exp(x_T + rT), so the put payoff is K - a e^x with
     a = S0 e^{rT}, nonzero for x below x_lo = ln(K/S0) - rT.  The route
-    shares nothing with the pricer's spot core or its l-quadrature: it
-    reads the strike core alone, on the uniform l-table of
-    :func:`marginal_density_grid`, checked against the adaptive density
-    at three probes (see :func:`_density_evaluator`).
+    reads the pricer's strike core on the real line, independent of it
+    in the quadrature only: the l-table of :func:`marginal_density_grid`
+    checked at three probes (see :func:`_density_evaluator`); the
+    30-digit oracle of ``tests/mp_price_oracle.py`` checks both.
 
     The put is one integral of the bounded payoff against that table,
     in closed form for each mode, over [lo, x_lo].  Being bounded, the

@@ -4,17 +4,18 @@ The rate enters through a second family of kernel quantities, built on
 the same radial-oscillator pattern as the volatility side but with
 frequencies nu_r(l) and omega_r(l) from the discount-weighted CIR
 kernel.  The l = 0 value of the strike-side exponent is exactly the log
-of the CIR zero-coupon bond price, which is what replaces exp(-rT) in
-the at-the-money constant and in put-call parity.
+of the CIR zero-coupon bond price, which replaces exp(-rT) in put-call
+parity.
 
-Both rate exponents take the volatility side's one cancellation-free
-route, :func:`heston._core_half` with b = kappa_r, through
-:func:`rate_kernel` at every sigma_r > 0, so the price stays exact as
-sigma_r -> 0.  At sigma_r = 0 the printed formulas are singular and the
-pricer delegates to the constant-rate one at the deterministic average
-rate.  As in :mod:`hestoncir.heston`, the braced integrand is
-conjugate-antisymmetric in l, so the price integrates 2 Im of it over
-l > 0 only.
+The put is the constant-rate pricer's contour integral with the strike
+rate core at z = l + i c added to the volatility's: the rate is
+independent of the variance and its core finite for every c < 1, so the
+volatility side sets the contour.  The rate core takes the volatility
+side's one cancellation-free route, :func:`heston._core_half` with b =
+kappa_r, through :func:`rate_kernel` at every sigma_r > 0, so the price
+stays exact as sigma_r -> 0.  At sigma_r = 0 the printed formulas are
+singular and the pricer delegates to the constant-rate one at the
+deterministic average rate.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heston import _MEMO, _braced, _core_exponents, _core_half, \
-    _finish_price, _heston_key, heston_price_with_diagnostics
+from .heston import _MEMO, _contour_shift, _core_half, _finish_price, \
+    _heston_key, _put_integrand, _strike_core, \
+    heston_price_with_diagnostics
 from .models import CirRateParams, HestonParams, VanillaOption
 from .numerics import QuadratureConfig, integrate_half_line
 # nothing here calls it: bench/tracing.py wraps hybrid.integrate_real_line
@@ -82,12 +84,13 @@ def rate_kernel(l, T: float, rp: CirRateParams) -> RateKernelTerms:
     1/sigma_r^2 cancellation is left at any sigma_r > 0.  N_r(l)
     mirrors M_r with nu_r replaced by omega_r(l); at l = 0 the strike
     core reduces to the log CIR bond price, which the tests pin against
-    the textbook A exp(-B r0) formula.
+    the textbook A exp(-B r0) formula.  At a complex l = z the strike
+    core is log E[exp(-(1 + i z) int r)], finite for Im z < 1.
     """
     if rp.sigma_r <= 0:
         raise ValueError("rate_kernel requires sigma_r > 0; use the "
                          "deterministic-rate branch for sigma_r = 0")
-    l = np.asarray(l, dtype=float)
+    l = np.asarray(l)
     sig2 = rp.sigma_r * rp.sigma_r
     kt = rp.kappa_r * rp.theta_r
     a_r = rp.r0 + kt * T
@@ -114,9 +117,7 @@ def cir_bond_price(rp: CirRateParams, T: float) -> float:
     if rp.sigma_r <= 0:
         raise ValueError("cir_bond_price requires sigma_r > 0; use "
                          "exp(-T * deterministic_average_rate(rp, T))")
-    # every hybrid integrand call stores l = 0 in the rate-core memo
-    log_bond = _MEMO.cores((rp, T), 0.0, _rate_cores, T, rp)[1]
-    return float(np.exp(np.real(log_bond)))
+    return math.exp(rate_kernel(0.0, T, rp).strike_core.real)
 
 
 def deterministic_average_rate(rp: CirRateParams, T: float) -> float:
@@ -125,37 +126,26 @@ def deterministic_average_rate(rp: CirRateParams, T: float) -> float:
     return rp.theta_r + (rp.r0 - rp.theta_r) * decay / T
 
 
-def _rate_cores(l, T: float, rp: CirRateParams):
-    """Rate-side exponents with the kappa_r a_r / sigma_r^2 offset folded in.
-
-    Returns (spot_rate_core, strike_rate_core) of :func:`rate_kernel`,
-    the one rate route at every sigma_r > 0; the strike core at l = 0 is
-    the log bond price.
-    """
-    rk = rate_kernel(l, T, rp)
-    return rk.spot_core, rk.strike_core
+def _rate_core(l, T: float, rp: CirRateParams, c):
+    """The strike rate core of :func:`rate_kernel` at z = l + i c."""
+    return rate_kernel(l + 1j * c, T, rp).strike_core
 
 
 def hybrid_price_integrand(l, opt: VanillaOption, p: HestonParams,
-                           rp: CirRateParams):
-    """The braced l-integrand of the stochastic-rate call price.
+                           rp: CirRateParams, c=None):
+    """The l-integrand of the stochastic-rate put price, on Im z = c.
 
-    Vectorized over l; finite as l -> 0 by the same cancellation as in
-    the constant-rate integrand, with exp(-rT) replaced by the bond
-    price factor.
+    :func:`heston.price_integrand` with x = ln(K/S0) and the strike rate
+    core at z in place of -rT; ``c`` defaults to the pricer's contour.
     """
     l = np.asarray(l, dtype=float)
     T = opt.maturity
-    spot_core, strike_core = _MEMO.cores(_heston_key(p, T), l,
-                                         _core_exponents, T, p)
-    # one rate-core lookup serves the nodes and, at an appended l = 0,
-    # the log bond price
-    rate_spot, rate_strike = _MEMO.cores((rp, T), np.append(l, 0.0),
-                                         _rate_cores, T, rp)
-    bond = math.exp(rate_strike[-1].real)
-    return _braced(l, opt, math.log(opt.strike / opt.s0),
-                   spot_core + rate_spot[:-1].reshape(l.shape),
-                   strike_core + rate_strike[:-1].reshape(l.shape), bond)
+    if c is None:
+        c = _contour_shift(p, T)
+    core = _MEMO.cores(_heston_key(p, T, c), l, _strike_core, T, p, c)
+    rate = _MEMO.cores((rp, T, c), l, _rate_core, T, rp, c)
+    return _put_integrand(l, c, math.log(opt.strike / opt.s0),
+                          core + (rate + math.log(opt.strike)))
 
 
 def hybrid_call_price(opt: VanillaOption, p: HestonParams,
@@ -166,7 +156,7 @@ def hybrid_call_price(opt: VanillaOption, p: HestonParams,
     ``p`` must carry option-propagation parameters (mu unused here; the
     discounting lives entirely in the rate kernel).  For sigma_r = 0 the
     printed formulas are singular and the price reduces exactly to the
-    constant-rate pricer at the deterministic average rate.  Puts come
+    constant-rate pricer at the deterministic average rate.  Calls come
     from the generalized parity C - P = S0 - K * bond.
     """
     price, _ = hybrid_price_with_diagnostics(opt, p, rp, cfg)
@@ -183,9 +173,10 @@ def hybrid_price_with_diagnostics(opt: VanillaOption, p: HestonParams,
         rbar = deterministic_average_rate(rp, T)
         return heston_price_with_diagnostics(opt, p, rbar, cfg)
 
-    _MEMO.admit(_heston_key(p, T))
-    _MEMO.admit((rp, T))
-    bond = cir_bond_price(rp, T)
+    c = _contour_shift(p, T)
+    _MEMO.admit(_heston_key(p, T, c))
+    _MEMO.admit((rp, T, c))
     res = integrate_half_line(
-        lambda l: 2.0 * hybrid_price_integrand(l, opt, p, rp).imag, cfg)
-    return _finish_price(res, opt, bond, cfg, "hybrid price")
+        lambda l: 2.0 * hybrid_price_integrand(l, opt, p, rp, c).real, cfg)
+    return _finish_price(res, opt, p, c, cir_bond_price(rp, T), cfg,
+                         "hybrid price at T=%g" % T)

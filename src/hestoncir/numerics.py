@@ -2,9 +2,9 @@
 
 The pricing formulas in this package all reduce to one integral over the
 real line of the Fourier transform of a real law, a smooth, oscillatory,
-rapidly decaying function f with f(-l) = conj f(l) (the density) or
--conj f(l) (the braced price).  Folded onto l > 0 it is 2 Re f or 2 Im
-f, so every pricer integrates over (0, inf) only, with one engine,
+rapidly decaying function f with f(-l) = conj f(l) (the density, and
+the put on its contour).  Folded onto l > 0 it is 2 Re f, so every
+pricer integrates over (0, inf) only, with one engine,
 :func:`integrate_half_line`, an adaptive Gauss-Kronrod (7-15) scheme.
 It starts from geometric panels with edges 0, L/64, ..., L, 2L, so that
 one integrand call resolves any scale from L/64 to 2L; it then refines

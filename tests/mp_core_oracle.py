@@ -33,6 +33,14 @@ theta_r + r0)/sigma_r^2 from about 1 to 2e11; eight cases have sigma_r
 in 3e-5 to 1e-4, around the 1e8 where a direct form of the rate cores
 loses up to 1.5e-7), T from 0.02 to 30 and |l| from 1e-3 to 316.
 
+It also evaluates the strike cores, volatility and rate, at complex
+z = l + i c on the pricers' contour, Im z = c < 0 within the strip of
+E[exp(c x_T)]: b = kappa + i z rho sigma has the real part kappa -
+rho sigma c, negative in four volatility cases (rho < 0, sigma |c| >
+kappa) and positive in the others, among them kappa < rho sigma at
+T = 5 and 30, lam != 0, sigma and sigma_r 1e-6, and the contours of
+three benchmark quotes (one at T = 25.4, c = -1/16 against w- = 0.17).
+
 It also finds the critical moments w- and w+ of x_T at 30 digits:
 E[exp(s x_T)] is finite for -w- < s < w+, and each end is the first
 zero, outward from s = 0, of the moment's explosion denominator
@@ -47,8 +55,9 @@ T = 0.5, 1 and 2, the fat right tail (rho 0.9) at T = 30, a fat left
 tail at T = 6.74, and kappa < rho sigma with lam != 0.
 
 Run ``python tests/mp_core_oracle.py`` to print the rows stored in
-``tests/test_heston.py`` (MP_CORES, MP_CRITICAL_MOMENTS) and
-``tests/test_hybrid.py`` (MP_RATE_CORES), in a few seconds.
+``tests/test_heston.py`` (MP_CORES, MP_CONTOUR_CORES,
+MP_CRITICAL_MOMENTS) and ``tests/test_hybrid.py`` (MP_RATE_CORES,
+MP_CONTOUR_RATE_CORES), in a few seconds.
 """
 
 import mpmath as mp
@@ -112,6 +121,37 @@ RATE_CASES = (   # (kappa_r, theta_r, sigma_r, r0, T, l)
 )
 
 
+CONTOUR_CASES = (   # (kappa, theta, sigma, rho, v0, lam, T, l, c)
+    (1.0, 0.04, 0.2, -0.5, 0.04, 0.0, 1.0, 0.7, -1.0),
+    (1.0, 0.04, 0.2, -0.5, 0.04, 0.0, 0.02, 150.0, -1.0),
+    (1.0, 0.04, 0.2, -0.5, 0.04, 0.0, 30.0, 1e-3, -1.0),
+    (0.3, 0.1, 1.5, -0.9, 0.5, 0.0, 1.0, 0.5, -0.5),
+    (0.3, 0.1, 1.5, -0.9, 0.5, 0.0, 0.25, 1e-3, -1.0),
+    (0.8, 0.12, 1.0, -0.95, 0.15, 0.0, 0.5, 3.0, -1.0),
+    (0.5, 0.06, 1.2, -0.8, 0.1, 0.0, 0.5, 40.0, -1.0),
+    (0.3, 0.1, 1.5, 0.95, 0.5, 0.0, 30.0, 0.01, -0.03125),
+    (0.3, 0.1, 1.5, 0.95, 0.5, 0.0, 5.0, 2.0, -0.25),
+    (0.7, 0.1, 0.8, 0.95, 0.08, -0.4, 10.0, 5.0, -0.5),
+    (0.6470645420202017, 0.014540848845123928, 0.7330601633422388,
+     -0.7927392148281927, 0.006515486184457602, -0.28741184555730115,
+     25.4261447721671, 0.05, -0.0625),
+    (2.0, 0.05, 1e-4, -0.7, 0.03, 0.8, 3.0, 1.0, -1.0),
+    (2.0, 0.05, 1e-6, -0.7, 0.03, 0.0, 30.0, 0.01, -1.0),
+    (5.0, 0.1, 1e-6, -0.95, 0.15, 0.5, 0.25, 10.0, -1.0),
+)
+
+
+RATE_CONTOUR_CASES = (   # (kappa_r, theta_r, sigma_r, r0, T, l, c)
+    (1.8, 0.03, 0.1, 0.035, 1.0, 0.7, -1.0),
+    (0.5, 0.03, 0.3, 0.035, 30.0, 1e-3, -0.5),
+    (2.3529550572988596, 0.06683312704439343, 0.10326265170392034,
+     0.04263628944564945, 8.998288661544272, 2.0, -0.125),
+    (1.3462561824306447, 0.07841017883351567, 1.3907582123942162e-05,
+     0.04688373278236806, 18.59499893165206, 0.3, -0.125),
+    (1.8, 0.03, 1e-6, 0.035, 0.02, 316.0, -1.0),
+)
+
+
 MOMENT_CASES = (   # (kappa, theta, sigma, rho, v0, lam, T)
     (1.75, 0.045, 0.45, -0.65, 0.04, 0.0, 0.5),
     (1.75, 0.045, 0.45, -0.65, 0.04, 0.0, 1.0),
@@ -138,9 +178,10 @@ def _exp_w(freq, b, t):
 
 
 def core(side, kappa, theta, sigma, rho, v0, lam, t, l):
-    """The spot or strike exponent core at one (parameters, T, l)."""
+    """The spot or strike exponent core at one (parameters, T, l); l
+    may be complex."""
     kappa, theta, sigma, rho, v0, lam, t, l = (
-        mp.mpf(v) for v in (kappa, theta, sigma, rho, v0, lam, t, l))
+        mp.mpmathify(v) for v in (kappa, theta, sigma, rho, v0, lam, t, l))
     kappa_theta = kappa * theta
     kappa = kappa + lam
     theta = kappa_theta / kappa
@@ -163,9 +204,10 @@ def core(side, kappa, theta, sigma, rho, v0, lam, t, l):
 
 
 def rate_core(side, kappa_r, theta_r, sigma_r, r0, t, l):
-    """The spot or strike rate core at one (rate parameters, T, l)."""
+    """The spot or strike rate core at one (rate parameters, T, l); l
+    may be complex."""
     kappa_r, theta_r, sigma_r, r0, t, l = (
-        mp.mpf(v) for v in (kappa_r, theta_r, sigma_r, r0, t, l))
+        mp.mpmathify(v) for v in (kappa_r, theta_r, sigma_r, r0, t, l))
     i = mp.mpc(0, 1)
     sig2 = sigma_r * sigma_r
     l2 = 2 * i * l if side == "spot" else 2 * (i * l + 1)
@@ -213,10 +255,23 @@ def _print_rows(name, cases, fn):
     print(")")
 
 
+def _print_contour_rows(name, cases, fn):
+    """exp of the strike core at z = l + i c, the last two of a case."""
+    print("%s = (" % name)
+    for case in cases:
+        print("    (%s," % ", ".join(repr(v) for v in case))
+        z = mp.exp(fn("strike", *case[:-2], mp.mpc(*case[-2:])))
+        print("     %s, %s)," % (mp.nstr(z.real, 20), mp.nstr(z.imag, 20)))
+    print(")")
+
+
 def main():
     mp.mp.dps = 50
     _print_rows("MP_CORES", CASES, core)
     _print_rows("MP_RATE_CORES", RATE_CASES, rate_core)
+    _print_contour_rows("MP_CONTOUR_CORES", CONTOUR_CASES, core)
+    _print_contour_rows("MP_CONTOUR_RATE_CORES", RATE_CONTOUR_CASES,
+                        rate_core)
     mp.mp.dps = 30
     print("MP_CRITICAL_MOMENTS = (")
     for case in MOMENT_CASES:

@@ -24,7 +24,10 @@ The quotes span T from 0.02 to 30, sigma from 1e-6 to 1.5, |rho| up to
 0.95, lam != 0, kappa < rho sigma, deep in- and out-of-the-money
 strikes, the fat-tail cells of ``TestPriceViaDensitySweep`` (sigma 0.5,
 rho 0.9, T 5 and 30), the ``mc_verify`` benchmark band at three rates,
-and CIR rates with sigma_r from 0.3 down to 1e-6, and 0.
+CIR rates with sigma_r from 0.3 down to 1e-6, and 0, and five
+``scatter`` benchmark quotes (seeds 0, 1 and 3) that a contour Im z = c
+fixed at -1/2 or -1, past half the critical moment w-, misprices by
+0.04 to 893 while its integral converges.
 
 Run ``python tests/mp_price_oracle.py`` to print the rows stored in
 ``tests/test_price_oracle.py`` (MP_PRICES), with each integral's
@@ -97,6 +100,25 @@ QUOTES = (   # (kappa, theta, sigma, rho, v0, lam), rate r or CIR tuple, T, K
     (BAND, BAND_RATE, 1.2, 103.0),
     (WILD, FIG2_RATE, 2.0, 100.0),
     (LAM, FIG1_RATE, 3.0, 90.0),
+    # scatter quotes on which a fixed contour Im z = c prices a converged
+    # but wrong integral: the first four at c = -1/2, the last at c = -1
+    ((0.6470645420202017, 0.014540848845123928, 0.7330601633422388,
+      -0.7927392148281927, 0.006515486184457602, -0.28741184555730115),
+     0.011784955351616855, 25.4261447721671, 99.9078),
+    ((1.099123689706229, 0.09029500644497898, 0.98247984351886,
+      -0.8362093292917634, 0.053421903063802394, -0.0725018780096609),
+     (2.3529550572988596, 0.06683312704439343, 0.10326265170392034,
+      0.04263628944564945), 8.998288661544272, 1927.7733),
+    ((0.5496844680447409, 0.04559584091328193, 0.5999573649963715,
+      -0.360716323855241, 0.0176647440007135, -0.019175316550248123),
+     0.07956604925261797, 28.760344506773265, 2577.6268),
+    ((0.6677958538971216, 0.08135949538494495, 0.7974041177215703,
+      -0.23245179410947792, 0.1313450058022297, 0.0),
+     (1.3462561824306447, 0.07841017883351567, 1.3907582123942162e-05,
+      0.04688373278236806), 18.59499893165206, 19.3803),
+    ((1.8306434054955893, 0.08386574024813853, 0.9041231923863087,
+      -0.7062447704153142, 0.028821524484741866, 0.0),
+     0.03056075298793272, 14.567515074878482, 1619.1444),
 )
 
 BREAKS = [0, 5, 20, 50, 100, 200, 500, mp.inf]

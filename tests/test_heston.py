@@ -120,7 +120,8 @@ class TestKernelFunctions:
                 complex(func(l, fig1_heston)).conjugate(), rel=1e-14)
 
     def test_integrand_bounded_near_origin(self, fig1_heston, atm_option):
-        # the 1/l prefactor cancels; values at l = +/-1e-6 stay finite
+        # the contour Im z = c < 0 passes below the pole at z = 0; values
+        # at l = +/-1e-6 stay finite
         vals = price_integrand(np.array([-1e-6, 1e-6]), atm_option,
                                fig1_heston, 0.03)
         assert np.all(np.isfinite(vals))
@@ -192,8 +193,8 @@ class TestHestonCallPrice:
 
     def test_at_the_money_takes_the_measured_evaluations(self, fig1_heston,
                                                          atm_option):
-        # the folded integral evaluates 8 start panels on l > 0, where the
-        # whole line took 16, and converges in that first call
+        # the contour integral at Im z = -4 converges on its 8 start
+        # panels on l > 0 in the first call
         price, res = heston_price_with_diagnostics(atm_option, fig1_heston,
                                                    0.03)
         assert res.evaluations == 120 and res.integrand_calls == 1
@@ -210,6 +211,27 @@ class TestHestonCallPrice:
         assert res.evaluations == 60 and res.integrand_calls == 1
         assert "after 60 evaluations in 1 integrand calls, window 200" \
             in str(err.value)
+        w_minus, w_plus = critical_moments(fig1_heston, 1.0)
+        assert str(err.value).startswith(
+            "price at T=1 on the contour Im z = -4 (critical moments "
+            "w- = %.6g, w+ = %.6g) quadrature" % (w_minus, w_plus))
+
+    def test_a_negative_put_raises_naming_it(self, fig1_heston,
+                                             monkeypatch):
+        # the integral is 2 pi times the put: spoiled by -2 pi, the put of
+        # a deep in-the-money call is about -1 while its call stays
+        # positive
+        real = heston.integrate_half_line
+
+        def spoiled(f, cfg):
+            res = real(f, cfg)
+            return replace(res, value=res.value - 2.0 * math.pi)
+
+        monkeypatch.setattr(heston, "integrate_half_line", spoiled)
+        with pytest.raises(PricingError,
+                           match="price at T=1 gives a negative put"):
+            heston_call_price(VanillaOption(100.0, 60.0, 1.0), fig1_heston,
+                              0.03)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, [],
                                    [0.03, math.nan], np.array([0.01, np.inf])],
@@ -236,46 +258,18 @@ class TestHestonCallPrice:
                               fig1_heston, rate)
         assert core_memo.nodes > 0
         computed = []
-        core = heston._core_exponents
+        core = heston._strike_core
 
-        def counting(l, T, p):
+        def counting(l, T, p, c):
             computed.append(np.size(l))
-            return core(l, T, p)
+            return core(l, T, p, c)
 
-        monkeypatch.setattr(heston, "_core_exponents", counting)
+        monkeypatch.setattr(heston, "_strike_core", counting)
         price, res = heston_price_with_diagnostics(opt, fig1_heston, r)
         assert sum(computed) < res.evaluations   # the table served hits
         assert price == cold_price
         assert (res.value, res.error_estimate, res.evaluations) == \
             (cold.value, cold.error_estimate, cold.evaluations)
-
-
-# kappa < rho sigma takes the spot core's other branch; lam != 0 moves
-# kappa and theta to the pricing measure; sigma 1e-6 is the near-
-# deterministic limit
-_STACK_PARAMS = [
-    HestonParams(mu=0.03, kappa=1.0, theta=0.04, sigma=0.2, rho=-0.5,
-                 v0=0.04),
-    HestonParams(mu=0.03, kappa=0.3, theta=0.1, sigma=1.5, rho=0.95,
-                 v0=0.5),
-    HestonParams(mu=0.03, kappa=2.0, theta=0.05, sigma=0.6, rho=0.3,
-                 v0=0.02, lam=0.7),
-    HestonParams(mu=0.03, kappa=1.5, theta=0.04, sigma=1e-6, rho=-0.9,
-                 v0=0.09),
-    HestonParams(mu=0.03, kappa=0.5, theta=0.04, sigma=0.5, rho=0.99,
-                 v0=0.04, lam=-0.1),
-]
-
-
-class TestStackedCores:
-    @pytest.mark.parametrize("p", _STACK_PARAMS)
-    @pytest.mark.parametrize("T", [1.0 / 52.0, 1.0, 30.0])
-    def test_equal_to_the_per_core_calls_bit_for_bit(self, p, T):
-        mag = np.geomspace(1e-6, 1e4, 301)
-        l = np.concatenate([-mag[::-1], mag])
-        spot, strike = heston._core_exponents(l, T, p)
-        assert spot.tobytes() == heston._spot_core(l, T, p).tobytes()
-        assert strike.tobytes() == heston._strike_core(l, T, p).tobytes()
 
 
 class TestCoreMemo:
@@ -290,7 +284,7 @@ class TestCoreMemo:
 
     def test_node_budget_holds_over_many_keys(self, core_memo, fig1_heston,
                                               monkeypatch):
-        assert 40 * heston._MEMO_NODES <= 2 ** 20   # about 1 MB of tables
+        assert 24 * heston._MEMO_NODES <= 2 ** 20   # about 600 KB of tables
         # a budget these quotes fill, so full tables are exercised
         monkeypatch.setattr(core_memo, "max_nodes", 3000)
         quotes = [(VanillaOption(100.0, k, 0.02 + 0.01 * i), fig1_heston)
@@ -298,10 +292,25 @@ class TestCoreMemo:
         prices = [heston_call_price(opt, p, 0.03) for opt, p in quotes]
         assert 0 < len(core_memo.tables) <= heston._MEMO_KEYS
         assert 2000 < core_memo.nodes <= 3000
-        assert core_memo.nbytes == 40 * core_memo.nodes
+        assert core_memo.nbytes == 24 * core_memo.nodes
         # full tables keep serving hits with the values they hold
         assert [heston_call_price(opt, p, 0.03)
                 for opt, p in quotes[-40:]] == prices[-40:]
+
+    def test_integrand_on_another_contour_skips_the_table(
+            self, core_memo, fig1_heston, atm_option):
+        # two quotes give (params, T) a table on the pricers' contour,
+        # Im z = -4 here; the integrand on Im z = -1 must not read it
+        for kind in ("call", "put"):
+            heston_call_price(VanillaOption(100.0, 100.0, 1.0, kind),
+                              fig1_heston, 0.03)
+        key = heston._heston_key(fig1_heston, 1.0, -4.0)
+        assert core_memo.tables == [key]
+        l = core_memo._entries[key][0][::40]    # nodes the table holds
+        got = price_integrand(l, atm_option, fig1_heston, 0.03, -1.0)
+        core_memo.clear()
+        assert got.tobytes() == price_integrand(
+            l, atm_option, fig1_heston, 0.03, -1.0).tobytes()
 
     @pytest.mark.parametrize("change, T, shared", [
         ({"mu": 0.05}, 1.0, True),
@@ -317,7 +326,7 @@ class TestCoreMemo:
         heston_call_price(VanillaOption(100.0, 90.0, T, "put"),
                           replace(fig1_heston, **change), 0.05)
         assert core_memo.tables == (
-            [heston._heston_key(fig1_heston, 1.0)] if shared else [])
+            [heston._heston_key(fig1_heston, 1.0, -4.0)] if shared else [])
 
 
 class TestMarginalDensity:
@@ -936,9 +945,72 @@ class TestCoreOracle:
         kappa, theta, sigma, rho, v0, lam, T, l = row[:8]
         p = HestonParams(mu=0.03, kappa=kappa, theta=theta, sigma=sigma,
                          rho=rho, v0=v0, lam=lam)
-        spot, strike = heston._core_exponents(np.array([l]), T, p)
+        # the spot core at l is the strike core at z = l + i
+        spot = heston._strike_core(np.array([l]), T, p, 1.0)
+        strike = heston._strike_core(np.array([l]), T, p)
         assert abs(np.exp(spot[0]) - complex(*row[8:10])) <= 1e-12
         assert abs(np.exp(strike[0]) - complex(*row[10:12])) <= 1e-12
+
+
+# (kappa, theta, sigma, rho, v0, lam, T, l, c, exp(strike core).real,
+# .imag) at z = l + i c on the pricing contour, at 50 digits, printed by
+# tests/mp_core_oracle.py: b's real part kappa - rho sigma c is negative
+# in rows 4-7 and positive in the others
+MP_CONTOUR_CORES = (
+    (1.0, 0.04, 0.2, -0.5, 0.04, 0.0, 1.0, 0.7, -1.0,
+     1.0295204551587036668, 0.045964693603528408087),
+    (1.0, 0.04, 0.2, -0.5, 0.04, 0.0, 0.02, 150.0, -1.0,
+     0.000080640120109266619001, -0.00015475129831787642292),
+    (1.0, 0.04, 0.2, -0.5, 0.04, 0.0, 30.0, 0.001, -1.0,
+     3.8997567451258598051, 0.0087572773392796162291),
+    (0.3, 0.1, 1.5, -0.9, 0.5, 0.0, 1.0, 0.5, -0.5,
+     0.89979635385906541172, 0.31282087287774684237),
+    (0.3, 0.1, 1.5, -0.9, 0.5, 0.0, 0.25, 0.001, -1.0,
+     1.1594275329387784178, 0.00029531501851585165647),
+    (0.8, 0.12, 1.0, -0.95, 0.15, 0.0, 0.5, 3.0, -1.0,
+     0.68116441260166854272, 0.051806097578633052819),
+    (0.5, 0.06, 1.2, -0.8, 0.1, 0.0, 0.5, 40.0, -1.0,
+     -0.092476306623781153858, -0.028794917510292506841),
+    (0.3, 0.1, 1.5, 0.95, 0.5, 0.0, 30.0, 0.01, -0.03125,
+     1.074865740714229655, 0.027865363302935675621),
+    (0.3, 0.1, 1.5, 0.95, 0.5, 0.0, 5.0, 2.0, -0.25,
+     0.36761218042270496947, 0.73537124209856068531),
+    (0.7, 0.1, 0.8, 0.95, 0.08, -0.4, 10.0, 5.0, -0.5,
+     0.078436327310025377581, -0.41645357827019053627),
+    (0.6470645420202017, 0.014540848845123928, 0.7330601633422388,
+     -0.7927392148281927, 0.006515486184457602, -0.28741184555730115,
+     25.4261447721671, 0.05, -0.0625,
+     1.0190238209958651003, 0.023483624551894618588),
+    (2.0, 0.05, 0.0001, -0.7, 0.03, 0.8, 3.0, 1.0, -1.0,
+     1.04088262462591974, 0.16547717502669482906),
+    (2.0, 0.05, 1e-06, -0.7, 0.03, 0.0, 30.0, 0.01, -1.0,
+     4.4356591545230613697, 0.099153549340494132941),
+    (5.0, 0.1, 1e-06, -0.95, 0.15, 0.5, 0.25, 10.0, -1.0,
+     0.19841647230036519845, 0.098631125025397029905),
+)
+
+
+def _contour_case(row):
+    kappa, theta, sigma, rho, v0, lam, T, l, c = row[:9]
+    return HestonParams(mu=0.03, kappa=kappa, theta=theta, sigma=sigma,
+                        rho=rho, v0=v0, lam=lam), T, l, c
+
+
+class TestContourCoreOracle:
+    @pytest.mark.parametrize("row", MP_CONTOUR_CORES)
+    def test_strike_core_matches_mpmath(self, row):
+        p, T, l, c = _contour_case(row)
+        want = complex(*row[9:11])
+        got = np.exp(heston._strike_core(np.array([l]), T, p, c)[0])
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_rows_take_both_branches(self):
+        re_b = []
+        for row in MP_CONTOUR_CORES:
+            p, _, _, c = _contour_case(row)
+            kappa, _ = heston._pricing_kappa_theta(p)
+            re_b.append(kappa - p.rho * p.sigma * c)
+        assert [i for i, b in enumerate(re_b) if b < 0.0] == [3, 4, 5, 6]
 
 
 # (kappa, theta, sigma, rho, v0, lam, T, w-, w+) at 30 digits, printed by
@@ -975,6 +1047,15 @@ class TestCriticalMoments:
         w_minus, w_plus = critical_moments(p, T)
         assert abs(w_minus / row[7] - 1.0) <= 1e-8
         assert abs(w_plus / row[8] - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("row", MP_CRITICAL_MOMENTS)
+    def test_explosion_time_at_each_critical_moment_is_T(self, row):
+        # Andersen and Piterbarg's closed-form T*(s) inverts w(T)
+        p, T = _moment_case(row)
+        for s in (-row[7], row[8]):
+            assert abs(heston._explosion_time(s, p) / T - 1.0) <= 1e-9, s
+        inside = (-0.999 * row[7], 0.999 * row[8])
+        assert all(heston._explosion_time(s, p) > T for s in inside)
 
     @pytest.mark.parametrize("row", MP_CRITICAL_MOMENTS)
     def test_finite_inside_and_exploded_outside(self, row):

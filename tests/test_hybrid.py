@@ -79,18 +79,13 @@ class TestBondPrice:
         det = math.exp(-deterministic_average_rate(rp, 2.0) * 2.0)
         assert cir_bond_price(rp, 2.0) == pytest.approx(det, rel=1e-6)
 
-    def test_read_through_rate_memo(self, fig1_heston, fig1_rate,
-                                    core_memo, monkeypatch):
-        cold = cir_bond_price(fig1_rate, 1.0)
-        for k in (90.0, 110.0):
-            hybrid_call_price(VanillaOption(100.0, k, 1.0), fig1_heston,
-                              fig1_rate)
-
-        def no_rate_cores(*args):
-            raise AssertionError("l = 0 should come from the rate table")
-
-        monkeypatch.setattr(hybrid, "_rate_cores", no_rate_cores)
-        assert cir_bond_price(fig1_rate, 1.0) == cold
+    @pytest.mark.parametrize("sigma_r", [1e-6, 0.1, 0.3])
+    def test_is_the_strike_rate_core_at_zero(self, sigma_r):
+        # one rate_kernel call at l = 0, whatever the memo holds
+        rp = CirRateParams(kappa_r=1.8, theta_r=0.03, sigma_r=sigma_r,
+                           r0=0.035)
+        core = rate_kernel(0.0, 2.0, rp).strike_core
+        assert cir_bond_price(rp, 2.0) == math.exp(core.real)
 
     def test_zero_vol_rejected(self):
         rp = CirRateParams(kappa_r=1.8, theta_r=0.03, sigma_r=0.0,
@@ -240,9 +235,41 @@ class TestRateCoreOracle:
     def test_rate_cores_match_mpmath(self, row):
         rp = CirRateParams(*row[:4])
         T, l = row[4:6]
-        spot, strike = hybrid._rate_cores(np.array([l]), T, rp)
-        assert abs(np.exp(spot[0]) - complex(*row[6:8])) <= 1e-12
-        assert abs(np.exp(strike[0]) - complex(*row[8:10])) <= 1e-12
+        terms = rate_kernel(np.array([l]), T, rp)
+        assert abs(np.exp(terms.spot_core[0]) - complex(*row[6:8])) <= 1e-12
+        assert abs(np.exp(terms.strike_core[0])
+                   - complex(*row[8:10])) <= 1e-12
+
+
+# (kappa_r, theta_r, sigma_r, r0, T, l, c, exp(strike rate core).real,
+# .imag) at z = l + i c, at 50 digits, printed by tests/mp_core_oracle.py
+MP_CONTOUR_RATE_CORES = (
+    (1.8, 0.03, 0.1, 0.035, 1.0, 0.7, -1.0,
+     0.93722607749705696923, -0.021160715883328531953),
+    (0.5, 0.03, 0.3, 0.035, 30.0, 0.001, -0.5,
+     0.32108018974796894254, -0.00020836536796938974851),
+    (2.3529550572988596, 0.06683312704439343, 0.10326265170392034,
+     0.04263628944564945, 8.998288661544272, 2.0, -0.125,
+     0.19570547315927399844, -0.47479081932920401809),
+    (1.3462561824306447, 0.07841017883351567, 1.3907582123942162e-05,
+     0.04688373278236806, 18.59499893165206, 0.3, -0.125,
+     0.18094328639076890182, -0.083068900524064800925),
+    (1.8, 0.03, 1e-06, 0.035, 0.02, 316.0, -1.0,
+     0.97439638862993216203, -0.21854676541583019776),
+)
+
+
+class TestContourRateCoreOracle:
+    @pytest.mark.parametrize("row", MP_CONTOUR_RATE_CORES)
+    def test_strike_rate_core_matches_mpmath(self, row):
+        rp = CirRateParams(*row[:4])
+        T, l, c = row[4:7]
+        want = complex(*row[7:9])
+        core = rate_kernel(np.array([l + 1j * c]), T, rp).strike_core
+        assert abs(np.exp(core[0]) - want) <= 1e-12 * max(1.0, abs(want))
+        # the hybrid's memo miss is that rate_kernel call
+        assert hybrid._rate_core(np.array([l]), T, rp, c).tobytes() == \
+            core.tobytes()
 
 
 class TestNearDeterministicRate:
@@ -379,13 +406,13 @@ class TestHybridPrice:
                               fig2_rate)
         assert len(core_memo.tables) == 3
         computed = []
-        rate_cores = hybrid._rate_cores
+        rate_core = hybrid._rate_core
 
-        def counting(l, T, rp):
+        def counting(l, T, rp, c):
             computed.append(np.size(l))
-            return rate_cores(l, T, rp)
+            return rate_core(l, T, rp, c)
 
-        monkeypatch.setattr(hybrid, "_rate_cores", counting)
+        monkeypatch.setattr(hybrid, "_rate_core", counting)
         price, res = hybrid_price_with_diagnostics(opt, fig1_heston,
                                                    fig1_rate)
         assert sum(computed) < res.evaluations   # the table served hits

@@ -281,14 +281,14 @@ class TestRateVectorRoute:
         opt, p, rp = _curve_market("band")
         _, rates = _curve_rates(opt, rp)
         with pytest.raises(PricingError, match="did not converge") as err:
-            heston_call_price(opt, p, rates, QuadratureConfig(max_evals=120))
+            heston_call_price(opt, p, rates, QuadratureConfig(max_evals=90))
         assert "T=1.2, r in [%.6g, %.6g]" % (rates.min(), rates.max()) \
             in str(err.value)
 
     def test_a_column_with_a_negative_call_names_T_and_the_rates(
             self, monkeypatch):
-        # one column's integral is spoiled into a call of -S0; the other
-        # 20 are left as computed
+        # one column's integral, 2 pi times its put, is spoiled into a
+        # call below -K; the other 20 are left as computed
         opt, p, rp = _curve_market("feller")
         _, rates = _curve_rates(opt, rp)
         real = heston.integrate_half_line
@@ -296,7 +296,7 @@ class TestRateVectorRoute:
         def spoiled(f, cfg):
             res = real(f, cfg)
             value = res.value.copy()
-            value[7] += 2.0 * np.pi * (opt.s0 + opt.strike)
+            value[7] -= 2.0 * np.pi * (opt.s0 + opt.strike)
             return QuadratureResult(value, res.error_estimate,
                                     res.evaluations, res.converged)
 

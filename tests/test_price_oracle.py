@@ -16,9 +16,9 @@ import pytest
 from hestoncir import (
     CirRateParams,
     HestonParams,
-    PricingError,
     VanillaOption,
     cir_bond_price,
+    critical_moments,
     deterministic_average_rate,
     heston_call_price,
     hybrid_call_price,
@@ -30,7 +30,8 @@ S0 = 100.0
 TOL = 1e-9 * S0
 
 # ((kappa, theta, sigma, rho, v0, lam), r or (kappa_r, theta_r, sigma_r,
-# r0), T, K, call price) at 30 digits, printed by tests/mp_price_oracle.py
+# r0), T, K, call price) at 30 digits, printed by tests/mp_price_oracle.py;
+# the last five are scatter quotes that a fixed contour misprices
 MP_PRICES = (
     ((1.0, 0.04, 0.2, -0.5, 0.04, 0.0),
      0.03, 0.02, 100.0, 1.1575192428550780273),
@@ -118,17 +119,32 @@ MP_PRICES = (
      (0.5, 0.03, 0.3, 0.035), 2.0, 100.0, 18.526607494366082124),
     ((2.0, 0.05, 0.3, -0.7, 0.03, 0.8),
      (1.8, 0.03, 0.1, 0.035), 3.0, 90.0, 23.084611713439574209),
+    ((0.6470645420202017, 0.014540848845123928, 0.7330601633422388,
+      -0.7927392148281927, 0.006515486184457602, -0.28741184555730115),
+     0.011784955351616855, 25.4261447721671, 99.9078,
+     35.096886620448650224),
+    ((1.099123689706229, 0.09029500644497898, 0.98247984351886,
+      -0.8362093292917634, 0.053421903063802394, -0.0725018780096609),
+     (2.3529550572988596, 0.06683312704439343, 0.10326265170392034,
+      0.04263628944564945), 8.998288661544272, 1927.7733,
+     1.0850420772895216097e-6),
+    ((0.5496844680447409, 0.04559584091328193, 0.5999573649963715,
+      -0.360716323855241, 0.0176647440007135, -0.019175316550248123),
+     0.07956604925261797, 28.760344506773265, 2577.6268,
+     9.9247842931158726163),
+    ((0.6677958538971216, 0.08135949538494495, 0.7974041177215703,
+      -0.23245179410947792, 0.1313450058022297, 0.0),
+     (1.3462561824306447, 0.07841017883351567, 1.3907582123942162e-05,
+      0.04688373278236806), 18.59499893165206, 19.3803,
+     95.596909614131893567),
+    ((1.8306434054955893, 0.08386574024813853, 0.9041231923863087,
+      -0.7062447704153142, 0.028821524484741866, 0.0),
+     0.03056075298793272, 14.567515074878482, 1619.1444,
+     0.041244014851040040633),
 )
 
 HESTON_ROWS = [row for row in MP_PRICES if not isinstance(row[1], tuple)]
 HYBRID_ROWS = [row for row in MP_PRICES if isinstance(row[1], tuple)]
-
-# kappa < rho sigma at T = 30: the integrand's error stays near 5.6
-# through the whole 500,000 budget, so heston_call_price raises instead
-# of pricing; price_via_density, whose put integral the critical moments
-# size (w+ lies within 1e-14 of 1 here), prices it
-STUCK = ((0.3, 0.1, 1.5, 0.95, 0.5, 0.0), 0.03, 30.0, 100.0)
-
 
 def _params(row):
     return HestonParams(mu=0.03, kappa=row[0][0], theta=row[0][1],
@@ -143,11 +159,7 @@ def _id(row):
 
 
 def _cases(rows):
-    return [pytest.param(row, id=_id(row), marks=pytest.mark.xfail(
-        raises=PricingError, strict=True,
-        reason="the integral pricer fails kappa < rho sigma at T = 30"))
-        if row[:4] == STUCK else pytest.param(row, id=_id(row))
-        for row in rows]
+    return [pytest.param(row, id=_id(row)) for row in rows]
 
 
 class TestHestonLiterals:
@@ -161,8 +173,7 @@ class TestHestonLiterals:
         assert abs(heston_call_price(VanillaOption(S0, K, T, "put"), p, r)
                    - put) <= TOL
 
-    @pytest.mark.parametrize("row", [pytest.param(row, id=_id(row))
-                                     for row in HESTON_ROWS])
+    @pytest.mark.parametrize("row", _cases(HESTON_ROWS))
     def test_price_via_density(self, row):
         _, r, T, K, call = row
         assert abs(price_via_density(VanillaOption(S0, K, T), _params(row),
@@ -172,8 +183,7 @@ class TestHestonLiterals:
         # one integral per contract, its literal rates as the columns
         contracts = {}
         for row in HESTON_ROWS:
-            if row[:4] != STUCK:
-                contracts.setdefault((row[0], row[2], row[3]), []).append(row)
+            contracts.setdefault((row[0], row[2], row[3]), []).append(row)
         assert max(len(rows) for rows in contracts.values()) == 3
         for (_, T, K), rows in contracts.items():
             rates = [row[1] for row in rows]
@@ -198,6 +208,57 @@ class TestHybridLiterals:
                    - call) <= TOL
         assert abs(hybrid_call_price(VanillaOption(S0, K, T, "put"), p, rp)
                    - (call - S0 + K * bond)) <= TOL
+
+
+# the contour's (params, T) over every literal, and a sweep with
+# kappa < rho sigma (kappa 0.3, sigma 1.5, rho 0.95) and lam != 0
+_SHIFT_CASES = sorted({(row[0], row[2]) for row in MP_PRICES}) + [
+    ((kappa, 0.06, sigma, rho, 0.05, lam), T)
+    for kappa in (0.3, 2.0) for sigma in (0.2, 1.5) for rho in (-0.9, 0.95)
+    for lam in (0.0, -0.2) for T in (0.1, 5.0, 30.0)]
+
+
+class TestContourShift:
+    """The contour Im z = c lies in the lower half of the strip (-w-, 0),
+    where E[exp(s x_T)] is finite for -w- < s < 0: 2c > -w-."""
+
+    @pytest.mark.parametrize("params, T", _SHIFT_CASES)
+    def test_twice_the_shift_is_inside_the_strip(self, params, T):
+        p = _params((params,))
+        c = heston._contour_shift(p, T)
+        w_minus, _ = critical_moments(p, T)
+        assert -4.0 <= c < 0.0 and math.log2(-c).is_integer(), c
+        assert 2.0 * c > -w_minus, (c, w_minus)
+
+    @pytest.mark.parametrize("params, T, c", [
+        # short maturities go out to -4, where the integrand is smallest
+        ((1.0, 0.04, 0.2, -0.5, 0.04, 0.0), 1.0 / 52.0, -4.0),
+        ((1.0, 0.04, 0.2, -0.5, 0.04, 0.0), 1.0, -4.0),
+        ((1.0, 0.04, 0.2, -0.5, 0.04, 0.0), 30.0, -1.0),
+        # the explosion caps it: w- = 0.17
+        (MP_PRICES[-5][0], MP_PRICES[-5][2], -0.0625),
+        # a mean integrated variance of 1250 pulls it in to 2^-9, where
+        # E[exp(c x_T)] is e^1.2 rather than e^524 at c = -1/2
+        ((1.5, 25.0, 0.5, -0.5, 25.0, 0.0), 50.0, -2.0 ** -9),
+    ])
+    def test_the_measured_shifts(self, params, T, c):
+        assert heston._contour_shift(_params((params,)), T) == c
+
+    def test_log1p_arguments_stay_off_minus_one(self, monkeypatch):
+        # _log1p_c loses log|1 + z| as |1 + z| -> 0 (below about 1e-8);
+        # on the contour, half the strip away from the explosion, the
+        # cores keep |1 + z| above 0.25 (0.42 measured over these cases)
+        real, least = heston._log1p_c, []
+
+        def recording(z):
+            least.append(float(np.min(np.abs(1.0 + np.asarray(z)))))
+            return real(z)
+
+        monkeypatch.setattr(heston, "_log1p_c", recording)
+        for params, T in _SHIFT_CASES:
+            heston_call_price(VanillaOption(S0, 100.0, T),
+                              _params((params,)), 0.03)
+        assert least and min(least) >= 0.25, min(least)
 
 
 def _textbook_cores(l, p: HestonParams, T):
@@ -253,7 +314,9 @@ class TestBranchTrap:
                    if row[0][3] == 0.9 and row[2] == T and row[3] == 100.0)
         p, call = _params(row), row[4]
         l = (np.arange(20_000) + 0.5) * 0.005
-        exact = _midpoint_call(heston._core_exponents(l, T, p), l, 0.03, T,
+        # the spot core at l is the strike core at z = l + i
+        exact = _midpoint_call((heston._strike_core(l, T, p, 1.0),
+                                heston._strike_core(l, T, p)), l, 0.03, T,
                                100.0)
         assert abs(exact - call) <= TOL
         with warnings.catch_warnings():
