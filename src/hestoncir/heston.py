@@ -22,9 +22,9 @@ column per rate (:func:`heston_call_price` with an array of rates).
 The core depends on the parameters and the maturity (which fix c) but
 not on the strike or the rate, which enter only through phases.  Quotes
 on one (params, T) therefore share their cores through a bounded memo:
-the pricer admits the kernel key once per quote, the key gets a table of
-cores at its second quote, and the integrand computes only the nodes
-the table lacks.  Parameter sets priced once store nothing.
+the pricer admits the kernel key once per quote, and the key gets a
+table at its second quote with one entry per integrand call, keyed by
+its abscissae' bytes.  Parameter sets priced once store nothing.
 
 The density is one Fourier integral over l as well, taken on a uniform
 l-table of its kernel that ends where the kernel falls below e^-45 and
@@ -344,8 +344,8 @@ def _tail_depths(p: HestonParams, T, log_odds):
 
 # Bounds of the exponent-core memo: the kernel keys it remembers (seen
 # once or holding a table) and the nodes all its tables hold together.
-# A node costs 24 bytes (l and its complex core), so the tables stay
-# within about 600 KB; a table that meets the budget still serves hits.
+# A node costs 24 bytes (8 of l in the key, 16 of its complex core), so
+# the tables stay within about 600 KB; a full table still serves hits.
 _MEMO_KEYS = 64
 _MEMO_NODES = 25_000
 
@@ -354,25 +354,24 @@ class _CoreMemo:
     """Bounded memo of a kernel's exponent core, one table per key.
 
     A key holds every value the core function reads (parameters, T and
-    the contour's c).  A table is (sorted nodes, cores); a lookup is a
-    searchsorted with an equality test, and the misses are computed by
-    the core function and merged into a new table that replaces the old
-    one whole, so a reader never sees a table change.  A hit returns the
-    values the core function computed for that node.  Past ``max_keys``
-    remembered keys the least recently admitted one is forgotten.
+    the contour's c).  A table has one entry per integrand call, keyed
+    by its abscissae' bytes: quotes on one key start from one window and
+    bisect it alike, so they repeat each other's calls bit for bit.  A
+    hit returns the stored read-only cores in the shape asked for.  Past
+    ``max_keys`` keys the least recently admitted one is forgotten.
     """
 
     def __init__(self):
         self.max_keys = _MEMO_KEYS
         self.max_nodes = _MEMO_NODES
         self._entries = OrderedDict()   # key -> None (seen once) or table
-        self._nodes = 0
+        self.nodes = 0
         self._lock = threading.Lock()
 
     def clear(self):
         with self._lock:
             self._entries.clear()
-            self._nodes = 0
+            self.nodes = 0
 
     @property
     def tables(self):
@@ -380,14 +379,11 @@ class _CoreMemo:
         return [k for k, t in list(self._entries.items()) if t is not None]
 
     @property
-    def nodes(self):
-        return self._nodes
-
-    @property
     def nbytes(self):
-        """Bytes held by the tables' arrays."""
-        return sum(t[0].nbytes + t[1].nbytes
-                   for t in list(self._entries.values()) if t is not None)
+        """Bytes held by the tables' keys and cores."""
+        return sum(len(call) + got.nbytes
+                   for t in list(self._entries.values()) if t is not None
+                   for call, got in list(t.items()))
 
     def admit(self, key):
         """Count one quote on ``key``; its second quote gets a table."""
@@ -397,11 +393,11 @@ class _CoreMemo:
                 if len(self._entries) > self.max_keys:
                     _, old = self._entries.popitem(last=False)
                     if old is not None:
-                        self._nodes -= old[0].size
+                        self.nodes -= sum(got.size for got in old.values())
                 return
             self._entries.move_to_end(key)
             if self._entries[key] is None:
-                self._entries[key] = (np.empty(0), np.empty(0, complex))
+                self._entries[key] = {}
 
     def cores(self, key, l, fn, *args):
         """``fn(l, *args)``, an array of cores, through key's table."""
@@ -409,53 +405,19 @@ class _CoreMemo:
         if table is None:
             return fn(l, *args)
         l = np.asarray(l, dtype=float)
-        flat = l.reshape(-1)
-        nodes, vals = table
-        idx, miss = _locate(nodes, flat)
-        if not miss.any():
-            out = vals[idx]
-        elif miss.all():
-            out = self._fill(key, flat, fn(flat, *args))
-        else:
-            out = vals[idx]
-            new = flat[miss]
-            out[miss] = self._fill(key, new, fn(new, *args))
-        return out.reshape(l.shape)
-
-    def _fill(self, key, new, got):
-        """Merge the cores ``got`` at nodes ``new`` into key's table.
-
-        Returns ``got``.  Nodes another thread stored since the lookup
-        are skipped; a table that would pass the node budget is left as
-        it is.
-        """
-        new, first = np.unique(new, return_index=True)
+        call = l.tobytes()
+        got = table.get(call)
+        if got is not None:
+            return got.reshape(l.shape)
+        got = fn(l, *args)
         with self._lock:
-            table = self._entries.get(key)
-            if table is None:       # evicted since the lookup
-                return got
-            nodes, vals = table
-            _, fresh = _locate(nodes, new)
-            new, first = new[fresh], first[fresh]
-            if not new.size or self._nodes + new.size > self.max_nodes:
-                return got
-            pos = nodes.searchsorted(new)
-            self._entries[key] = (np.insert(nodes, pos, new),
-                                  np.insert(vals, pos, got[first]))
-            self._nodes += new.size
+            # skip a key evicted, or a call stored, since the lookup
+            if (self._entries.get(key) is table and call not in table
+                    and self.nodes + got.size <= self.max_nodes):
+                table[call] = got = got.copy()  # not a view of a larger one
+                got.flags.writeable = False
+                self.nodes += got.size
         return got
-
-
-def _locate(nodes, x):
-    """Index of each x in the sorted ``nodes`` and a mask of those absent.
-
-    An absent x gets some index in range, or 0 when ``nodes`` is empty.
-    """
-    if not nodes.size:
-        return np.zeros(x.shape, dtype=np.intp), np.ones(x.shape, dtype=bool)
-    idx = nodes.searchsorted(x)
-    np.minimum(idx, nodes.size - 1, out=idx)
-    return idx, nodes[idx] != x
 
 
 _MEMO = _CoreMemo()
@@ -626,10 +588,13 @@ def marginal_density(x, T: float, p: HestonParams,
     whose integral is smallest.  The integrand is conjugate-symmetric
     over real l, so the density is 1/(2 pi) times the integral of 2 Re
     of it over l > 0; that integral is real by construction, and no
-    imaginary residual is left to check.
+    imaginary residual is left to check.  A non-finite x raises
+    ValueError, and an empty array gives an empty array.
     """
     cfg = cfg or QuadratureConfig()
-    xs = np.asarray(x, dtype=float)
+    xs = _finite_x(x, "marginal_density")
+    if not xs.size:
+        return np.empty(xs.shape)
     flat = xs.reshape(-1) if xs.ndim else xs
     res = integrate_half_line(
         lambda l: 2.0 * density_integrand(l, flat, T, p).real, cfg)
@@ -637,6 +602,15 @@ def marginal_density(x, T: float, p: HestonParams,
     if not xs.ndim:
         return res.value.real / _TWO_PI
     return (res.value.real / _TWO_PI).reshape(xs.shape)
+
+
+def _finite_x(x, what):
+    """x as a float array; a non-finite x raises a ValueError naming it."""
+    xs = np.asarray(x, dtype=float)
+    bad = xs[~np.isfinite(xs)]
+    if bad.size:
+        raise ValueError("%s needs finite x, got %r" % (what, float(bad[0])))
+    return xs
 
 
 # Phase entries (points x table nodes) in one block of the matrix route:
@@ -836,11 +810,7 @@ def marginal_density_grid(xs, T: float, p: HestonParams,
     and a table that fails its probe a :class:`PricingError`.
     """
     cfg = cfg or QuadratureConfig()
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    bad = ~np.isfinite(xs)
-    if bad.any():
-        raise ValueError("marginal_density_grid needs finite x, got %r"
-                         % float(xs[bad][0]))
+    xs = np.atleast_1d(_finite_x(xs, "marginal_density_grid"))
     reach = float(np.max(np.abs(xs))) if xs.size else 1.0
     # the period clears twice the grid's reach plus the density's support
     sd = math.sqrt((p.v0 + p.theta) * T)

@@ -306,11 +306,58 @@ class TestCoreMemo:
                               fig1_heston, 0.03)
         key = heston._heston_key(fig1_heston, 1.0, -4.0)
         assert core_memo.tables == [key]
-        l = core_memo._entries[key][0][::40]    # nodes the table holds
+        l = np.frombuffer(next(iter(core_memo._entries[key])))  # a stored call
         got = price_integrand(l, atm_option, fig1_heston, 0.03, -1.0)
         core_memo.clear()
         assert got.tobytes() == price_integrand(
             l, atm_option, fig1_heston, 0.03, -1.0).tobytes()
+
+    def _stored_call(self, core_memo, p):
+        """Two quotes give (p, T = 1) a table; its first call and cores."""
+        for kind in ("call", "put"):
+            heston_call_price(VanillaOption(100.0, 100.0, 1.0, kind), p, 0.03)
+        key = heston._heston_key(p, 1.0, -4.0)
+        call, cores = next(iter(core_memo._entries[key].items()))
+        return key, np.frombuffer(call), cores
+
+    def test_a_hit_takes_the_shape_asked_for(self, core_memo, fig1_heston):
+        key, l, cores = self._stored_call(core_memo, fig1_heston)
+
+        def not_called(*args):
+            raise AssertionError("a hit computed cores")
+
+        got = core_memo.cores(key, l.reshape(-1, 1), not_called)
+        assert got.shape == (l.size, 1)
+        assert got.tobytes() == heston._strike_core(
+            l, 1.0, fig1_heston, -4.0).tobytes()
+
+    def test_stored_cores_are_read_only(self, core_memo, fig1_heston):
+        key, l, cores = self._stored_call(core_memo, fig1_heston)
+        hit = core_memo.cores(key, l, heston._strike_core, 1.0, fig1_heston,
+                              -4.0)
+        for got in (cores, hit):
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0.0
+
+    def test_warm_surface_computes_no_core(self, core_memo, fig1_heston,
+                                           monkeypatch):
+        # 5 strikes x call/put at T = 1: each call's parity twin repeats
+        # its integrand calls, so the first pass stores every call
+        surface = [VanillaOption(100.0, k, 1.0, kind)
+                   for k in (70.0, 90.0, 100.0, 115.0, 140.0)
+                   for kind in ("call", "put")]
+        cold = [heston_call_price(opt, fig1_heston, 0.03) for opt in surface]
+        computed = []
+        core = heston._strike_core
+
+        def counting(l, T, p, c):
+            computed.append(np.size(l))
+            return core(l, T, p, c)
+
+        monkeypatch.setattr(heston, "_strike_core", counting)
+        warm = [heston_call_price(opt, fig1_heston, 0.03) for opt in surface]
+        assert computed == []
+        assert warm == cold
 
     @pytest.mark.parametrize("change, T, shared", [
         ({"mu": 0.05}, 1.0, True),
@@ -337,10 +384,21 @@ class TestMarginalDensity:
 
     @pytest.mark.parametrize("xs", [[math.nan, 0.0], [math.inf],
                                     [-1.0, -math.inf, 1.0]])
-    def test_grid_rejects_non_finite_x(self, fig1_heston, xs):
+    @pytest.mark.parametrize("density", [marginal_density_grid,
+                                         marginal_density])
+    def test_grid_rejects_non_finite_x(self, fig1_heston, density, xs):
+        # marginal_density used to end in a QuadratureError at some l
         bad = next(x for x in xs if not math.isfinite(x))
         with pytest.raises(ValueError, match=repr(bad)):
-            marginal_density_grid(xs, 1.0, fig1_heston)
+            density(xs, 1.0, fig1_heston)
+        with pytest.raises(ValueError, match=repr(bad)):
+            density(bad, 1.0, fig1_heston)
+
+    @pytest.mark.parametrize("density", [marginal_density_grid,
+                                         marginal_density])
+    def test_empty_x_gives_an_empty_array(self, fig1_heston, density):
+        got = density(np.array([]), 1.0, fig1_heston)
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
 
     def test_grid_evaluator_matches_scalar_route(self, fig1_heston):
         xs = np.array([-0.6, -0.1, 0.0, 0.2, 0.7])

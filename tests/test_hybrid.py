@@ -420,6 +420,17 @@ class TestHybridPrice:
         assert (res.value, res.error_estimate, res.evaluations) == \
             (cold.value, cold.error_estimate, cold.evaluations)
 
+    def test_stored_rate_cores_own_their_bytes(self, fig1_heston, fig1_rate,
+                                               core_memo):
+        # rate_kernel computes both rate cores in one array: a stored
+        # strike core that were a view of it would hold twice its bytes
+        for kind in ("call", "put"):
+            hybrid_call_price(VanillaOption(100.0, 100.0, 1.0, kind),
+                              fig1_heston, fig1_rate)
+        table = core_memo._entries[(fig1_rate, 1.0, -4.0)]
+        assert table and all(got.flags.owndata for got in table.values())
+        assert core_memo.nbytes == 24 * core_memo.nodes
+
     def test_threads_share_the_memo(self, fig1_heston, fig1_rate, core_memo):
         # 5 maturities x 5 strikes x 2 models; two threads price the
         # surface in opposite orders, filling the same tables
