@@ -414,7 +414,7 @@ class _CoreMemo:
             # skip a key evicted, or a call stored, since the lookup
             if (self._entries.get(key) is table and call not in table
                     and self.nodes + got.size <= self.max_nodes):
-                table[call] = got = got.copy()  # not a view of a larger one
+                table[call] = got
                 got.flags.writeable = False
                 self.nodes += got.size
         return got

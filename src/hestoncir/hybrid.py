@@ -13,15 +13,19 @@ independent of the variance and its core finite for every c < 1, so the
 volatility side sets the contour.  The rate core takes the volatility
 side's one cancellation-free route, :func:`heston._core_half` with b =
 kappa_r, through :func:`rate_kernel` at every sigma_r > 0, so the price
-stays exact as sigma_r -> 0.  At sigma_r = 0 the printed formulas are
-singular and the pricer delegates to the constant-rate one at the
-deterministic average rate.
+stays exact as sigma_r -> 0.  The pricer and the bond read the strike
+side only, and :func:`rate_kernel` evaluates nothing else unless asked:
+a hybrid integrand node costs one rate core, as a Heston node costs one
+volatility core.  At sigma_r = 0 the printed formulas are singular and
+the pricer delegates to the constant-rate one at the deterministic
+average rate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +47,28 @@ __all__ = [
     "hybrid_price_with_diagnostics",
 ]
 
+
+def _require_maturity(T):
+    """Raise ValueError naming T unless it is finite and positive."""
+    if not 0.0 < T < math.inf:
+        raise ValueError("T must be finite and positive, got %r" % (T,))
+
+
+def _rate_side(l2, T, rp: CirRateParams):
+    """One rate side, :func:`heston._core_half` with b = kappa_r.
+
+    Returns its frequency (nu_r or omega_r), its core, the core less the
+    kappa_r a_r/sigma_r^2 offset (theta or upsilon) and the log of its
+    amplitude (M_r or N_r).
+    """
+    sig2 = rp.sigma_r * rp.sigma_r
+    kt = rp.kappa_r * rp.theta_r
+    offset = rp.kappa_r * (rp.r0 + kt * T) / sig2
+    core, two_f, log_p = _core_half(l2, rp.kappa_r, rp.kappa_r, T, rp.r0,
+                                    kt, sig2)
+    return 0.5 * two_f, core, core - offset, -0.5 * T * two_f - log_p
+
+
 @dataclass
 class RateKernelTerms:
     """Rate-side kernel quantities evaluated at one l (or an l-array).
@@ -54,17 +80,31 @@ class RateKernelTerms:
     offset.  Never rebuild a core from them: adding the offset back
     brings its 1/sigma_r^2 cancellation back.  M_r and N_r are formed
     on access from their stored logs.
+
+    The strike side (``omega_r``, ``strike_core``, ``upsilon_exp``,
+    ``log_n_r``) is evaluated with the record.  The spot side
+    (``nu_r``, ``spot_core``, ``theta_exp``, ``log_m_r``) is one more
+    core evaluation, made the first time one of them is read; no pricer
+    reads it.
     """
 
     a_r: float
-    nu_r: complex
     omega_r: complex
-    spot_core: complex
     strike_core: complex
-    theta_exp: complex
     upsilon_exp: complex
-    log_m_r: complex
     log_n_r: complex
+    _l: np.ndarray = field(repr=False)
+    _T: float = field(repr=False)
+    _rp: CirRateParams = field(repr=False)
+
+    @cached_property
+    def _spot(self):
+        return _rate_side(2j * self._l, self._T, self._rp)
+
+    nu_r = property(lambda self: self._spot[0])
+    spot_core = property(lambda self: self._spot[1])
+    theta_exp = property(lambda self: self._spot[2])
+    log_m_r = property(lambda self: self._spot[3])
 
     @property
     def big_m_r(self):
@@ -78,42 +118,35 @@ class RateKernelTerms:
 def rate_kernel(l, T: float, rp: CirRateParams) -> RateKernelTerms:
     """Evaluate the rate-side kernel quantities at l.
 
-    Both sides go through one :func:`heston._core_half` call with b =
-    kappa_r, stacked as two rows: the spot side on nu_r(l) with l2 =
-    2 i l, the strike side on omega_r(l) with l2 = 2(i l + 1), so no
-    1/sigma_r^2 cancellation is left at any sigma_r > 0.  N_r(l)
-    mirrors M_r with nu_r replaced by omega_r(l); at l = 0 the strike
-    core reduces to the log CIR bond price, which the tests pin against
-    the textbook A exp(-B r0) formula.  At a complex l = z the strike
-    core is log E[exp(-(1 + i z) int r)], finite for Im z < 1.
+    Each side is one :func:`heston._core_half` call with b = kappa_r:
+    the strike side on omega_r(l) with l2 = 2(i l + 1), evaluated here,
+    and the spot side on nu_r(l) with l2 = 2 i l, evaluated when one of
+    its fields is first read.  No 1/sigma_r^2 cancellation is left at
+    any sigma_r > 0.  N_r(l) mirrors M_r with nu_r replaced by
+    omega_r(l); at l = 0 the strike core reduces to the log CIR bond
+    price, which the tests pin against the textbook A exp(-B r0)
+    formula.  At a complex l = z the strike core is
+    log E[exp(-(1 + i z) int r)], finite for Im z < 1.  T must be finite
+    and positive.
     """
+    _require_maturity(T)
     if rp.sigma_r <= 0:
         raise ValueError("rate_kernel requires sigma_r > 0; use the "
                          "deterministic-rate branch for sigma_r = 0")
     l = np.asarray(l)
-    sig2 = rp.sigma_r * rp.sigma_r
-    kt = rp.kappa_r * rp.theta_r
-    a_r = rp.r0 + kt * T
-    offset = rp.kappa_r * a_r / sig2
-    (spot, strike), (two_nu, two_om), (log_pm, log_pn) = _core_half(
-        np.stack([2j * l, 2.0 * (1j * l + 1.0)]), rp.kappa_r, rp.kappa_r,
-        T, rp.r0, kt, sig2)
-    return RateKernelTerms(
-        a_r=a_r, nu_r=0.5 * two_nu, omega_r=0.5 * two_om,
-        spot_core=spot, strike_core=strike,
-        theta_exp=spot - offset, upsilon_exp=strike - offset,
-        log_m_r=-0.5 * T * two_nu - log_pm,
-        log_n_r=-0.5 * T * two_om - log_pn)
+    omega_r, strike, upsilon, log_n_r = _rate_side(2.0 * (1j * l + 1.0),
+                                                   T, rp)
+    return RateKernelTerms(rp.r0 + rp.kappa_r * rp.theta_r * T, omega_r,
+                           strike, upsilon, log_n_r, l, T, rp)
 
 
 def cir_bond_price(rp: CirRateParams, T: float) -> float:
     """Zero-coupon bond price E[exp(-integral of r)] under CIR.
 
-    Requires sigma_r > 0; the sigma_r = 0 limit is served by
-    exp(-T * deterministic_average_rate(rp, T)).
+    Requires sigma_r > 0 and a finite T > 0; the sigma_r = 0 limit is
+    served by exp(-T * deterministic_average_rate(rp, T)).
     """
-    if not T > 0:
-        raise ValueError("T must be positive")
+    _require_maturity(T)
     if rp.sigma_r <= 0:
         raise ValueError("cir_bond_price requires sigma_r > 0; use "
                          "exp(-T * deterministic_average_rate(rp, T))")
@@ -121,7 +154,11 @@ def cir_bond_price(rp: CirRateParams, T: float) -> float:
 
 
 def deterministic_average_rate(rp: CirRateParams, T: float) -> float:
-    """Time average of the sigma_r = 0 rate path (mean-reversion ODE)."""
+    """Time average of the sigma_r = 0 rate path (mean-reversion ODE).
+
+    T must be finite and positive.
+    """
+    _require_maturity(T)
     decay = -math.expm1(-rp.kappa_r * T) / rp.kappa_r
     return rp.theta_r + (rp.r0 - rp.theta_r) * decay / T
 

@@ -13,7 +13,9 @@ share, tol/(2n) of n panels, at most 128 of them, and evaluates all
 their children in one vectorized integrand call of at most 3840
 nodes.  The start window's outer panel [L, 2L] is the first test of
 the tail; while the outermost panel contributes more than the
-tolerance, the window grows geometrically by strips [2L, 4L], ....  An
+tolerance, the window grows geometrically by strips [2L, 4L], ....
+Each strip starts at the resolution the region before it ended with,
+so an oscillating tail is not resolved again one bisection a call.  An
 integrand may return several columns at once (several x or rates of
 one kernel); they share the panels, and each column is judged against
 its own tolerance.  :func:`integrate_real_line` integrates any f over
@@ -266,13 +268,19 @@ def integrate_half_line(f, cfg=None):
     first call and l = 0 is never an abscissa.  Once the window is
     refined, its outer panel [L, 2L] is the first tail test: if its
     contribution is below abs_tol, in every column, the integral stops
-    with window 2L.  Otherwise the window grows by doubling; each new
-    strip [2L, 4L], and so on, is one panel refined at abs_tol, and
-    growth stops at the first strip below abs_tol.  A budget of one
-    panel (max_evals under 30) has no edge at L and so no tail test:
-    the integral is not converged.  Each column j is held to its own
-    tolerance tol_j = max(abs_tol, rel_tol |value_j|), as if integrated
-    alone, and the error estimate is one per column.  Of n panels, a
+    with window 2L.  Otherwise the window grows by doubling, by strips
+    [2L, 4L], and so on, each refined at abs_tol, and growth stops at
+    the first strip below abs_tol.  A strip starts as even panels: the
+    first as twice the panels the window ended with on [L, 2L] if it
+    bisected that panel, else as one; each later strip as the panels its
+    predecessor ended with, doubled if the predecessor was refined, so a
+    tail that converges at first sight keeps its count.  A strip starts
+    with at most 256 panels (3840 nodes) and no more than the budget
+    left pays for.  A budget of one panel (max_evals under 30) has no
+    edge at L and so no tail test: the integral is not converged.  Each
+    column j is held to its own tolerance tol_j = max(abs_tol, rel_tol
+    |value_j|), as if integrated alone, and the error estimate is one
+    per column.  Of n panels, a
     refinement round bisects every panel whose error exceeds tol_j/(2n)
     in a column short of tol_j, so the panels left hold at most tol_j/2
     (at most 128 panels a round, in panel order, so one integrand call
@@ -289,8 +297,9 @@ def _half_line(f, cfg, per_node=1):
     evaluations a node.
 
     The budget is cfg.max_evals // per_node nodes, and a round bisects
-    at most _MAX_SPLITS // per_node panels, so a call never costs more
-    than 3840 evaluations; ``evaluations`` counts per_node a node.
+    at most _MAX_SPLITS // per_node panels and a strip starts with at
+    most twice as many, so a call never costs more than 3840
+    evaluations; ``evaluations`` counts per_node a node.
     Under 15 nodes nothing is evaluated, and the integral is not
     converged.
     """
@@ -310,14 +319,21 @@ def _half_line(f, cfg, per_node=1):
     calls = window.calls
     # the outer panel [L, 2L] is the first tail test; one panel has no
     # edge at L, so it tests no tail
-    tail = window.val[window.a >= L].sum(axis=0)
+    outer = window.a >= L
+    tail = window.val[outer].sum(axis=0)
     L *= 2.0
     if panels > 1 and np.max(np.abs(tail)) < cfg.abs_tol:
         return QuadratureResult(value, error, per_node * evals, converged,
                                 calls, L)
 
+    # a strip is twice as wide as the region before it: it starts with
+    # twice that region's final panels if the region was refined
+    n = np.count_nonzero(outer)
+    n = 2 * n if n > 1 else 1
     while evals + 15 <= budget:
-        strip = _Panels(f, [L], [2.0 * L])
+        n = min(n, 2 * max_splits, (budget - evals) // 15)
+        edges = np.linspace(L, 2.0 * L, n + 1)
+        strip = _Panels(f, edges[:-1], edges[1:])
         ok = strip.refine(cfg.abs_tol, 0.0, budget - evals, max_splits)
         evals += strip.evals
         calls += strip.calls
@@ -328,6 +344,7 @@ def _half_line(f, cfg, per_node=1):
         L *= 2.0
         if np.max(np.abs(contribution)) < cfg.abs_tol:
             break
+        n = strip.a.size * (2 if strip.calls > 1 else 1)
     else:
         converged = False
 

@@ -104,6 +104,18 @@ class TestDeterministicAverageRate:
             fig1_rate.r0, rel=1e-6)
 
 
+@pytest.mark.parametrize("T", [math.nan, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize("rate_fn", [
+    cir_bond_price,
+    lambda rp, T: rate_kernel(0.3, T, rp),
+    deterministic_average_rate,
+], ids=["cir_bond_price", "rate_kernel", "deterministic_average_rate"])
+def test_rate_side_rejects_a_bad_maturity(fig1_rate, rate_fn, T):
+    # NaN, ZeroDivisionError or a meaningless core before: one ValueError
+    with pytest.raises(ValueError, match="T must be finite and positive"):
+        rate_fn(fig1_rate, T)
+
+
 class TestRateKernel:
     def test_nu_at_origin_is_half_kappa(self, fig2_rate):
         terms = rate_kernel(0.0, 1.0, fig2_rate)
@@ -127,9 +139,9 @@ class TestRateKernel:
 
     @pytest.mark.parametrize("sigma_r", [1e-6, 1e-3, 0.05, 0.1, 0.3])
     @pytest.mark.parametrize("T", [1.0 / 52.0, 1.0, 30.0])
-    def test_one_stacked_call_equals_the_per_side_calls(self, sigma_r, T):
-        # both rate sides in one _core_half call, bit for bit the two
-        # calls it replaces
+    def test_each_side_is_its_own_core_call(self, sigma_r, T):
+        # each rate side is one _core_half call, bit for bit the per-side
+        # call; the spot side is read after the strike side
         rp = CirRateParams(kappa_r=1.8, theta_r=0.03, sigma_r=sigma_r,
                            r0=0.035)
         mag = np.geomspace(1e-6, 1e4, 301)
@@ -142,11 +154,34 @@ class TestRateKernel:
         strike, two_om, log_pn = _core_half(2.0 * (1j * l + 1.0),
                                             rp.kappa_r, rp.kappa_r, T,
                                             rp.r0, kt, sig2)
-        want = {"nu_r": 0.5 * two_nu, "omega_r": 0.5 * two_om,
-                "spot_core": spot, "strike_core": strike,
-                "theta_exp": spot - offset, "upsilon_exp": strike - offset,
+        want = {"omega_r": 0.5 * two_om, "strike_core": strike,
+                "upsilon_exp": strike - offset,
+                "log_n_r": -0.5 * T * two_om - log_pn,
+                "nu_r": 0.5 * two_nu, "spot_core": spot,
+                "theta_exp": spot - offset,
+                "log_m_r": -0.5 * T * two_nu - log_pm}
+        for name, value in want.items():
+            assert getattr(terms, name).tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("c", [0.0, -0.5, -4.0])
+    def test_spot_side_read_late_equals_the_stacked_call(self, fig1_rate,
+                                                         c):
+        # the spot fields, first read after the strike side, against both
+        # sides stacked as two rows of one _core_half call, bit for bit
+        rp, T = fig1_rate, 1.0
+        z = np.geomspace(1e-3, 1e3, 61) + 1j * c
+        terms = rate_kernel(z, T, rp)
+        assert terms.strike_core.shape == z.shape
+        sig2, kt = rp.sigma_r * rp.sigma_r, rp.kappa_r * rp.theta_r
+        offset = rp.kappa_r * (rp.r0 + kt * T) / sig2
+        (spot, strike), (two_nu, _), (log_pm, _) = _core_half(
+            np.stack([2j * z, 2.0 * (1j * z + 1.0)]), rp.kappa_r,
+            rp.kappa_r, T, rp.r0, kt, sig2)
+        assert terms.strike_core.tobytes() == strike.tobytes()
+        want = {"nu_r": 0.5 * two_nu, "spot_core": spot,
+                "theta_exp": spot - offset,
                 "log_m_r": -0.5 * T * two_nu - log_pm,
-                "log_n_r": -0.5 * T * two_om - log_pn}
+                "big_m_r": np.exp(-0.5 * T * two_nu - log_pm)}
         for name, value in want.items():
             assert getattr(terms, name).tobytes() == value.tobytes(), name
 
@@ -422,14 +457,40 @@ class TestHybridPrice:
 
     def test_stored_rate_cores_own_their_bytes(self, fig1_heston, fig1_rate,
                                                core_memo):
-        # rate_kernel computes both rate cores in one array: a stored
-        # strike core that were a view of it would hold twice its bytes
+        # the memo stores a core as rate_kernel returns it: a core that
+        # were a view of a larger array would hold more than its bytes
         for kind in ("call", "put"):
             hybrid_call_price(VanillaOption(100.0, 100.0, 1.0, kind),
                               fig1_heston, fig1_rate)
         table = core_memo._entries[(fig1_rate, 1.0, -4.0)]
         assert table and all(got.flags.owndata for got in table.values())
         assert core_memo.nbytes == 24 * core_memo.nodes
+
+    def test_a_cold_quote_evaluates_no_spot_side(self, fig1_heston,
+                                                 fig1_rate, core_memo,
+                                                 monkeypatch):
+        # every rate core a quote evaluates, on the contour and for the
+        # bond, is one strike row l2 = 2(i z + 1), never the spot row 2 i z
+        zs, rows = [], []
+        kernel, core_half = hybrid.rate_kernel, hybrid._core_half
+
+        def counting_kernel(l, T, rp):
+            zs.append(np.asarray(l))
+            return kernel(l, T, rp)
+
+        def counting_core(l2, *args):
+            rows.append(np.asarray(l2))
+            return core_half(l2, *args)
+
+        monkeypatch.setattr(hybrid, "rate_kernel", counting_kernel)
+        monkeypatch.setattr(hybrid, "_core_half", counting_core)
+        price = hybrid_call_price(VanillaOption(100.0, 100.0, 1.0),
+                                  fig1_heston, fig1_rate)
+        assert math.isfinite(price)
+        assert len(rows) == len(zs) >= 2
+        for z, l2 in zip(zs, rows):
+            assert l2.shape == z.shape
+            assert l2.tobytes() == (2.0 * (1j * z + 1.0)).tobytes()
 
     def test_threads_share_the_memo(self, fig1_heston, fig1_rate, core_memo):
         # 5 maturities x 5 strikes x 2 models; two threads price the

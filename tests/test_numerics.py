@@ -3,11 +3,14 @@ import pytest
 from scipy import stats
 
 from hestoncir import (
+    CirRateParams,
     HestonParams,
     QuadratureConfig,
     QuadratureResult,
     RngStream,
     VanillaOption,
+    heston_price_with_diagnostics,
+    hybrid_price_with_diagnostics,
     integrate_half_line,
     integrate_interval,
     integrate_real_line,
@@ -406,6 +409,61 @@ class TestIntegrateHalfLine:
         assert whole.evaluations == 2 * half.evaluations
         assert (whole.integrand_calls, whole.window) == \
             (half.integrand_calls, half.window)
+
+    def test_strips_start_at_the_resolution_their_predecessor_needed(self):
+        # e^{-(l/10)^2} cos(0.8 l) from L = 1 grows its window to 128 by
+        # strips [2^k, 2^(k+1)]; [8, 16] is bisected once, so [16, 32]
+        # starts as 4 panels and passes that on, converging on first
+        # sight; the calls and the window are the measured ones
+        strips = {}
+
+        def f(l):
+            if l.min() >= 2.0:
+                strips.setdefault(int(np.log2(l.min())), []).append(
+                    l.size // 15)
+            return np.exp(-(l / 10.0) ** 2) * np.cos(0.8 * l)
+
+        res = integrate_half_line(f, QuadratureConfig(truncation_bound=1.0))
+        exact = 5.0 * np.sqrt(np.pi) * np.exp(-16.0)
+        assert res.converged and abs(res.value - exact) <= 1e-9
+        assert (res.integrand_calls, res.window) == (8, 128.0)
+        refined = min(k for k, calls in strips.items() if len(calls) > 1)
+        later = [calls[0] for k, calls in strips.items() if k > refined]
+        assert later and all(n > 1 for n in later), strips
+
+    # scatter seed 0 quotes #91 (heston_wild) and #19 (hybrid_wild): at
+    # T = 0.039 and 0.022 the put integrand reaches far past the start
+    # window, whose strips took 16 and 14 calls one bisection at a time;
+    # heston is (mu, kappa, theta, sigma, rho, v0, lam), rate (kappa_r,
+    # theta_r, sigma_r, r0)
+    SHORT_QUOTES = (
+        ((0.01500168647476153, 1.0540463148601762, 0.049242531353876975,
+          0.7472922560712258, -0.7443686337002502, 0.013811250697478242,
+          0.0), None, 84.9368, 0.03863217086336519, "call"),
+        ((0.04671228248922401, 2.9435824418604764, 0.03522680879430185,
+          1.0651219801284064, -0.7062139676564413, 0.011650392154050528,
+          -0.3537381064839211),
+         (2.637586555327834, 0.0569754351252984, 0.09979017758122688,
+          0.04671228248922401), 91.4227, 0.022210617382218703, "put"),
+    )
+
+    @pytest.mark.parametrize("quote", SHORT_QUOTES, ids=["91", "19"])
+    def test_short_maturity_quotes_grow_in_few_calls(self, quote):
+        heston, rate, strike, T, kind = quote
+        p = HestonParams(*heston)
+        opt = VanillaOption(100.0, strike, T, kind)
+
+        def price(cfg):
+            if rate is None:
+                return heston_price_with_diagnostics(opt, p, p.mu, cfg)
+            return hybrid_price_with_diagnostics(opt, p,
+                                                 CirRateParams(*rate), cfg)
+
+        got, res = price(QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9,
+                                          max_evals=20_000))
+        ref, _ = price(QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10))
+        assert res.converged and res.integrand_calls <= 8, res
+        assert abs(got - ref) <= 1e-9 * opt.s0
 
 
 def _panels_with(err, value):
