@@ -10,9 +10,10 @@ Two independent routes check the closed forms:
 * a full-truncation Euler simulator of the variance/log-spot system,
   used as a formula-free oracle for the constant-rate price.
 
-Paths are partitioned into fixed-size blocks, each owning its own
-counter-based substream, so estimates are bit-reproducible for a given
-seed regardless of scheduling.
+Paths are partitioned into fixed-size blocks; block i draws from its own
+SFC64 stream, the i-th ``SeedSequence`` child of the seed (see
+:class:`~hestoncir.numerics.RngStream`), so estimates are
+bit-reproducible for a given seed regardless of scheduling.
 """
 
 from __future__ import annotations

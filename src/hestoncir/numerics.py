@@ -21,9 +21,13 @@ one kernel); they share the panels, and each column is judged against
 its own tolerance.  :func:`integrate_real_line` integrates any f over
 the whole line on the same engine, as f(l) + f(-l) over l > 0.
 
-Random variates come from counter-based Philox streams so that
-(master_seed, stream_id) pairs give independent, reproducible sequences
-suitable for deterministic parallel Monte Carlo.
+Random variates come from SFC64 generators seeded through numpy's
+``SeedSequence``: stream i of a master seed is that seed's i-th spawned
+child, so (master_seed, stream_id) pairs give independent, reproducible
+sequences suitable for deterministic parallel Monte Carlo.  Noncentral
+chi-square draws with df > 1 are made as whole arrays from the exact
+identity chi2(df - 1) + (Z + sqrt(nc))^2; df <= 1 keeps the Generator's
+exact Poisson mixture.
 """
 
 from __future__ import annotations
@@ -380,11 +384,15 @@ def integrate_real_line(f, cfg=None):
 
 @dataclass
 class RngStream:
-    """A reproducible Philox substream.
+    """A reproducible SFC64 stream: child ``stream_id`` of ``master_seed``.
 
-    Streams with distinct (master_seed, stream_id) are statistically
-    independent by construction of the counter-based generator, which
-    makes path-parallel Monte Carlo deterministic under any scheduling.
+    The generator is ``SFC64(SeedSequence(master_seed mod 2**64,
+    spawn_key=(stream_id,)))``, which is exactly the ``stream_id``-th
+    child that ``SeedSequence(master_seed mod 2**64).spawn`` hands out,
+    so streams with distinct (master_seed, stream_id) are independent by
+    numpy's seed spawning.  That makes path-parallel Monte Carlo
+    deterministic under any scheduling.  The seed is taken mod 2**64
+    because ``SeedSequence`` rejects negative entropy.
     """
 
     master_seed: int
@@ -395,8 +403,9 @@ class RngStream:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            key = (self.master_seed & (2**64 - 1)) | (int(self.stream_id) << 64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
+            seq = np.random.SeedSequence(self.master_seed & (2**64 - 1),
+                                         spawn_key=(int(self.stream_id),))
+            self._gen = np.random.Generator(np.random.SFC64(seq))
         return self._gen
 
 
@@ -409,14 +418,36 @@ def sample_standard_normal(rng: RngStream, size=None):
 def sample_noncentral_chisq(df, noncentrality, rng: RngStream, size=None):
     """Draw from the noncentral chi-square law chi2(df, noncentrality).
 
-    One ``Generator.noncentral_chisquare`` call on the stream.  For
-    df > 1 numpy draws chi2(df - 1) + (Z + sqrt(nc))^2; for df <= 1 the
-    Poisson mixture J ~ Poisson(nc/2), then chi2(df + 2J) through a
-    gamma sampler valid for shapes below 1.  Both are exact, so
-    Feller-violating CIR parameter sets sample correctly too.
+    Two exact routes, so Feller-violating CIR parameter sets sample
+    correctly too:
+
+    * df > 1 (every element, if df is an array): chi2(df - 1) +
+      (Z + sqrt(nc))^2, drawn as whole arrays -- the standard normals
+      first, then 2 standard_gamma((df - 1)/2).  This is the identity
+      ``Generator.noncentral_chisquare`` applies one element at a time,
+      at less cost per draw.
+    * otherwise: one ``Generator.noncentral_chisquare`` call, whose
+      Poisson mixture J ~ Poisson(nc/2), then chi2(df + 2J), is the only
+      exact route once chi2(df - 1) does not exist; a vectorized mixture
+      is slower than numpy's, so it is not used for every df.
 
     ``df`` and ``noncentrality`` may be scalars or broadcastable arrays;
     the output shape follows numpy broadcasting (plus ``size``).  A
-    nonpositive df or negative noncentrality raises ValueError.
+    nonpositive df or negative noncentrality raises ValueError; a NaN
+    noncentrality gives NaN.
     """
-    return rng.generator.noncentral_chisquare(df, noncentrality, size)
+    dfa = np.asarray(df, dtype=float)
+    if not np.all(dfa > 1.0):
+        return rng.generator.noncentral_chisquare(df, noncentrality, size)
+    nc = np.asarray(noncentrality, dtype=float)
+    if np.any(nc < 0.0):
+        raise ValueError("nonc < 0")
+    shape = np.broadcast_shapes(dfa.shape, nc.shape) if size is None \
+        else size
+    gen = rng.generator
+    z = gen.standard_normal(shape)
+    out = gen.standard_gamma(0.5 * (dfa - 1.0), shape)
+    out *= 2.0
+    z += np.sqrt(nc)
+    out += z * z
+    return float(out) if size is None and out.ndim == 0 else out

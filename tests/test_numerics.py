@@ -520,15 +520,30 @@ class TestNormalSampler:
         assert abs(z.mean()) <= 0.005
         assert abs(z.var() - 1.0) <= 0.01
 
-    def test_deterministic_given_seed_and_stream(self):
-        a = sample_standard_normal(RngStream(master_seed=42, stream_id=3), 128)
-        b = sample_standard_normal(RngStream(master_seed=42, stream_id=3), 128)
+    @pytest.mark.parametrize("seed", [42, -1])
+    def test_deterministic_given_seed_and_stream(self, seed):
+        # a negative master seed is valid: it is taken mod 2**64
+        a = sample_standard_normal(RngStream(master_seed=seed, stream_id=3),
+                                   128)
+        b = sample_standard_normal(RngStream(master_seed=seed, stream_id=3),
+                                   128)
         assert np.array_equal(a, b)
 
-    def test_streams_are_distinct(self):
-        a = sample_standard_normal(RngStream(master_seed=42, stream_id=0), 128)
-        b = sample_standard_normal(RngStream(master_seed=42, stream_id=1), 128)
+    @pytest.mark.parametrize("seed", [42, -1])
+    def test_streams_are_distinct(self, seed):
+        a = sample_standard_normal(RngStream(master_seed=seed, stream_id=0),
+                                   128)
+        b = sample_standard_normal(RngStream(master_seed=seed, stream_id=1),
+                                   128)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed,stream", [(0, 0), (42, 3), (11, 17)])
+    def test_stream_is_the_spawned_child(self, seed, stream):
+        # stream i of a seed is SeedSequence(seed)'s i-th spawned child
+        child = np.random.SeedSequence(seed).spawn(stream + 1)[stream]
+        expected = np.random.Generator(np.random.SFC64(child))
+        a = sample_standard_normal(RngStream(seed, stream), 64)
+        assert np.array_equal(a, expected.standard_normal(64))
 
 
 class TestNoncentralChisqSampler:
@@ -587,10 +602,12 @@ class TestNoncentralChisqSampler:
         assert stat <= crit
 
     @pytest.mark.parametrize("df,nc,seed", [(15.0, 593.0, 4),
-                                            (3.0, 0.5, 5)])
+                                            (3.0, 0.5, 5),
+                                            (1.05, 2.0, 6)])
     def test_df_above_one_distribution(self, df, nc, seed):
-        # df > 1 takes numpy's chi2(df - 1) + (Z + sqrt(nc))^2 branch;
-        # df 15, nc 593 is one rate step of the mc_verify market
+        # df > 1 is drawn as whole arrays of chi2(df - 1) + (Z + sqrt(nc))^2;
+        # df 15, nc 593 is one rate step of the mc_verify market, and
+        # df 1.05 puts a gamma shape of 0.025 on chi2(df - 1)
         n = 100_000
         s = sample_noncentral_chisq(df, nc, RngStream(master_seed=seed,
                                                       stream_id=0), size=n)
@@ -598,9 +615,21 @@ class TestNoncentralChisqSampler:
         crit = 1.628 / np.sqrt(n)  # 1% Kolmogorov-Smirnov critical value
         assert stat <= crit
 
-    def test_invalid_arguments(self):
+    @pytest.mark.parametrize("df,nc", [
+        (0.0, 1.0),
+        (1.0, -1.0),
+        (3.0, -1.0),
+        (3.0, np.array([1.0, -1.0, 2.0, 0.5]))],
+        ids=["df-zero", "df-one-negative-nc", "df-above-one-negative-nc",
+             "df-above-one-negative-nc-array"])
+    def test_invalid_arguments(self, df, nc):
+        # df <= 1 is checked by the Generator's Poisson-mixture call, df > 1
+        # by the whole-array route; sqrt must not turn nc < 0 into NaN
         stream = RngStream(master_seed=0, stream_id=0)
         with pytest.raises(ValueError):
-            sample_noncentral_chisq(0.0, 1.0, stream, size=4)
-        with pytest.raises(ValueError):
-            sample_noncentral_chisq(1.0, -1.0, stream, size=4)
+            sample_noncentral_chisq(df, nc, stream, size=4)
+
+    def test_nan_noncentrality_gives_nan(self):
+        stream = RngStream(master_seed=0, stream_id=0)
+        for df in (0.5, 3.0):
+            assert np.isnan(sample_noncentral_chisq(df, np.nan, stream))
