@@ -122,16 +122,24 @@ def _amplitude(l2, b0, l, T, p: HestonParams):
 
 
 def _log1p_c(z):
-    """log(1 + z) for complex z, accurate for small |z|.
+    """log(1 + z) for complex z, accurate for small |z| and near z = -1.
 
     The real part is log|1 + z| = log1p(x (2 + x) + y^2)/2, which keeps
-    the relative accuracy of a small z; the imaginary part is the
-    principal arg(1 + z) = atan2(y, 1 + x).
+    the relative accuracy of a small z; where |1 + z| < 1/2 that sum
+    rounds towards -1 and loses |1 + z|, so there it is log(hypot(1 + x,
+    y)), with 1 + x exact (x lies in (-3/2, -1/2)).  The imaginary part
+    is the principal arg(1 + z) = atan2(y, 1 + x).
     """
     z = np.asarray(z, dtype=complex)
     x, y = z.real, z.imag
-    return 0.5 * np.log1p(x * (2.0 + x) + y * y) \
-        + 1j * np.arctan2(y, 1.0 + x)
+    q = x * (2.0 + x) + y * y
+    near = q < -0.75
+    if near.any():
+        re = np.where(near, np.log(np.hypot(1.0 + x, y)),
+                      0.5 * np.log1p(np.where(near, 0.0, q)))
+    else:
+        re = 0.5 * np.log1p(q)
+    return re + 1j * np.arctan2(y, 1.0 + x)
 
 
 def _core_half(l2, b0, b, T, v0, kappa_theta, sig2):
@@ -748,8 +756,9 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     when it disagrees with a probe, a :class:`PricingError` names T, the
     probe x and both values.  The probe's truncation bound is the
     table's end l_max, so its start window [0, 2 l_max] holds the whole
-    kernel: the outer panel past l_max, where the kernel is below
-    e^-45, still tests the tail, and the window need not grow.
+    kernel: its two outer panels, [l_max, 2 l_max] past the table's
+    end, where the kernel is below e^-45, still test the tail, and the
+    window need not grow.
 
     The table's density is f(x) = Re sum_k c_k exp(i l_k x) / 2 pi.  An
     evenly spaced x grid (the CLI's and :func:`marginal_density_grid`'s

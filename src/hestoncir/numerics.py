@@ -6,13 +6,14 @@ rapidly decaying function f with f(-l) = conj f(l) (the density, and
 the put on its contour).  Folded onto l > 0 it is 2 Re f, so every
 pricer integrates over (0, inf) only, with one engine,
 :func:`integrate_half_line`, an adaptive Gauss-Kronrod (7-15) scheme.
-It starts from geometric panels with edges 0, L/64, ..., L, 2L, so that
-one integrand call resolves any scale from L/64 to 2L; it then refines
-in batches -- each round bisects every panel whose error is above its
-share, tol/(2n) of n panels, at most 128 of them, and evaluates all
-their children in one vectorized integrand call of at most 3840
-nodes.  The start window's outer panel [L, 2L] is the first test of
-the tail; while the outermost panel contributes more than the
+It starts from 16 half-octave panels with edges 0 and 2L 2^(-k/2), k =
+15, ..., 0 (L/90.5, L/64, ..., L, sqrt(2) L, 2L), so that one integrand
+call resolves any scale from L/90 to 2L; it then refines in batches --
+each round bisects every panel whose error is above its share, tol/(2n)
+of n panels, at most 128 of them, and evaluates all their children in
+one vectorized integrand call of at most 3840 nodes.  The start
+window's outer region [L, 2L], its two outer panels, is the first test
+of the tail; while the outermost region contributes more than the
 tolerance, the window grows geometrically by strips [2L, 4L], ....
 Each strip starts at the resolution the region before it ended with,
 so an oscillating tail is not resolved again one bisection a call.  An
@@ -60,9 +61,10 @@ class QuadratureError(Exception):
 class QuadratureConfig:
     """Tolerances and budget for the adaptive integrator.
 
-    ``truncation_bound`` is L in the start window [0, 2L], whose outer
-    panel [L, 2L] is the first tail test; the window is doubled until
-    the outermost strip contributes less than ``abs_tol``.  The
+    ``truncation_bound`` is L in the start window [0, 2L] of 16
+    half-octave panels, whose two outer panels [L, sqrt(2) L] and
+    [sqrt(2) L, 2L] are the first tail test; the window is doubled
+    until the outermost strip contributes less than ``abs_tol``.  The
     whole-line :func:`integrate_real_line` takes [-2L, 2L] as f(l) +
     f(-l) on [0, 2L], so its first tail test is the pair [L, 2L] and
     [-2L, -L].
@@ -265,27 +267,28 @@ def integrate_half_line(f, cfg=None):
     f must accept an ndarray of n positive abscissae and return complex
     values, shape (n,), or m integrands at once, shape (n, m); the value
     is then an array of m and every column shares the panels.  The
-    start window [0, 2L] (L = cfg.truncation_bound) is cut into
-    geometric panels with edges 0, L/64, L/32, ..., L, 2L, 8 of them
-    (fewer if max_evals cannot pay for 8: the innermost go), so that an
-    integrand varying on any scale from L/64 to 2L is resolved in the
+    start window [0, 2L] (L = cfg.truncation_bound) is cut into 16
+    half-octave panels, with edges 0 and 2L 2^(-k/2) for k = 15, ...,
+    0, that is 0, L/90.5, L/64, ..., L, sqrt(2) L, 2L (fewer if
+    max_evals cannot pay for 16: the innermost go), so that an
+    integrand varying on any scale from L/90 to 2L is resolved in the
     first call and l = 0 is never an abscissa.  Once the window is
-    refined, its outer panel [L, 2L] is the first tail test: if its
-    contribution is below abs_tol, in every column, the integral stops
-    with window 2L.  Otherwise the window grows by doubling, by strips
-    [2L, 4L], and so on, each refined at abs_tol, and growth stops at
-    the first strip below abs_tol.  A strip starts as even panels: the
-    first as twice the panels the window ended with on [L, 2L] if it
-    bisected that panel, else as one; each later strip as the panels its
-    predecessor ended with, doubled if the predecessor was refined, so a
-    tail that converges at first sight keeps its count.  A strip starts
-    with at most 256 panels (3840 nodes) and no more than the budget
-    left pays for.  A budget of one panel (max_evals under 30) has no
-    edge at L and so no tail test: the integral is not converged.  Each
-    column j is held to its own tolerance tol_j = max(abs_tol, rel_tol
-    |value_j|), as if integrated alone, and the error estimate is one
-    per column.  Of n panels, a
-    refinement round bisects every panel whose error exceeds tol_j/(2n)
+    refined, its start panels at or beyond L, the outer region [L, 2L],
+    are the first tail test: if their contribution is below abs_tol, in
+    every column, the integral stops with window 2L.  Otherwise the
+    window grows by doubling, by strips [2L, 4L], and so on, each
+    refined at abs_tol, and growth stops at the first strip below
+    abs_tol.  A strip starts as even panels, as many as the region
+    before it ended with if none of that region's panels was bisected,
+    and twice as many if any was: the first strip after the outer
+    region [L, 2L], each later strip after its predecessor.  So a tail
+    that converges at first sight keeps its count.  A strip starts with
+    at most 256 panels (3840 nodes) and no more than the budget left
+    pays for.  A budget of one panel (max_evals under 30) has no edge
+    at or beyond L and so no tail test: the integral is not converged.
+    Each column j is held to its own tolerance tol_j = max(abs_tol,
+    rel_tol |value_j|), as if integrated alone, and the error estimate
+    is one per column.  Of n panels, a refinement round bisects every panel whose error exceeds tol_j/(2n)
     in a column short of tol_j, so the panels left hold at most tol_j/2
     (at most 128 panels a round, in panel order, so one integrand call
     gets at most 3840 nodes); ``evaluations`` never exceeds
@@ -310,30 +313,31 @@ def _half_line(f, cfg, per_node=1):
     budget = cfg.max_evals // per_node
     max_splits = _MAX_SPLITS // per_node
     L = cfg.truncation_bound
-    panels = min(8, budget // 15)
+    panels = min(16, budget // 15)
     if panels == 0:
         return QuadratureResult(0j, math.inf, 0, False)
     edges = np.concatenate(
-        [[0.0], 2.0 * L * 2.0 ** -np.arange(panels - 1, -1, -1.0)])
+        [[0.0], 2.0 * L * 2.0 ** (-0.5 * np.arange(panels - 1, -1, -1.0))])
     window = _Panels(f, edges[:-1], edges[1:])
     converged = window.refine(cfg.abs_tol, cfg.rel_tol, budget, max_splits)
     value = window.value
     error = window.error
     evals = window.evals
     calls = window.calls
-    # the outer panel [L, 2L] is the first tail test; one panel has no
-    # edge at L, so it tests no tail
+    # the start panels at or beyond L are the first tail test; one panel
+    # has no edge at L, so it tests no tail
     outer = window.a >= L
     tail = window.val[outer].sum(axis=0)
-    L *= 2.0
     if panels > 1 and np.max(np.abs(tail)) < cfg.abs_tol:
         return QuadratureResult(value, error, per_node * evals, converged,
-                                calls, L)
+                                calls, 2.0 * L)
 
     # a strip is twice as wide as the region before it: it starts with
-    # twice that region's final panels if the region was refined
+    # that region's final panels, twice as many if any was bisected
     n = np.count_nonzero(outer)
-    n = 2 * n if n > 1 else 1
+    if n > np.count_nonzero(edges[:-1] >= L):
+        n *= 2
+    L *= 2.0
     while evals + 15 <= budget:
         n = min(n, 2 * max_splits, (budget - evals) // 15)
         edges = np.linspace(L, 2.0 * L, n + 1)
@@ -362,12 +366,13 @@ def integrate_real_line(f, cfg=None):
     The integral of f(l) + f(-l) over (0, inf) by
     :func:`integrate_half_line`: each integrand call evaluates f once,
     at the nodes and their mirror images together, and a round bisects
-    at most 64 panels, so a call still has at most 3840 abscissae; the
-    window [-L, L] grows by pairs of strips
-    [L, 2L] and [-2L, -L].  f takes abscissae of either sign and
-    returns values as for :func:`integrate_half_line`; l = 0 is never
-    an abscissa.  ``evaluations`` counts the nodes
-    at which f was evaluated, both signs, and never exceeds
+    at most 64 panels, so a call still has at most 3840 abscissae (the
+    first call, 16 start panels a side, has 480); the window [-L, L]
+    grows by pairs of strips [L, 2L] and [-2L, -L].  f takes abscissae
+    of either sign and returns values as for
+    :func:`integrate_half_line`; l = 0 is never an abscissa.
+    ``evaluations`` counts the nodes at which f was evaluated, both
+    signs, and never exceeds
     ``cfg.max_evals``; a budget under 60 has no tail test, and one under
     30 evaluates nothing.
     """

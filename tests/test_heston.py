@@ -193,11 +193,11 @@ class TestHestonCallPrice:
 
     def test_at_the_money_takes_the_measured_evaluations(self, fig1_heston,
                                                          atm_option):
-        # the contour integral at Im z = -4 converges on its 8 start
+        # the contour integral at Im z = -4 converges on its 16 start
         # panels on l > 0 in the first call
         price, res = heston_price_with_diagnostics(atm_option, fig1_heston,
                                                    0.03)
-        assert res.evaluations == 120 and res.integrand_calls == 1
+        assert res.evaluations == 240 and res.integrand_calls == 1
         assert abs(price - 9.290246306287323672) <= 1e-9 * atm_option.s0
 
     def test_unconverged_quote_names_its_window_and_calls(self, fig1_heston,
@@ -1137,6 +1137,11 @@ def _log1p_points():
     for phi in np.concatenate([phis, -phis]):
         for radius in (1.0, 1.0 + 1e-12, 1.0 - 1e-8, 1.0 + 1e-4):
             zs.append(radius * cmath.exp(1j * phi) - 1.0)
+    # near z = -1, where |1 + z| itself is small
+    for modulus in np.logspace(-14.0, math.log10(0.6), 30):
+        for phi in (0.0, 0.7, 2.0, 3.1, -1.5):
+            zs.append(modulus * cmath.exp(1j * phi) - 1.0)
+    zs += [-1.0 + 1e-10, -1.0 + 3e-8, -0.9999 + 1e-5j]
     with mpmath.workdps(50):
         refs = [complex(mpmath.log(1 + mpmath.mpc(z.real, z.imag)))
                 for z in zs]

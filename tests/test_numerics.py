@@ -205,7 +205,7 @@ class TestIntegrateRealLine:
     @pytest.mark.parametrize("s, calls", [(0.05, 5), (0.5, 2), (5.0, 1),
                                           (50.0, 4)])
     def test_gaussian_of_any_width_resolves_from_the_start(self, s, calls):
-        # The start panels reach from L/64 to 2L, so each width meets
+        # The start panels reach from L/90 to 2L, so each width meets
         # panels near its own size in the first call; the bounds are the
         # measured counts.
         sizes = []
@@ -324,14 +324,44 @@ class TestIntegrateRealLine:
 
 class TestIntegrateHalfLine:
     def test_gaussian_converges_in_the_first_call(self):
-        # e^{-l^2} underflows to 0 on the outer panel [100, 200], so the
-        # first call of 8 panels prices it and the window stays 2L
+        # e^{-l^2} underflows to 0 on the outer region [100, 200], so the
+        # first call of 16 panels prices it and the window stays 2L
         res = integrate_half_line(lambda l: np.exp(-l * l),
                                   QuadratureConfig())
         assert res.converged
         assert abs(res.value - 0.5 * np.sqrt(np.pi)) <= 1e-9
         assert res.integrand_calls == 1 and res.window == 200.0
-        assert res.evaluations == 8 * 15
+        assert res.evaluations == 16 * 15
+
+    @pytest.mark.parametrize("s", [100.0 / 90.0, 20.0],
+                             ids=["L/90", "L/5"])
+    def test_gaussian_of_any_start_scale_converges_in_the_first_call(self,
+                                                                    s):
+        # the half-octave start panels reach from L/90.5 to 2L, so a
+        # Gaussian of width L/90 meets panels of its own size in the
+        # first call; L/5 is the widest whose part on [L, 2L] (about
+        # 3e-11) passes the tail test at L = 100
+        res = integrate_half_line(lambda l: np.exp(-(l / s) ** 2),
+                                  QuadratureConfig())
+        assert res.converged
+        assert abs(res.value - 0.5 * s * np.sqrt(np.pi)) <= 1e-9
+        assert res.integrand_calls == 1 and res.window == 200.0
+
+    @pytest.mark.parametrize("max_evals", [15, 29, 30, 44, 45, 239, 240,
+                                           241])
+    def test_first_call_has_the_start_panels_the_budget_pays_for(
+            self, max_evals):
+        # 16 start panels, the innermost dropped when the budget cannot
+        # pay for them all
+        sizes = []
+
+        def f(l):
+            sizes.append(l.size)
+            return np.exp(-l * l)
+
+        res = integrate_half_line(f, QuadratureConfig(max_evals=max_evals))
+        assert sizes[0] == 15 * min(16, max_evals // 15)
+        assert res.evaluations <= max_evals
 
     def test_lorentzian_grows_by_strips_past_the_start_window(self):
         # 1/(1 + l^2) adds about 1/(2L) on a strip [L, 2L], so the outer
@@ -412,24 +442,22 @@ class TestIntegrateHalfLine:
 
     def test_strips_start_at_the_resolution_their_predecessor_needed(self):
         # e^{-(l/10)^2} cos(0.8 l) from L = 1 grows its window to 128 by
-        # strips [2^k, 2^(k+1)]; [8, 16] is bisected once, so [16, 32]
-        # starts as 4 panels and passes that on, converging on first
-        # sight; the calls and the window are the measured ones
-        strips = {}
-
-        def f(l):
-            if l.min() >= 2.0:
-                strips.setdefault(int(np.log2(l.min())), []).append(
-                    l.size // 15)
-            return np.exp(-(l / 10.0) ** 2) * np.cos(0.8 * l)
-
-        res = integrate_half_line(f, QuadratureConfig(truncation_bound=1.0))
-        exact = 5.0 * np.sqrt(np.pi) * np.exp(-16.0)
-        assert res.converged and abs(res.value - exact) <= 1e-9
+        # strips [2^k, 2^(k+1)], each starting with the panels the region
+        # before it ended with, twice as many if any was bisected: the
+        # outer region [1, 2] converges on its 2 panels, so [2, 4] starts
+        # as 2; [16, 32] is bisected to 4, so [32, 64] starts as 8 and
+        # passes that on, converging on first sight
+        res, strips = _cosine_strips(1.0)
         assert (res.integrand_calls, res.window) == (8, 128.0)
-        refined = min(k for k, calls in strips.items() if len(calls) > 1)
-        later = [calls[0] for k, calls in strips.items() if k > refined]
-        assert later and all(n > 1 for n in later), strips
+        assert strips == {1: [2], 2: [2], 3: [2], 4: [2, 4], 5: [8],
+                          6: [8]}
+
+    def test_first_strip_doubles_a_bisected_outer_region(self):
+        # from L = 16 the outer region [16, 32] is bisected from 2 panels
+        # to 4, so the first strip [32, 64] starts as 8
+        res, strips = _cosine_strips(16.0)
+        assert (res.integrand_calls, res.window) == (4, 128.0)
+        assert strips == {5: [8], 6: [8]}
 
     # scatter seed 0 quotes #91 (heston_wild) and #19 (hybrid_wild): at
     # T = 0.039 and 0.022 the put integrand reaches far past the start
@@ -464,6 +492,24 @@ class TestIntegrateHalfLine:
         ref, _ = price(QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10))
         assert res.converged and res.integrand_calls <= 8, res
         assert abs(got - ref) <= 1e-9 * opt.s0
+
+
+def _cosine_strips(L):
+    """e^{-(l/10)^2} cos(0.8 l) over l > 0 from truncation bound L: the
+    result, checked against its closed form, and the panels of every
+    call on each strip [2^k, 2^(k+1)] past the start window, by k."""
+    strips = {}
+
+    def f(l):
+        if l.min() >= 2.0 * L:
+            strips.setdefault(int(np.log2(l.min())), []).append(
+                l.size // 15)
+        return np.exp(-(l / 10.0) ** 2) * np.cos(0.8 * l)
+
+    res = integrate_half_line(f, QuadratureConfig(truncation_bound=L))
+    exact = 5.0 * np.sqrt(np.pi) * np.exp(-16.0)
+    assert res.converged and abs(res.value - exact) <= 1e-9
+    return res, strips
 
 
 def _panels_with(err, value):

@@ -245,9 +245,9 @@ class TestContourShift:
         assert heston._contour_shift(_params((params,)), T) == c
 
     def test_log1p_arguments_stay_off_minus_one(self, monkeypatch):
-        # _log1p_c loses log|1 + z| as |1 + z| -> 0 (below about 1e-8);
-        # on the contour, half the strip away from the explosion, the
-        # cores keep |1 + z| above 0.25 (0.42 measured over these cases)
+        # _log1p_c takes log|1 + z| by hypot where |1 + z| < 1/2; on the
+        # contour, half the strip away from the explosion, the cores keep
+        # |1 + z| above 0.25 (0.42 measured over these cases)
         real, least = heston._log1p_c, []
 
         def recording(z):
