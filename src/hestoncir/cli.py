@@ -276,11 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", required=True, help="JSON config path")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override mc.seed")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; execution is "
-                             "single-threaded and deterministic")
 
     sp = sub.add_parser("price", help="print one price record")
     common(sp)
@@ -300,6 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="analytic vs Monte Carlo z-test")
     common(sp)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="override mc.seed")
     sp.set_defaults(func=cmd_verify)
 
     return parser

@@ -38,8 +38,10 @@ support.  The price-via-density cross-check integrates the bounded put
 payoff against each mode of the same table in closed form, as one
 integral from below the strike up to it, and prices the call by parity.
 How far below, and the table's period, come from Chernoff bounds on the
-moments E[exp(s x_T)], which are finite between the critical moments
-(:func:`critical_moments`) and are the strike core at l = i s.
+moments E[exp(s x_T)], which are the strike core at l = i s and finite
+between the critical moments (:func:`critical_moments`).  The contour,
+the critical moments and the Chernoff samples take one explosion test,
+the closed-form explosion time T*(s) (:func:`_explosion_time`).
 """
 
 from __future__ import annotations
@@ -162,7 +164,8 @@ def _core_half(l2, b0, b, T, v0, kappa_theta, sig2):
     no 1/sig2 goes uncancelled.  b = b0 + i l rho sigma at z = l + i c,
     b0 = kappa - rho sigma c; as Re 2f >= 0, s cancels only if b0 < 0
     (rho sigma c > kappa).  There d is formed directly, s = sig2 l2/d,
-    and log P is taken of P itself, which may be near 0 rather than 1.
+    l2/s is d/sig2, and log P is taken of P itself, which may be near 0
+    rather than 1.
     """
     sl2 = sig2 * l2
     two_f = np.sqrt(b * b + sl2)
@@ -172,14 +175,14 @@ def _core_half(l2, b0, b, T, v0, kappa_theta, sig2):
         d_em1 = sl2 / s * em1
         p = 2.0 * two_f + d_em1
         log_p = _log1p_c(0.5 * d_em1 / two_f)
+        core = l2 * (v0 * em1 / p - (kappa_theta * T) / s)
     else:
         d = two_f - b
-        s = sl2 / d
-        p = s + d * np.exp(-T * two_f)
+        p = sl2 / d + d * np.exp(-T * two_f)
         log_p = np.log(p / (2.0 * two_f))
-    core = l2 * (v0 * em1 / p - (kappa_theta * T) / s) \
-        - (2.0 * kappa_theta / sig2) * log_p
-    return core, two_f, log_p
+        # l2/s = d/sig2, finite where l2 = 0 makes s = 0
+        core = l2 * (v0 * em1 / p) - (kappa_theta * T / sig2) * d
+    return core - (2.0 * kappa_theta / sig2) * log_p, two_f, log_p
 
 
 def _pricing_kappa_theta(p: HestonParams):
@@ -205,9 +208,10 @@ def _strike_core(l, T, p: HestonParams, c=0.0):
 
 def _explosion_time(s, p: HestonParams):
     """T*(s), where E[exp(s x_T)] explodes (Andersen and Piterbarg 2007):
-    the first zero in T of :func:`_log_moment`'s D, at beta T/2 =
-    atan2(beta, -b) if 4 f^2 = -beta^2 < 0, else at 2 atanh(2f/-b)/(2f)
-    if b < -2f, else never (inf)."""
+    the first zero in T of D = cosh fT + (b/2f) sinh fT, P = exp(-fT) D
+    of the strike core at l = i s, at beta T/2 = atan2(beta, -b) if
+    4 f^2 = -beta^2 < 0, else at 2 atanh(2f/-b)/(2f) if b < -2f, else
+    never (inf)."""
     b = _pricing_kappa_theta(p)[0] - p.rho * p.sigma * s
     four_f2 = b * b + p.sigma * p.sigma * s * (1.0 - s)
     if four_f2 < 0.0:
@@ -243,19 +247,15 @@ def _contour_shift(p: HestonParams, T):
 
 
 def _log_moment(s, T, p: HestonParams):
-    """(log M(s), sign(s)) at real s, with M(s) = E[exp(s x_T)].
+    """log M(s) at real s, with M(s) = E[exp(s x_T)].
 
     log M is the strike core at l = i s, where l2 = s(1 - s) and b =
-    kappa - rho sigma s are real.  The core's P is exp(-fT) D with D =
-    cosh fT + (b/2f) sinh fT real, and ``sign`` is the sign of D, 1 at
-    s = 0, whose first zero along s is where the moment explodes; it is
-    read off the phase of P, cos(arg P + Im fT).  P nears 0 only where
-    b < 0 or f is imaginary (elsewhere P >= 1/2), and there
-    :func:`_core_half` takes its branch that forms d = 2f - b directly
-    and log P of P itself, so log M stays finite up to the explosion;
-    l2 = 0 on that branch, at s = 1 with b < 0, gives a NaN log M,
-    though M(1) = 1.  Past the explosion log M is meaningless, and no
-    warning is raised for it.
+    kappa - rho sigma s are real.  The core's P nears 0 only where b < 0
+    or f is imaginary (elsewhere P >= 1/2), and there :func:`_core_half`
+    takes its branch that forms d = 2f - b directly and log P of P
+    itself, so log M stays finite up to the explosion at T*(s) = T
+    (:func:`_explosion_time`).  Past the explosion log M is meaningless,
+    and no warning is raised for it.
     """
     kappa, theta = _pricing_kappa_theta(p)
     sig2 = p.sigma * p.sigma
@@ -263,90 +263,68 @@ def _log_moment(s, T, p: HestonParams):
     l2 = s * (1.0 - s)
     b = kappa - p.rho * p.sigma * s
     direct = (b < 0.0) | (b * b + sig2 * l2 < 0.0)
-    log_m, sign = np.empty(s.shape), np.empty(s.shape)
+    log_m = np.empty(s.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for branch, b0 in ((~direct, 1.0), (direct, -1.0)):
             if branch.any():
-                core, two_f, log_p = _core_half(
+                log_m[branch] = _core_half(
                     l2[branch].astype(complex), b0,
-                    b[branch].astype(complex), T, p.v0, kappa * theta, sig2)
-                log_m[branch] = core.real
-                sign[branch] = np.cos(log_p.imag + 0.5 * T * two_f.imag)
-    return log_m, sign
+                    b[branch].astype(complex), T, p.v0, kappa * theta,
+                    sig2)[0].real
+    return log_m
 
 
-# The explosion search: a first pass at s = 2^(-k/2) times the outer end
-# of its bracket, k <= _OCTAVE_STEPS, then rounds of _BRACKET_POINTS
-# evenly spaced points across the bracket left.
-_OCTAVE_STEPS = 50
-_BRACKET_POINTS = 64
+def _finite_edges(p: HestonParams, T, rel_width):
+    """(-w-, w+) to within ``rel_width`` of each, on the finite side.
 
-
-def _moment_bracket(p: HestonParams, T, rel_width):
-    """Each side's bracket of the moment explosion, and the log M samples.
-
-    Returns ``(inner, outer, samples)``: on the negative side (row 0) and
-    the positive side (row 1) the moment is finite at ``inner`` and has
-    exploded at ``outer``, and ``|outer - inner| <= rel_width |outer|``;
-    ``samples`` lists (s, log M) pairs of (2, n) arrays, log M = inf
-    where the moment has exploded.  The explosion lies before the s at
-    which f = i pi/T, a root of the quadratic 4 f^2 = -(2 pi/T)^2 in s,
-    where P = -1.  The first pass samples the bracket from 0 to that
-    root geometrically, and each further pass shrinks the bracket
-    ``_BRACKET_POINTS`` times; a pass is one :func:`_log_moment` call.
+    T*(s) (:func:`_explosion_time`) is infinite on [0, 1] and falls to
+    0 as s leaves it, so on each side the bracket (0, -2) or (1, 2) has
+    its outer end doubled while T*(outer) > T, then is bisected until
+    ``|outer - inner| <= rel_width |outer|``.  The inner end is
+    returned, where T*(inner) > T: the moment is finite there.
     """
-    kappa, _ = _pricing_kappa_theta(p)
-    sig2 = p.sigma * p.sigma
-    qa = sig2 * (p.rho * p.rho - 1.0)
-    qb = sig2 - 2.0 * kappa * p.rho * p.sigma
-    qc = kappa * kappa + (_TWO_PI / T) ** 2
-    root = math.sqrt(qb * qb - 4.0 * qa * qc)
-    inner = np.zeros(2)
-    outer = np.array([qb - root, qb + root]) / (-2.0 * qa)
-    s = outer[:, None] * 2.0 ** (-0.5 * np.arange(_OCTAVE_STEPS, -1, -1))
-    t = np.linspace(0.0, 1.0, _BRACKET_POINTS + 1)[1:-1]
-    rows = np.arange(2)
-    samples = []
-    while True:
-        log_m, sign = _log_moment(s, T, p)
-        alive = np.logical_and.accumulate(sign > 0.0, axis=1)
-        samples.append((s, np.where(alive, log_m, np.inf)))
-        # between the last point alive and the first exploded one
-        j = alive.sum(axis=1)
-        n = s.shape[1]
-        inner = np.where(j > 0, s[rows, j - 1], inner)
-        outer = np.where(j < n, s[rows, np.minimum(j, n - 1)], outer)
-        if np.all(np.abs(outer - inner) <= rel_width * np.abs(outer)):
-            return inner, outer, samples
-        s = inner[:, None] + (outer - inner)[:, None] * t
+    ends = []
+    for inner, outer in ((0.0, -2.0), (1.0, 2.0)):
+        while _explosion_time(outer, p) > T:
+            inner, outer = outer, 2.0 * outer
+        while abs(outer - inner) > rel_width * abs(outer):
+            mid = 0.5 * (inner + outer)
+            if _explosion_time(mid, p) > T:
+                inner = mid
+            else:
+                outer = mid
+        ends.append(inner)
+    return ends
 
 
 def critical_moments(p: HestonParams, T: float):
     """(w-, w+): E[exp(s x_T)] is finite for s in (-w-, w+) at maturity T.
 
-    The critical moments of the logreturn x_T (Lee 2004): the first zero
-    of P along s on either side of s = 0, where P = 1, which is where the
-    moment explodes at T (Andersen and Piterbarg 2007).  Each is
-    bracketed to 1e-13 of its size, and the bracket's inner end is
-    returned, so the moment is finite at each w returned.
+    The critical moments of the logreturn x_T (Lee 2004), where the
+    moment explodes at T: the s on either side of s = 0 at which
+    Andersen and Piterbarg's (2007) closed-form explosion time T*(s)
+    (:func:`_explosion_time`) equals T.  Each is bracketed to 1e-13 of
+    its size, and the bracket's inner end is returned, so the moment is
+    finite at each w returned.
     """
-    inner, _, _ = _moment_bracket(p, T, 1e-13)
-    return float(-inner[0]), float(inner[1])
+    lo, hi = _finite_edges(p, T, 1e-13)
+    return -lo, hi
 
 
 def _tail_depths(p: HestonParams, T, log_odds):
     """(d-, d+): P(x_T < -d-) and P(x_T > d+) are below exp(-log_odds).
 
     Chernoff: P(x_T < -d) <= M(-s) e^{-s d} for 0 < s < w-, so d- is the
-    least (log_odds + log M(-s))/s over the samples of log M on the way
-    to the explosion, and d+ the same with M(s).  The search stops at a
-    bracket of 1/_BRACKET_POINTS of the critical moment: one pass after
-    the geometric one.
+    least (log_odds + log M(-s))/s over samples of (0, w-), and d+ the
+    same with M(s).  Each w is the finite end of a bracket of 1/64 of
+    the critical moment (:func:`_finite_edges`), and the samples, w
+    2^(-k/2) for k <= 50 and 64 even points across [w/2, w), take one
+    :func:`_log_moment` call.
     """
-    _, _, samples = _moment_bracket(p, T, 1.0 / _BRACKET_POINTS)
-    s = np.concatenate([s for s, _ in samples], axis=1)
-    log_m = np.concatenate([log_m for _, log_m in samples], axis=1)
-    depth = np.nanmin((log_odds + log_m) / np.abs(s), axis=1)
+    w = np.array(_finite_edges(p, T, 1.0 / 64.0))[:, None]
+    s = w * np.concatenate([2.0 ** (-0.5 * np.arange(51)),
+                            np.linspace(0.5, 1.0, 64, endpoint=False)])
+    depth = np.nanmin((log_odds + _log_moment(s, T, p)) / np.abs(s), axis=1)
     return float(depth[0]), float(depth[1])
 
 

@@ -95,6 +95,14 @@ class TestExitCodes:
         assert main(["price", "--config", path]) == 2
         assert "%s must be finite" % field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "1"]])
+    def test_flags_of_no_effect_exit_2(self, tmp_path, capsys, flag):
+        # price reads neither; only verify takes --seed
+        path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["price", "--config", path] + flag)
+        assert exc.value.code == 2
+
     def test_missing_rate_exits_2(self, tmp_path):
         cfg = json.loads(json.dumps(FIG1))
         del cfg["rate"]

@@ -1098,6 +1098,25 @@ def _moment_case(row):
                         rho=rho, v0=v0, lam=lam), T
 
 
+def _sign_of_d(s, p, T):
+    """sign(D) at real s, D = cosh fT + (b/2f) sinh fT, formed here apart
+    from the explosion time: E[exp(s x_T)] is finite up to D's first zero
+    along s.  4 f^2 = b^2 + q, b = kappa - rho sigma s, q = sigma^2 s(1 - s).
+    Where f is real, D has the sign of (2f + b) + (2f - b) e^{-2fT}, with
+    2f + b = q/(2f - b) for b < 0; where f = i beta/2, D = cos(beta T/2)
+    + (b/beta) sin(beta T/2)."""
+    kappa, _ = heston._pricing_kappa_theta(p)
+    b = kappa - p.rho * p.sigma * s
+    q = p.sigma * p.sigma * s * (1.0 - s)
+    four_f2 = b * b + q
+    two_f = np.sqrt(np.abs(four_f2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        real = (np.where(b < 0.0, q / (two_f - b), two_f + b)
+                + (two_f - b) * np.exp(-T * two_f))
+        imag = np.cos(0.5 * T * two_f) + b / two_f * np.sin(0.5 * T * two_f)
+    return np.sign(np.where(four_f2 < 0.0, imag, real))
+
+
 class TestCriticalMoments:
     @pytest.mark.parametrize("row", MP_CRITICAL_MOMENTS)
     def test_match_mpmath(self, row):
@@ -1120,10 +1139,54 @@ class TestCriticalMoments:
         p, T = _moment_case(row)
         w_minus, w_plus = critical_moments(p, T)
         ends = np.array([-w_minus, w_plus])
-        log_m, sign = heston._log_moment(ends * (1.0 - 1e-9), T, p)
-        assert np.all(np.isfinite(log_m)) and np.all(sign > 0.0)
-        _, sign = heston._log_moment(ends * (1.0 + 1e-9), T, p)
-        assert np.all(sign <= 0.0)
+        log_m = heston._log_moment(ends * (1.0 - 1e-9), T, p)
+        assert log_m.shape == (2,) and np.all(np.isfinite(log_m))
+        for s in ends * (1.0 + 1e-9):
+            assert heston._explosion_time(s, p) <= T, s
+        assert np.all(_sign_of_d(ends * (1.0 - 1e-9), p, T) > 0.0)
+        assert np.all(_sign_of_d(ends * (1.0 + 1e-9), p, T) < 0.0)
+
+    def test_moment_at_one_is_one_where_b_is_negative(self):
+        # kappa - rho sigma < 0 takes _core_half's direct branch at s = 1,
+        # where l2 = 0
+        p, T = _moment_case(MP_CRITICAL_MOMENTS[-1])
+        kappa, _ = heston._pricing_kappa_theta(p)
+        assert kappa - p.rho * p.sigma < 0.0
+        log_m = heston._log_moment(np.array([0.0, 1.0]), T, p)
+        assert np.all(np.abs(log_m) <= 1e-15), log_m
+
+    def test_wide_box_brackets_and_finite_chernoff_samples(self,
+                                                           monkeypatch):
+        real, seen = heston._log_moment, []
+
+        def kept(s, T, p):
+            log_m = real(s, T, p)
+            seen.append(log_m)
+            return log_m
+        monkeypatch.setattr(heston, "_log_moment", kept)
+        g = np.random.default_rng(2025)
+        for _ in range(200):
+            p = HestonParams(
+                mu=0.03, kappa=math.exp(g.uniform(math.log(0.05), 2.3)),
+                theta=math.exp(g.uniform(math.log(0.005), 0.0)),
+                sigma=math.exp(g.uniform(math.log(1e-4), math.log(3.0))),
+                rho=g.uniform(-0.99, 0.99),
+                v0=math.exp(g.uniform(math.log(0.005), 0.0)),
+                lam=g.uniform(-0.04, 1.0) if g.uniform() < 0.3 else 0.0)
+            T = math.exp(g.uniform(math.log(0.004), math.log(50.0)))
+            w_minus, w_plus = critical_moments(p, T)
+            for w in (-w_minus, w_plus):
+                assert heston._explosion_time(w, p) > T, (p, T, w)
+                assert heston._explosion_time(w * (1.0 + 1e-12), p) <= T
+                # D's first zero along s lies within 1e-9 of w
+                inside = w * np.concatenate([np.linspace(0.0, 1.0, 257)[1:],
+                                             1.0 - 2.0 ** -np.arange(1, 31)])
+                assert np.all(_sign_of_d(inside * (1.0 - 1e-9), p, T) > 0.0)
+                assert _sign_of_d(w * (1.0 + 1e-9), p, T) < 0.0, (p, T, w)
+            seen.clear()
+            heston._tail_depths(p, T, 30.0)
+            (log_m,) = seen
+            assert np.all(np.isfinite(log_m)), (p, T)
 
 
 def _log1p_points():
