@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heston import heston_call_price
-from .models import CirRateParams, HestonParams, VanillaOption
+from .hybrid import deterministic_average_rate
+from .models import CirRateParams, HestonParams, VanillaOption, \
+    _require_int
 from .numerics import QuadratureConfig, RngStream, sample_noncentral_chisq
 
 __all__ = [
@@ -54,6 +56,7 @@ class McConfig:
     antithetic: bool = False
 
     def __post_init__(self):
+        _require_int(self, ("paths", "steps", "seed"))
         if self.paths < 2:
             raise ValueError("paths must be at least 2")
         if self.steps < 1:
@@ -164,7 +167,6 @@ def mc_price_hybrid(opt: VanillaOption, p: HestonParams, rp: CirRateParams,
     """
     cfg = cfg or QuadratureConfig()
     if rp.sigma_r == 0.0:
-        from .hybrid import deterministic_average_rate
         rbar = deterministic_average_rate(rp, opt.maturity)
         price = heston_call_price(opt, p, rbar, cfg)
         return McEstimate(price, 0.0, mc.paths, mc.seed)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 __all__ = [
@@ -25,6 +26,16 @@ def _require_finite(record, names=None):
         value = getattr(record, name)
         if not math.isfinite(value):
             raise ValueError("%s must be finite, got %r" % (name, value))
+
+
+def _require_int(record, names):
+    """Raise ValueError naming the first of ``names`` that is not an
+    integer: a float is not one, even if integral, and neither is a bool.
+    """
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
 @dataclass(frozen=True)

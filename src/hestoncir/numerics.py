@@ -11,11 +11,12 @@ It starts from 16 half-octave panels with edges 0 and 2L 2^(-k/2), k =
 call resolves any scale from L/90 to 2L; it then refines in batches --
 each round bisects every panel whose error is above its share, tol/(2n)
 of n panels, at most 128 of them, and evaluates all their children in
-one vectorized integrand call of at most 3840 nodes.  The start
-window's outer region [L, 2L], its two outer panels, is the first test
-of the tail; while the outermost region contributes more than the
-tolerance, the window grows geometrically by strips [2L, 4L], ....
-Each strip starts at the resolution the region before it ended with,
+one vectorized integrand call of at most 3840 nodes.  An integral is
+one set of panels held to one tolerance.  The window's outermost
+octave [L, 2L], at first the two outer start panels, is the tail test:
+while the absolute values of its panels sum to abs_tol or more, the
+next octave [2L, 4L] joins the set and the whole set is refined again.
+A new octave starts at the resolution the octave before it ended with,
 so an oscillating tail is not resolved again one bisection a call.  An
 integrand may return several columns at once (several x or rates of
 one kernel); they share the panels, and each column is judged against
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import _require_finite
+from .models import _require_finite, _require_int
 
 __all__ = [
     "QuadratureConfig",
@@ -62,10 +63,12 @@ class QuadratureConfig:
     """Tolerances and budget for the adaptive integrator.
 
     ``truncation_bound`` is L in the start window [0, 2L] of 16
-    half-octave panels, whose two outer panels [L, sqrt(2) L] and
-    [sqrt(2) L, 2L] are the first tail test; the window is doubled
-    until the outermost strip contributes less than ``abs_tol``.  The
-    whole-line :func:`integrate_real_line` takes [-2L, 2L] as f(l) +
+    half-octave panels, whose outer octave [L, 2L], the two panels
+    [L, sqrt(2) L] and [sqrt(2) L, 2L], is the first tail test; the
+    window grows one octave at a time until the absolute values of its
+    outermost octave's panels sum to less than ``abs_tol``.  All its
+    panels share one tolerance, max(``abs_tol``, ``rel_tol`` |value|).
+    The whole-line :func:`integrate_real_line` takes [-2L, 2L] as f(l) +
     f(-l) on [0, 2L], so its first tail test is the pair [L, 2L] and
     [-2L, -L].
     """
@@ -77,6 +80,7 @@ class QuadratureConfig:
 
     def __post_init__(self):
         _require_finite(self)
+        _require_int(self, ("max_evals",))
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
         if self.rel_tol < 0:
@@ -94,10 +98,10 @@ class QuadratureResult:
 
     The value is complex and the error a float, or, for an integrand with
     m columns, an array of m values and one of their m errors.
-    ``integrand_calls`` counts the calls of the integrand (one per
-    refinement round, every strip included) and ``window`` is the final
-    end L of the half-line window [0, L], or half-width of the
-    real-line window [-L, L]; it is 0 for a finite interval.
+    ``integrand_calls`` counts the calls of the integrand (the start
+    panels, each refinement round, each new octave) and ``window`` is
+    the final end L of the half-line window [0, L], or half-width of
+    the real-line window [-L, L]; it is 0 for a finite interval.
     """
 
     value: complex
@@ -173,7 +177,8 @@ def _gk_panels(f, a, b):
 
 
 class _Panels:
-    """A set of panels refined in batches, one integrand call per round.
+    """A set of panels refined in batches, one integrand call per round,
+    that :meth:`extend` grows by new panels in one more call.
 
     The integrand has one column or m; the value and the error are
     complex and float, or arrays of m, one per column.
@@ -239,17 +244,21 @@ class _Panels:
             a, b = self.a, self.b
             split = split[:min(max_splits, room)]
             mid = 0.5 * (a[split] + b[split])
-            ca = np.concatenate([a[split], mid])
-            cb = np.concatenate([mid, b[split]])
-            cval, cerr = _gk_panels(self.f, ca, cb)
-            self.evals += 15 * ca.size
-            self.calls += 1
             keep = np.ones(a.size, dtype=bool)
             keep[split] = False
-            self.a = np.concatenate([a[keep], ca])
-            self.b = np.concatenate([b[keep], cb])
-            self.val = np.concatenate([self.val[keep], cval])
-            self.err = np.concatenate([self.err[keep], cerr])
+            self.extend(np.concatenate([a[split], mid]),
+                        np.concatenate([mid, b[split]]), keep)
+
+    def extend(self, a, b, keep=slice(None)):
+        """Evaluate the panels [a[i], b[i]] in one integrand call and
+        append them to the panels that ``keep`` selects."""
+        val, err = _gk_panels(self.f, a, b)
+        self.evals += 15 * a.size
+        self.calls += 1
+        self.a = np.concatenate([self.a[keep], a])
+        self.b = np.concatenate([self.b[keep], b])
+        self.val = np.concatenate([self.val[keep], val])
+        self.err = np.concatenate([self.err[keep], err])
 
 
 def integrate_interval(f, a, b, cfg=None):
@@ -272,28 +281,36 @@ def integrate_half_line(f, cfg=None):
     0, that is 0, L/90.5, L/64, ..., L, sqrt(2) L, 2L (fewer if
     max_evals cannot pay for 16: the innermost go), so that an
     integrand varying on any scale from L/90 to 2L is resolved in the
-    first call and l = 0 is never an abscissa.  Once the window is
-    refined, its start panels at or beyond L, the outer region [L, 2L],
-    are the first tail test: if their contribution is below abs_tol, in
-    every column, the integral stops with window 2L.  Otherwise the
-    window grows by doubling, by strips [2L, 4L], and so on, each
-    refined at abs_tol, and growth stops at the first strip below
-    abs_tol.  A strip starts as even panels, as many as the region
-    before it ended with if none of that region's panels was bisected,
-    and twice as many if any was: the first strip after the outer
-    region [L, 2L], each later strip after its predecessor.  So a tail
-    that converges at first sight keeps its count.  A strip starts with
-    at most 256 panels (3840 nodes) and no more than the budget left
-    pays for.  A budget of one panel (max_evals under 30) has no edge
-    at or beyond L and so no tail test: the integral is not converged.
-    Each column j is held to its own tolerance tol_j = max(abs_tol,
-    rel_tol |value_j|), as if integrated alone, and the error estimate
-    is one per column.  Of n panels, a refinement round bisects every panel whose error exceeds tol_j/(2n)
-    in a column short of tol_j, so the panels left hold at most tol_j/2
-    (at most 128 panels a round, in panel order, so one integrand call
-    gets at most 3840 nodes); ``evaluations`` never exceeds
-    ``cfg.max_evals``.  The result reports the integrand calls of every
-    round and strip, and the final L.
+    first call and l = 0 is never an abscissa.
+
+    The integral is one set of panels, refined in rounds to one
+    tolerance per column j, tol_j = max(abs_tol, rel_tol |value_j|), as
+    if the column were integrated alone; the error estimate is one per
+    column.  Of n panels, a round bisects every panel whose error
+    exceeds tol_j/(2n) in a column short of tol_j, so the panels left
+    hold at most tol_j/2 (at most 128 panels a round, in panel order,
+    so one integrand call gets at most 3840 nodes).
+
+    Once the set meets its tolerance, the window's outermost octave
+    [L, 2L], at first the start panels at or beyond L, is the tail
+    test: if the absolute values of its panels sum to less than abs_tol
+    in every column, the integral stops with window 2L.  The sum is of
+    absolute values, so panels that cancel in sign do not pass for a
+    negligible tail.  Otherwise the next octave [2L, 4L] joins the set,
+    evaluated in one integrand call, the whole set is refined again and
+    the tail test moves out to it.  A new octave starts as even panels,
+    as many as the octave before it ended with, twice as many if any of
+    those was bisected, at most 256 (3840 nodes) and no more than the
+    budget left pays for; so a tail that converges at first sight keeps
+    its count.
+
+    The integral is converged when the last refinement met the
+    tolerance and the tail test passed; it is not when the budget runs
+    out first or the panels left are too narrow to bisect.  A budget of
+    one panel (max_evals under 30) has no edge at or beyond L and so no
+    tail test: the integral is not converged.  ``evaluations`` never
+    exceeds ``cfg.max_evals``.  The result reports the integrand calls
+    and the final window end 2L.
     """
     cfg = cfg or QuadratureConfig()
     return _half_line(f, cfg)
@@ -304,8 +321,8 @@ def _half_line(f, cfg, per_node=1):
     evaluations a node.
 
     The budget is cfg.max_evals // per_node nodes, and a round bisects
-    at most _MAX_SPLITS // per_node panels and a strip starts with at
-    most twice as many, so a call never costs more than 3840
+    at most _MAX_SPLITS // per_node panels and a new octave starts with
+    at most twice as many, so a call never costs more than 3840
     evaluations; ``evaluations`` counts per_node a node.
     Under 15 nodes nothing is evaluated, and the integral is not
     converged.
@@ -313,51 +330,34 @@ def _half_line(f, cfg, per_node=1):
     budget = cfg.max_evals // per_node
     max_splits = _MAX_SPLITS // per_node
     L = cfg.truncation_bound
-    panels = min(16, budget // 15)
-    if panels == 0:
+    n = min(16, budget // 15)
+    if n == 0:
         return QuadratureResult(0j, math.inf, 0, False)
     edges = np.concatenate(
-        [[0.0], 2.0 * L * 2.0 ** (-0.5 * np.arange(panels - 1, -1, -1.0))])
-    window = _Panels(f, edges[:-1], edges[1:])
-    converged = window.refine(cfg.abs_tol, cfg.rel_tol, budget, max_splits)
-    value = window.value
-    error = window.error
-    evals = window.evals
-    calls = window.calls
-    # the start panels at or beyond L are the first tail test; one panel
-    # has no edge at L, so it tests no tail
-    outer = window.a >= L
-    tail = window.val[outer].sum(axis=0)
-    if panels > 1 and np.max(np.abs(tail)) < cfg.abs_tol:
-        return QuadratureResult(value, error, per_node * evals, converged,
-                                calls, 2.0 * L)
-
-    # a strip is twice as wide as the region before it: it starts with
-    # that region's final panels, twice as many if any was bisected
-    n = np.count_nonzero(outer)
-    if n > np.count_nonzero(edges[:-1] >= L):
-        n *= 2
-    L *= 2.0
-    while evals + 15 <= budget:
-        n = min(n, 2 * max_splits, (budget - evals) // 15)
-        edges = np.linspace(L, 2.0 * L, n + 1)
-        strip = _Panels(f, edges[:-1], edges[1:])
-        ok = strip.refine(cfg.abs_tol, 0.0, budget - evals, max_splits)
-        evals += strip.evals
-        calls += strip.calls
-        contribution = strip.value
-        value += contribution
-        error += strip.error
-        converged = converged and ok
-        L *= 2.0
-        if np.max(np.abs(contribution)) < cfg.abs_tol:
+        [[0.0], 2.0 * L * 2.0 ** (-0.5 * np.arange(n - 1, -1, -1.0))])
+    panels = _Panels(f, edges[:-1], edges[1:])
+    # n is the panel count the outermost octave [L, 2L] started with, the
+    # start panels from L = 2L 2^(-1) on; one start panel has no edge at
+    # L, so it tests no tail
+    n = min(2, n - 1)
+    converged = False
+    while panels.refine(cfg.abs_tol, cfg.rel_tol, budget, max_splits):
+        # |panel values|: panels that cancel in sign are not a small tail
+        outer = panels.a >= L
+        if n and np.max(np.abs(panels.val[outer]).sum(axis=0)) < cfg.abs_tol:
+            converged = True
             break
-        n = strip.a.size * (2 if strip.calls > 1 else 1)
-    else:
-        converged = False
-
-    return QuadratureResult(value, error, per_node * evals, converged,
-                            calls, L)
+        room = (budget - panels.evals) // 15
+        if room == 0:
+            break
+        ended = np.count_nonzero(outer)
+        n = min(ended * (2 if ended > n else 1), 2 * max_splits, room)
+        L *= 2.0
+        edges = np.linspace(L, 2.0 * L, n + 1)
+        panels.extend(edges[:-1], edges[1:])
+    return QuadratureResult(panels.value, panels.error,
+                            per_node * panels.evals, converged, panels.calls,
+                            2.0 * L)
 
 
 def integrate_real_line(f, cfg=None):
@@ -368,7 +368,7 @@ def integrate_real_line(f, cfg=None):
     at the nodes and their mirror images together, and a round bisects
     at most 64 panels, so a call still has at most 3840 abscissae (the
     first call, 16 start panels a side, has 480); the window [-L, L]
-    grows by pairs of strips [L, 2L] and [-2L, -L].  f takes abscissae
+    grows by pairs of octaves [L, 2L] and [-2L, -L].  f takes abscissae
     of either sign and returns values as for
     :func:`integrate_half_line`; l = 0 is never an abscissa.
     ``evaluations`` counts the nodes at which f was evaluated, both

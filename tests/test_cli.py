@@ -95,6 +95,23 @@ class TestExitCodes:
         assert main(["price", "--config", path]) == 2
         assert "%s must be finite" % field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block, field, value", [
+        ("quadrature", "max_evals", 600.0),
+        ("mc", "paths", 1e3),
+        ("mc", "steps", 1e1),
+        ("mc", "seed", 1.0),
+        ("mc", "paths", True),
+    ])
+    def test_non_integer_count_exits_2(self, tmp_path, capsys, block, field,
+                                       value):
+        # JSON reads 1e3 as a float; a count that is not an integer is a
+        # malformed config, not a traceback
+        overrides = {"mc": {"paths": 100, "steps": 10}}
+        overrides.setdefault(block, {})[field] = value
+        path = write_config(tmp_path, overrides)
+        assert main(["verify", "--config", path]) == 2
+        assert "%s must be an integer" % field in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "1"]])
     def test_flags_of_no_effect_exit_2(self, tmp_path, capsys, flag):
         # price reads neither; only verify takes --seed

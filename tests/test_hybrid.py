@@ -425,6 +425,27 @@ class TestHybridPrice:
         assert price == hybrid_call_price(atm_option, fig1_heston,
                                           fig1_rate)
 
+    @pytest.mark.parametrize("tol", [1e-5, 1e-6, 1e-7])
+    def test_a_cancelling_outer_octave_meets_its_tolerance(self, tol):
+        # scatter seed 0 quote #2: at T = 0.022 the put integrand's panels
+        # [100, 141] and [141, 200] hold -4.985e-4 and +4.981e-4, whose
+        # sum is below 1e-6, while the octave [200, 400] holds 1.28e-5
+        p = HestonParams(0.030042409457425673, 3.245324633447628,
+                         0.08048716769708589, 1.7260023763381198,
+                         0.7204177226940086, 0.07478454272854355,
+                         0.21019146466084293)
+        rp = CirRateParams(0.22232866830286563, 0.036738300648047555,
+                           0.1435673137301358, 0.030042409457425673)
+        opt = VanillaOption(100.0, 90.5707, 0.022217001184792036)
+        ref = hybrid_call_price(opt, p, rp, QuadratureConfig(
+            abs_tol=1e-13, rel_tol=1e-13, truncation_bound=400.0))
+        price, res = hybrid_price_with_diagnostics(
+            opt, p, rp, QuadratureConfig(abs_tol=tol, rel_tol=tol))
+        assert res.converged
+        # the integral is 2 pi times the put, and the call is its parity
+        assert abs(price - ref) <= max(tol, tol * abs(res.value)) \
+            / (2.0 * math.pi)
+
     @pytest.mark.parametrize("strike", [100.0, 73.0])
     def test_memo_is_transparent(self, fig1_heston, fig1_rate, fig2_rate,
                                  core_memo, monkeypatch, strike):

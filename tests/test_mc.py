@@ -27,6 +27,24 @@ from hestoncir import heston, mc
 from hestoncir.numerics import QuadratureResult
 
 
+class TestMcConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("paths", 1e3), ("steps", 1e1), ("seed", 1.0), ("paths", True),
+        ("steps", True),
+    ])
+    def test_non_integer_count_names_the_field(self, field, value):
+        # a float count, even an integral one, or a bool is rejected before
+        # any path is drawn
+        counts = dict(paths=100, steps=10, seed=0)
+        counts[field] = value
+        with pytest.raises(ValueError, match="%s must be an integer" % field):
+            McConfig(**counts)
+
+    def test_numpy_integers_are_counts(self):
+        mc = McConfig(np.int64(100), np.int32(10), np.int64(7))
+        assert (mc.paths, mc.steps, mc.seed) == (100, 10, 7)
+
+
 class TestCirExactStep:
     def test_conditional_moments(self, fig2_rate):
         # Exact transition moments: E = theta + (r - theta) e^{-k dt},

@@ -311,6 +311,13 @@ class TestIntegrateRealLine:
         with pytest.raises(ValueError):
             QuadratureConfig(max_evals=0)
 
+    @pytest.mark.parametrize("value", [600.0, 6e5, True])
+    def test_non_integer_budget_names_the_field(self, value):
+        # the budget slices panel arrays once it binds, so a float or a
+        # bool is rejected where it is set
+        with pytest.raises(ValueError, match="max_evals must be an integer"):
+            QuadratureConfig(max_evals=value)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["abs_tol", "rel_tol",
                                       "truncation_bound"])
@@ -439,6 +446,46 @@ class TestIntegrateHalfLine:
         assert whole.evaluations == 2 * half.evaluations
         assert (whole.integrand_calls, whole.window) == \
             (half.integrand_calls, half.window)
+
+    @pytest.mark.parametrize("whole_line", [False, True])
+    def test_an_outer_octave_that_cancels_is_not_a_negligible_tail(
+            self, whole_line):
+        # sin(pi l/50) e^{-((l - 150)/15)^2} is odd about l = 150, so its
+        # panels on the outer octave [100, 200] cancel in sign, while a
+        # bump of 1.77e-2 lies at l = 300; the tail test sums the octave's
+        # |panel values|, so the window grows past the bump, to 800
+        def f(l):
+            return (np.sin(0.02 * np.pi * l)
+                    * np.exp(-((l - 150.0) / 15.0) ** 2)
+                    + 1e-3 * np.exp(-((l - 300.0) / 10.0) ** 2))
+
+        integrate = integrate_real_line if whole_line \
+            else integrate_half_line
+        res = integrate(f, QuadratureConfig())
+        assert res.converged and res.window == 800.0
+        assert abs(res.value - 1e-2 * np.sqrt(np.pi)) <= 1e-9
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_a_grown_window_meets_one_tolerance(self, columns):
+        # |cos l| e^{-l/20} has a kink at every odd multiple of pi/2, so
+        # panels there stop just below their share of the tolerance; from
+        # L = 1 the window grows by nine octaves, to 1024, and all of its
+        # panels share each column's tolerance max(abs_tol, rel_tol
+        # |value_j|), however many octaves it has.
+        a = 1.0 / 20.0
+        # the period [0, pi] in closed form, times 1/(1 - e^{-a pi})
+        exact = (2.0 * np.exp(-0.5 * a * np.pi) + a - a * np.exp(-a * np.pi)) \
+            / ((1.0 + a * a) * -np.expm1(-a * np.pi))
+        f = lambda l: np.abs(np.cos(l)) * np.exp(-a * l)
+        g = f if columns == 1 \
+            else lambda l: np.stack([f(l), np.exp(-l * l)], axis=1)
+        cfg = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-12,
+                               truncation_bound=1.0)
+        res = integrate_half_line(g, cfg)
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(res.value))
+        assert res.converged and res.window == 1024.0
+        assert np.all(res.error_estimate <= tol)
+        assert abs(np.atleast_1d(res.value)[0] - exact) <= cfg.abs_tol
 
     def test_strips_start_at_the_resolution_their_predecessor_needed(self):
         # e^{-(l/10)^2} cos(0.8 l) from L = 1 grows its window to 128 by
