@@ -5,7 +5,12 @@ one strike core per node on a line c in (-w-, 0) that
 :func:`_contour_shift` certifies; the call follows by parity, and the
 density is the same core on the real line.  Both integrands are
 conjugate-symmetric in l, so each is integrated as 2 Re of it over l > 0
-(:func:`hestoncir.numerics.integrate_half_line`).  All hyperbolic
+(:func:`hestoncir.numerics.integrate_half_line`).  The put's payoff
+transform has a pole at z = 0, a distance |c| from the real line, so
+both pricers, here and in :mod:`hestoncir.hybrid`, grade the start
+window down to |c| (``scale=-c``) and resolve it in the first integrand
+call; c is part of the memo key, so every strike on a key still makes
+the same first call.  All hyperbolic
 expressions are evaluated in the cosh/sinh form through exp(-w) factors:
 with the principal square root w has nonnegative real part, so nothing
 overflows at long maturity or large |l|, and the complex logarithm stays
@@ -548,7 +553,8 @@ def heston_price_with_diagnostics(opt: VanillaOption, p: HestonParams, r,
     c = _contour_shift(p, T)
     _MEMO.admit(_heston_key(p, T, c))
     res = integrate_half_line(
-        lambda l: 2.0 * price_integrand(l, opt, p, r, c).real, cfg)
+        lambda l: 2.0 * price_integrand(l, opt, p, r, c).real, cfg,
+        scale=-c)
     return _finish_price(res, opt, p, c, bond, cfg, what)
 
 
@@ -793,8 +799,10 @@ def marginal_density_grid(xs, T: float, p: HestonParams,
     """Density of the logreturn at each x in xs (vectorized).
 
     The variable is the drift-adjusted logreturn x_T = ln(S_T/S0) - mu T,
-    as for :func:`marginal_density`.  A non-finite x raises ValueError,
-    and a table that fails its probe a :class:`PricingError`.
+    as for :func:`marginal_density`.  The result has the shape of xs (a
+    scalar gives one value in an array); the table is summed on the
+    flattened points.  A non-finite x raises ValueError, and a table
+    that fails its probe a :class:`PricingError`.
     """
     cfg = cfg or QuadratureConfig()
     xs = np.atleast_1d(_finite_x(xs, "marginal_density_grid"))
@@ -803,7 +811,7 @@ def marginal_density_grid(xs, T: float, p: HestonParams,
     sd = math.sqrt((p.v0 + p.theta) * T)
     density, _ = _density_evaluator(T, p, cfg,
                                     2.0 * (reach + 12.0 * sd + 1.0))
-    return density(xs)
+    return density(xs.reshape(-1)).reshape(xs.shape)
 
 
 def price_via_density(opt: VanillaOption, p: HestonParams, r: float,

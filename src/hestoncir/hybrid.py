@@ -214,6 +214,7 @@ def hybrid_price_with_diagnostics(opt: VanillaOption, p: HestonParams,
     _MEMO.admit(_heston_key(p, T, c))
     _MEMO.admit((rp, T, c))
     res = integrate_half_line(
-        lambda l: 2.0 * hybrid_price_integrand(l, opt, p, rp, c).real, cfg)
+        lambda l: 2.0 * hybrid_price_integrand(l, opt, p, rp, c).real, cfg,
+        scale=-c)
     return _finish_price(res, opt, p, c, cir_bond_price(rp, T), cfg,
                          "hybrid price at T=%g" % T)

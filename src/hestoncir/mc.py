@@ -57,6 +57,10 @@ class McConfig:
 
     def __post_init__(self):
         _require_int(self, ("paths", "steps", "seed"))
+        # a truthy string such as "false" would turn antithetic sampling on
+        if not isinstance(self.antithetic, (bool, np.bool_)):
+            raise ValueError("antithetic must be a bool, got %r"
+                             % (self.antithetic,))
         if self.paths < 2:
             raise ValueError("paths must be at least 2")
         if self.steps < 1:

@@ -8,7 +8,11 @@ pricer integrates over (0, inf) only, with one engine,
 :func:`integrate_half_line`, an adaptive Gauss-Kronrod (7-15) scheme.
 It starts from 16 half-octave panels with edges 0 and 2L 2^(-k/2), k =
 15, ..., 0 (L/90.5, L/64, ..., L, sqrt(2) L, 2L), so that one integrand
-call resolves any scale from L/90 to 2L; it then refines in batches --
+call resolves any scale from L/90 to 2L.  An integrand with a
+singularity a distance ``scale`` from l = 0, such as the put's pole on
+its contour, passes that scale, and the half-octave edges continue
+inward until the innermost is at most 0.78 scale, so the first call
+resolves that scale too.  The engine then refines in batches --
 each round bisects every panel whose error is above its share, tol/(2n)
 of n panels, at most 128 of them, and evaluates all their children in
 one vectorized integrand call of at most 3840 nodes.  An integral is
@@ -63,7 +67,8 @@ class QuadratureConfig:
     """Tolerances and budget for the adaptive integrator.
 
     ``truncation_bound`` is L in the start window [0, 2L] of 16
-    half-octave panels, whose outer octave [L, 2L], the two panels
+    half-octave panels (more when :func:`integrate_half_line` is given
+    a ``scale``), whose outer octave [L, 2L], the two panels
     [L, sqrt(2) L] and [sqrt(2) L, 2L], is the first tail test; the
     window grows one octave at a time until the absolute values of its
     outermost octave's panels sum to less than ``abs_tol``.  All its
@@ -270,7 +275,7 @@ def integrate_interval(f, a, b, cfg=None):
                             panels.calls)
 
 
-def integrate_half_line(f, cfg=None):
+def integrate_half_line(f, cfg=None, scale=None):
     """Estimate the integral of f over (0, inf).
 
     f must accept an ndarray of n positive abscissae and return complex
@@ -282,6 +287,17 @@ def integrate_half_line(f, cfg=None):
     max_evals cannot pay for 16: the innermost go), so that an
     integrand varying on any scale from L/90 to 2L is resolved in the
     first call and l = 0 is never an abscissa.
+
+    ``scale``, if given, is the distance from the real axis to the
+    integrand's nearest singularity at l = 0, such as the pole of the
+    put at z = 0, a distance |c| from its contour Im z = c.  The
+    half-octave edges then continue inward, k = 16, 17, ..., until the
+    innermost is at most 0.78 scale, so that the first call resolves
+    the integrand's variation near l = 0 too: never fewer than 16
+    panels, at most 256, and, as without it, the innermost go first
+    when the budget cannot pay for them all.  A nonpositive or
+    non-finite scale raises ValueError; ``scale=None`` is the 16-panel
+    window.
 
     The integral is one set of panels, refined in rounds to one
     tolerance per column j, tol_j = max(abs_tol, rel_tol |value_j|), as
@@ -313,24 +329,35 @@ def integrate_half_line(f, cfg=None):
     and the final window end 2L.
     """
     cfg = cfg or QuadratureConfig()
-    return _half_line(f, cfg)
+    return _half_line(f, cfg, scale=scale)
 
 
-def _half_line(f, cfg, per_node=1):
+def _half_line(f, cfg, per_node=1, scale=None):
     """:func:`integrate_half_line` of an f that costs ``per_node``
-    evaluations a node.
+    evaluations a node, with its start window graded down to ``scale``.
 
     The budget is cfg.max_evals // per_node nodes, and a round bisects
-    at most _MAX_SPLITS // per_node panels and a new octave starts with
-    at most twice as many, so a call never costs more than 3840
-    evaluations; ``evaluations`` counts per_node a node.
+    at most _MAX_SPLITS // per_node panels and a new octave, or the
+    start window, has at most twice as many, so a call never costs more
+    than 3840 evaluations; ``evaluations`` counts per_node a node.
     Under 15 nodes nothing is evaluated, and the integral is not
     converged.
     """
     budget = cfg.max_evals // per_node
     max_splits = _MAX_SPLITS // per_node
     L = cfg.truncation_bound
-    n = min(16, budget // 15)
+    n = 16
+    if scale is not None:
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError("scale must be positive and finite, got %r"
+                             % (scale,))
+        # the innermost edge 2L 2^(-(n-1)/2) at most 0.78 scale: at L =
+        # 100 the contours Im z = -4 and -2 keep 16 panels, and each
+        # halving of |c| below adds two; log2 of scale alone stays finite
+        # for the smallest positive float
+        half_octaves = 2.0 * (math.log2(2.0 * L / 0.78) - math.log2(scale))
+        n = min(max(n, 1 + math.ceil(half_octaves)), 2 * max_splits)
+    n = min(n, budget // 15)
     if n == 0:
         return QuadratureResult(0j, math.inf, 0, False)
     edges = np.concatenate(

@@ -112,6 +112,14 @@ class TestExitCodes:
         assert main(["verify", "--config", path]) == 2
         assert "%s must be an integer" % field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["false", 0])
+    def test_non_bool_antithetic_exits_2(self, tmp_path, capsys, value):
+        # JSON's "false" is a string, and a truthy one
+        path = write_config(tmp_path, {"mc": {"paths": 100, "steps": 10,
+                                              "antithetic": value}})
+        assert main(["verify", "--config", path]) == 2
+        assert "antithetic must be a bool" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "1"]])
     def test_flags_of_no_effect_exit_2(self, tmp_path, capsys, flag):
         # price reads neither; only verify takes --seed

@@ -200,6 +200,49 @@ class TestHestonCallPrice:
         assert res.evaluations == 240 and res.integrand_calls == 1
         assert abs(price - 9.290246306287323672) <= 1e-9 * atm_option.s0
 
+    def test_kappa_below_rho_sigma_resolves_its_pole_in_one_call(self):
+        # at T = 30 the contour sits at Im z = -1/32, a pole of the put
+        # 1/32 from l = 0; the start window graded to |c| reaches 0.78/32
+        # in 28 panels, where the 16-panel window took 7 calls on the
+        # same 420 evaluations
+        p = HestonParams(mu=0.03, kappa=0.3, theta=0.1, sigma=1.5,
+                         rho=0.95, v0=0.5)
+        opt = VanillaOption(100.0, 100.0, 30.0)
+        price, res = heston_price_with_diagnostics(opt, p, 0.03)
+        assert heston._contour_shift(p, 30.0) == -1.0 / 32.0
+        assert res.converged
+        assert res.integrand_calls == 1 and res.evaluations == 420
+        assert abs(price - 75.478053293238235426) <= 1e-9 * opt.s0
+
+    @pytest.mark.parametrize("T, c, panels", [(1.0, -4.0, 16),
+                                              (10.0, -1.0, 18),
+                                              (50.0, -0.5, 20)])
+    def test_every_strike_of_a_smile_makes_the_same_first_call(
+            self, fig1_heston, monkeypatch, T, c, panels):
+        # the graded window depends on (params, T) through c alone, as
+        # the memo key does, so a smile's quotes share their first call
+        real, first = heston.integrate_half_line, []
+
+        def recorded(f, cfg, **kwargs):
+            seen = []
+
+            def g(l):
+                if not seen:
+                    seen.append(l.tobytes())
+                return f(l)
+            res = real(g, cfg, **kwargs)
+            first.extend(seen)
+            return res
+
+        monkeypatch.setattr(heston, "integrate_half_line", recorded)
+        for k in (60.0, 85.0, 100.0, 120.0, 170.0):
+            for kind in ("call", "put"):
+                heston_call_price(VanillaOption(100.0, k, T, kind),
+                                  fig1_heston, 0.03)
+        assert heston._contour_shift(fig1_heston, T) == c
+        assert len(first) == 10 and set(first) == {first[0]}
+        assert len(first[0]) == 8 * 15 * panels
+
     def test_unconverged_quote_names_its_window_and_calls(self, fig1_heston,
                                                           atm_option):
         # 60 evaluations pay for four start panels and no refinement
@@ -223,8 +266,8 @@ class TestHestonCallPrice:
         # positive
         real = heston.integrate_half_line
 
-        def spoiled(f, cfg):
-            res = real(f, cfg)
+        def spoiled(f, cfg, **kwargs):
+            res = real(f, cfg, **kwargs)
             return replace(res, value=res.value - 2.0 * math.pi)
 
         monkeypatch.setattr(heston, "integrate_half_line", spoiled)
@@ -406,6 +449,18 @@ class TestMarginalDensity:
         scalar = np.array([marginal_density(x, 1.0, fig1_heston)
                            for x in xs])
         np.testing.assert_allclose(grid, scalar, atol=1e-9)
+
+    @pytest.mark.parametrize("xs", [
+        np.linspace(-1.0, 1.0, 9).reshape(3, 3),
+        np.array([[-0.6, 0.05], [0.0, 0.7], [0.2, -0.1]]),
+        np.linspace(-0.5, 0.5, 8).reshape(2, 2, 2),
+    ], ids=["even", "uneven", "3-d"])
+    def test_grid_keeps_the_shape_of_xs(self, fig1_heston, xs):
+        # a 2-D xs used to die broadcasting the flat phase sum into it
+        grid = marginal_density_grid(xs, 1.0, fig1_heston)
+        assert grid.shape == xs.shape
+        np.testing.assert_allclose(
+            grid, marginal_density(xs, 1.0, fig1_heston), atol=1e-9)
 
     @pytest.mark.parametrize("T", [0.02, 1.0, 30.0])
     def test_array_x_matches_a_call_per_x(self, fig1_heston, T):

@@ -425,6 +425,34 @@ class TestHybridPrice:
         assert price == hybrid_call_price(atm_option, fig1_heston,
                                           fig1_rate)
 
+    @pytest.mark.parametrize("T, panels", [(1.0, 16), (10.0, 18),
+                                           (50.0, 20)])
+    def test_every_strike_of_a_smile_makes_the_same_first_call(
+            self, fig1_heston, fig1_rate, monkeypatch, T, panels):
+        # the start window is graded to the contour's |c|, 4, 1 and 1/2
+        # here, which the memo keys share, so every strike's first call
+        # reads the same cores
+        real, first = hybrid.integrate_half_line, []
+
+        def recorded(f, cfg, **kwargs):
+            seen = []
+
+            def g(l):
+                if not seen:
+                    seen.append(l.tobytes())
+                return f(l)
+            res = real(g, cfg, **kwargs)
+            first.extend(seen)
+            return res
+
+        monkeypatch.setattr(hybrid, "integrate_half_line", recorded)
+        for k in (60.0, 85.0, 100.0, 120.0, 170.0):
+            for kind in ("call", "put"):
+                hybrid_call_price(VanillaOption(100.0, k, T, kind),
+                                  fig1_heston, fig1_rate)
+        assert len(first) == 10 and set(first) == {first[0]}
+        assert len(first[0]) == 8 * 15 * panels
+
     @pytest.mark.parametrize("tol", [1e-5, 1e-6, 1e-7])
     def test_a_cancelling_outer_octave_meets_its_tolerance(self, tol):
         # scatter seed 0 quote #2: at T = 0.022 the put integrand's panels

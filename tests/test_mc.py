@@ -40,6 +40,16 @@ class TestMcConfig:
         with pytest.raises(ValueError, match="%s must be an integer" % field):
             McConfig(**counts)
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, 1.0, None])
+    def test_non_bool_antithetic_names_the_field(self, value):
+        # "false" is truthy, so it used to turn antithetic sampling on
+        with pytest.raises(ValueError, match="antithetic must be a bool"):
+            McConfig(100, 10, antithetic=value)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    def test_bools_are_antithetic_flags(self, value):
+        assert McConfig(100, 10, antithetic=value).antithetic == value
+
     def test_numpy_integers_are_counts(self):
         mc = McConfig(np.int64(100), np.int32(10), np.int64(7))
         assert (mc.paths, mc.steps, mc.seed) == (100, 10, 7)
@@ -311,8 +321,8 @@ class TestRateVectorRoute:
         _, rates = _curve_rates(opt, rp)
         real = heston.integrate_half_line
 
-        def spoiled(f, cfg):
-            res = real(f, cfg)
+        def spoiled(f, cfg, **kwargs):
+            res = real(f, cfg, **kwargs)
             value = res.value.copy()
             value[7] -= 2.0 * np.pi * (opt.s0 + opt.strike)
             return QuadratureResult(value, res.error_estimate,
@@ -332,9 +342,9 @@ class TestPriceCurveInRate:
         real_integral, real_price = heston.integrate_half_line, \
             mc.heston_call_price
 
-        def counting(f, cfg):
+        def counting(f, cfg, **kwargs):
             integrals.append(f)
-            return real_integral(f, cfg)
+            return real_integral(f, cfg, **kwargs)
 
         def vector_only(opt_, p_, r, cfg):
             assert isinstance(r, np.ndarray), "a rate priced on its own"

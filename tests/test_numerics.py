@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -369,6 +371,91 @@ class TestIntegrateHalfLine:
         res = integrate_half_line(f, QuadratureConfig(max_evals=max_evals))
         assert sizes[0] == 15 * min(16, max_evals // 15)
         assert res.evaluations <= max_evals
+
+    # d e^{-l^2}/(l^2 + d^2) has poles at l = +-i d; with scale = d the
+    # half-octave edges reach below 0.78 d: 18, 22 and 28 start panels
+    # at L = 100, 2 more a halving of d; without it the innermost start
+    # panel [0, L/90.5] is bisected one level a call down to d, in the
+    # measured 2, 4 and 7 calls
+    POLES = [(1.0, 18, 2), (0.25, 22, 4), (1.0 / 32.0, 28, 7)]
+
+    @pytest.mark.parametrize("d, panels, plain_calls", POLES,
+                             ids=["1", "1/4", "1/32"])
+    def test_a_pole_at_the_scale_converges_in_the_first_call(
+            self, d, panels, plain_calls):
+        exact = 0.5 * np.pi * np.exp(d * d) * math.erfc(d)
+        results = {}
+        for scale in (d, None):
+            sizes = []
+
+            def f(l):
+                sizes.append(l.size)
+                return d * np.exp(-l * l) / (l * l + d * d)
+
+            res = integrate_half_line(f, QuadratureConfig(), scale=scale)
+            assert res.converged and abs(res.value - exact) <= 1e-9
+            assert res.window == 200.0
+            results[scale] = res, sizes[0]
+        graded, first = results[d]
+        assert first == 15 * panels
+        assert graded.integrand_calls == 1 and graded.evaluations == first
+        plain, first = results[None]
+        assert first == 15 * 16
+        assert plain.integrand_calls == plain_calls
+        assert plain.evaluations == graded.evaluations
+
+    @pytest.mark.parametrize("max_evals", [15, 29, 30, 240, 269, 270, 420,
+                                           500_000])
+    @pytest.mark.parametrize("d, panels, plain_calls", POLES,
+                             ids=["1", "1/4", "1/32"])
+    def test_a_graded_window_drops_its_innermost_panels_first(
+            self, d, panels, plain_calls, max_evals):
+        # the graded window on a short budget is its outermost panels, so
+        # up to 16 it is the plain window's first call, node for node
+        def calls(scale):
+            nodes = []
+
+            def f(l):
+                nodes.append(l.copy())
+                return d * np.exp(-l * l) / (l * l + d * d)
+
+            res = integrate_half_line(f, QuadratureConfig(max_evals=max_evals),
+                                      scale=scale)
+            assert res.evaluations == sum(map(np.size, nodes)) <= max_evals
+            return nodes
+
+        graded = calls(d)
+        n = min(panels, max_evals // 15)
+        assert graded[0].size == 15 * n
+        assert np.all(graded[0] > 0.0)
+        if n <= 16:
+            assert graded[0].tobytes() == calls(None)[0].tobytes()
+
+    @pytest.mark.parametrize("scale", [4.0, 8.0, 100.0])
+    def test_a_scale_past_the_plain_window_adds_no_panel(self, scale):
+        # at L = 100 the plain innermost edge 1.105 is already at most
+        # 0.78 scale for scale >= 1.42, so the result is the plain one
+        f = lambda l: np.exp(-(l - 0.3) ** 2) + 1.0 / (1.0 + l * l)
+        cfg = QuadratureConfig(truncation_bound=100.0)
+        assert integrate_half_line(f, cfg, scale=scale) == \
+            integrate_half_line(f, cfg)
+
+    @pytest.mark.parametrize("scale", [0.0, -0.5, math.nan, math.inf,
+                                       -math.inf])
+    def test_a_bad_scale_raises(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            integrate_half_line(lambda l: np.exp(-l * l), scale=scale)
+
+    def test_a_tiny_scale_stays_within_one_call_of_3840_nodes(self):
+        # the graded window stops at 256 panels, as a new octave does
+        sizes = []
+
+        def f(l):
+            sizes.append(l.size)
+            return np.exp(-l * l)
+
+        integrate_half_line(f, QuadratureConfig(), scale=5e-324)
+        assert sizes[0] == 3840
 
     def test_lorentzian_grows_by_strips_past_the_start_window(self):
         # 1/(1 + l^2) adds about 1/(2L) on a strip [L, 2L], so the outer
