@@ -32,19 +32,18 @@ table at its second quote with one entry per integrand call, keyed by
 its abscissae' bytes.  Parameter sets priced once store nothing.
 
 The density is one Fourier integral over l as well, taken on a uniform
-l-table of its kernel that ends where the kernel falls below e^-45 and
-whose step an aliasing period sets, checked by one adaptive integral at
-three probes; a table that fails its probe, or needs more nodes than the
-evaluation budget, raises.  An evenly spaced x grid sums that table by
-a chirp-z transform (Bluestein's algorithm on ``numpy.fft``); any other
-x (single points, uneven grids) by cos/sin phase matrices in blocks of
-bounded size; the grid's period clears its x-range and the density's
-support.  The price-via-density cross-check integrates the bounded put
-payoff against each mode of the same table in closed form, as one
-integral from below the strike up to it, and prices the call by parity.
-How far below, and the table's period, come from Chernoff bounds on the
-moments E[exp(s x_T)], which are the strike core at l = i s and finite
-between the critical moments (:func:`critical_moments`).  The contour,
+l-table of its kernel that ends at its first node below e^-45 and whose
+step an aliasing period sets, checked by one adaptive integral at three
+probes; a table that fails its probe, or needs more nodes than the
+evaluation budget, raises.  Every period comes from the law's own tail
+depths, Chernoff bounds on the moments E[exp(s x_T)], the strike core at
+l = i s, finite between the critical moments (:func:`critical_moments`).
+A grid's period keeps the images of its x-range where the mass is below
+e^-45, rounded to M |dx| for a 5-smooth M, so an even grid sums the
+table by one FFT of length M; any other x by cos/sin phase matrices in
+bounded blocks.  The price-via-density cross-check integrates the
+bounded put payoff against each mode of its table in closed form, from
+below the strike up to it, and prices the call by parity.  The contour,
 the critical moments and the Chernoff samples take one explosion test,
 the closed-form explosion time T*(s) (:func:`_explosion_time`).
 """
@@ -71,7 +70,6 @@ __all__ = [
     "big_n_of_l",
     "big_m_of_l",
     "price_integrand",
-    "density_integrand",
     "marginal_density",
     "marginal_density_grid",
     "critical_moments",
@@ -81,6 +79,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# :func:`_tail_depths`' samples of (0, w), as fractions of w
+_CHERNOFF_SAMPLES = np.concatenate([2.0 ** (-0.5 * np.arange(51)),
+                                    np.linspace(0.5, 1.0, 16, endpoint=False)])
 
 
 class PricingError(Exception):
@@ -323,12 +324,12 @@ def _tail_depths(p: HestonParams, T, log_odds):
     least (log_odds + log M(-s))/s over samples of (0, w-), and d+ the
     same with M(s).  Each w is the finite end of a bracket of 1/64 of
     the critical moment (:func:`_finite_edges`), and the samples, w
-    2^(-k/2) for k <= 50 and 64 even points across [w/2, w), take one
-    :func:`_log_moment` call.
+    2^(-k/2) for k <= 50 and 16 even points across [w/2, w), take one
+    :func:`_log_moment` call (on 400 random parameter sets, depths within
+    2% of those from 64 even points).
     """
     w = np.array(_finite_edges(p, T, 1.0 / 64.0))[:, None]
-    s = w * np.concatenate([2.0 ** (-0.5 * np.arange(51)),
-                            np.linspace(0.5, 1.0, 64, endpoint=False)])
+    s = w * _CHERNOFF_SAMPLES
     depth = np.nanmin((log_odds + _log_moment(s, T, p)) / np.abs(s), axis=1)
     return float(depth[0]), float(depth[1])
 
@@ -558,18 +559,6 @@ def heston_price_with_diagnostics(opt: VanillaOption, p: HestonParams, r,
     return _finish_price(res, opt, p, c, bond, cfg, what)
 
 
-def density_integrand(l, x, T, p: HestonParams):
-    """Fourier integrand of the marginal logreturn density (vectorized).
-
-    Shape l.shape for a scalar x; an array x adds its axes after l's,
-    and every x shares one kernel evaluation per l.
-    """
-    l = np.asarray(l, dtype=float)
-    x = np.asarray(x, dtype=float)
-    core = _strike_core(l, T, p).reshape(l.shape + (1,) * x.ndim)
-    return np.exp(1j * np.multiply.outer(l, x) + core)
-
-
 def marginal_density(x, T: float, p: HestonParams,
                      cfg: QuadratureConfig | None = None):
     """Density of the logreturn x_T = ln(S_T/S0) - mu T at x.
@@ -588,8 +577,12 @@ def marginal_density(x, T: float, p: HestonParams,
     if not xs.size:
         return np.empty(xs.shape)
     flat = xs.reshape(-1) if xs.ndim else xs
-    res = integrate_half_line(
-        lambda l: 2.0 * density_integrand(l, flat, T, p).real, cfg)
+
+    def folded(l):      # 2 Re exp(i l x + core), in real arithmetic
+        core = _strike_core(l, T, p).reshape(l.shape + (1,) * flat.ndim)
+        return 2.0 * np.exp(core.real) * np.cos(
+            core.imag + np.multiply.outer(l, flat))
+    res = integrate_half_line(folded, cfg)
     _check_result(res, "density")
     if not xs.ndim:
         return res.value.real / _TWO_PI
@@ -613,16 +606,16 @@ _PHASE_BLOCK = 1 << 20
 def _uniform_step(xs):
     """The step dx of an evenly spaced 1-D ``xs``, or None.
 
-    Evenly spaced means at least two points, each within a few ulps of
-    xs[0] + j dx, and dx != 0; descending grids count.
+    Evenly spaced means at least two points, each within 4 ulps of
+    xs[0] + j dx at the larger end, and dx != 0; descending grids count.
     """
     if xs.ndim != 1 or xs.size < 2:
         return None
     dx = (xs[-1] - xs[0]) / (xs.size - 1)
     if not dx or not math.isfinite(dx):
         return None
-    ramp = xs[0] + dx * np.arange(xs.size)
-    if np.all(np.abs(xs - ramp) <= 4.0 * np.spacing(np.max(np.abs(xs)))):
+    off = np.abs(xs[0] + dx * np.arange(xs.size) - xs)
+    if off.max() <= 4.0 * np.spacing(max(abs(xs[0]), abs(xs[-1]))):
         return dx
     return None
 
@@ -643,27 +636,35 @@ def _phase_matrix_sum(kernel, h, xs):
     return out
 
 
-def _chirp_z_sum(kernel, h, x0, dx, m):
-    """Re sum_k kernel_k exp(i x_j l_k) on x_j = x0 + j dx, j < m.
+# the 5-smooth numbers 2^a 3^b 5^c up to 2^36, sorted
+_SMOOTH = np.multiply.outer(np.multiply.outer(
+    2.0 ** np.arange(37), 3.0 ** np.arange(23)), 5.0 ** np.arange(16)).ravel()
+_SMOOTH = np.sort(_SMOOTH[_SMOOTH <= 2.0 ** 36])
 
-    Bluestein's chirp-z transform: with alpha = dx h and
-    jk = (j^2 + k^2 - (j - k)^2)/2 the sum is a convolution of the
-    chirped kernel with exp(-i alpha t^2/2), done by FFT in
-    O((n + m) log(n + m)).
+
+def _smooth_size(n):
+    """The least 2^a 3^b 5^c >= n, for 1 <= n <= 2^36: an FFT length
+    that ``numpy.fft`` factors into radix-2, 3 and 5 passes."""
+    return int(_SMOOTH[np.searchsorted(_SMOOTH, n)])
+
+
+def _fft_sum(kernel, h, x0, dx, m):
+    """Re sum_k kernel_k exp(i x_j l_k) on x_j = x0 + j dx, j < m, l_k =
+    k h, for a step with |dx| h = 2 pi/M, M an integer.
+
+    exp(i x_j l_k) = exp(i x0 l_k) exp(+-2 pi i jk/M) repeats every M in
+    k and in j, so the phased kernel folds modulo M onto M bins, one FFT
+    of length M sums them at j < M, and the x_j from j = M on repeat
+    those: O(N + M log M) for N nodes.
     """
-    n = kernel.size
-    alpha = dx * h
-    k = np.arange(n, dtype=float)
-    u = kernel * np.exp(1j * (x0 * h * k + 0.5 * alpha * k * k))
-    size = 1 << (n + m - 2).bit_length()    # power of two >= n + m - 1
-    t = np.arange(max(n, m), dtype=float)
-    chirp = np.exp(-0.5j * alpha * t * t)
-    v = np.zeros(size, dtype=complex)
-    v[:m] = chirp[:m]
-    v[size - n + 1:] = chirp[n - 1:0:-1]    # t = -(n-1) .. -1
-    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(v))[:m]
-    j = t[:m]
-    return (np.exp(0.5j * alpha * j * j) * conv).real
+    size = round(_TWO_PI / abs(dx * h))
+    u = kernel * np.exp((1j * x0 * h) * np.arange(kernel.size))
+    if u.size > size:
+        u = np.concatenate([u, np.zeros(-u.size % size, dtype=complex)])
+        u = u.reshape(-1, size).sum(axis=0)
+    out = (np.fft.ifft(u, size, norm="forward") if dx > 0
+           else np.fft.fft(u, size)).real
+    return out[:m] if m <= size else np.resize(out, m)
 
 
 def _payoff_strip_sum(kernel, h, lo, hi, a, k):
@@ -688,33 +689,25 @@ def _payoff_strip_sum(kernel, h, lo, hi, a, k):
     return (kernel @ (a * spot - k * strike)).real
 
 
-# Re strike core at which the density's l-table ends: its kernel is then
-# below e^-45 of its value at l = 0
+# Re strike core at which the density's l-table ends, its kernel below
+# e^-45 of its value at l = 0 (and a grid's images lie where the law's
+# mass is below e^-45), and the l that bracket that crossing
 _DECAY_FLOOR = -45.0
+_DECAY_BRACKET = 2.0 ** (0.25 * np.arange(-40, 69))  # 2^-10 .. 2^17
 
 
-def _decay_limit(T, p: HestonParams):
-    """The l-table's end: within 1% above the first l where the strike
-    core's real part falls below ``_DECAY_FLOOR``.
-
-    One call brackets the crossing on l = 2^(k/4), 2^-10 <= l <= 2^17,
-    and a second places it on 20 even steps across that bracket, each
-    under 1% of its lower end.  Past 2^17 the end is 2^17.
-    """
-    coarse = 2.0 ** (0.25 * np.arange(-40, 69))
-    below = _strike_core(coarse, T, p).real < _DECAY_FLOOR
-    if not below.any():
-        return float(coarse[-1])
-    k = int(np.argmax(below))
-    if k == 0:
-        return float(coarse[0])
-    fine = np.linspace(coarse[k - 1], coarse[k], 21)[1:]
-    return float(fine[np.argmax(_strike_core(fine, T, p).real
-                                < _DECAY_FLOOR)])
+def _check_table_size(T, p: HestonParams, cfg: QuadratureConfig, nodes):
+    """Raise a :class:`PricingError` if ``nodes`` exceeds max_evals."""
+    if nodes > cfg.max_evals:
+        w_minus, w_plus = critical_moments(p, T)
+        raise PricingError(
+            "density table at T=%g needs %d nodes, more than max_evals=%d "
+            "(critical moments w- = %.6g, w+ = %.6g)"
+            % (T, nodes, cfg.max_evals, w_minus, w_plus))
 
 
 def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
-                       period: float):
+                       period: float, dx=None):
     """Logreturn density from an l-table of aliasing period ``period``,
     and its payoff strips.
 
@@ -722,60 +715,58 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     over x, and ``payoff_strip(lo, hi, a, k)`` is the integral of
     (a e^x - k) times the density over [lo, hi].
 
-    Builds a uniform trapezoid table of the Fourier kernel in l; for an
-    analytic integrand decaying exponentially at both ends the uniform
-    rule converges near-spectrally, so a single table replaces one
-    adaptive quadrature per x.  Its error is set by the aliasing period
-    2 pi/h and the kernel's analyticity strip, not by an absolute step
-    (Trefethen and Weideman, SIAM Review 2014): by Poisson summation the
-    table's density is sum_j f(x + j period), so the caller chooses the
-    period that keeps the images j != 0 off the x it reads, and the step
-    is h = 2 pi/period.  The table ends within 1% past the l where the
-    kernel falls below e^-45 (:func:`_decay_limit`).  A table of more
-    nodes than ``cfg.max_evals`` raises a :class:`PricingError` naming T,
-    the critical moments and the node count.  The table is verified
-    against the adaptive :func:`marginal_density` at three probe points
-    (0, 0.9 sd and -1.7 sd, sd = sqrt((v0 + theta) T)), all in one call
-    whose integrand evaluates the kernel once per node for the three;
-    when it disagrees with a probe, a :class:`PricingError` names T, the
-    probe x and both values.  The probe's truncation bound is the
-    table's end l_max, so its start window [0, 2 l_max] holds the whole
-    kernel: its two outer panels, [l_max, 2 l_max] past the table's
-    end, where the kernel is below e^-45, still test the tail, and the
-    window need not grow.
+    The table is the trapezoid rule on l = k h, h = 2 pi/period, which
+    converges near-spectrally for an analytic, exponentially decaying
+    kernel; by Poisson summation its density is sum_j f(x + j period)
+    (Trefethen and Weideman, SIAM Review 2014), so the caller picks the
+    period that keeps the images j != 0 off its x.  Given ``dx``, an
+    even grid's step, the period is rounded up to M |dx|, M 5-smooth.
+    One core call on ``_DECAY_BRACKET`` brackets where the kernel first
+    falls below e^-45; the table is evaluated up to the bracket's upper
+    end and ends at its own first node below e^-45.  More nodes than
+    ``cfg.max_evals`` raise a :class:`PricingError` naming T, the
+    critical moments and the count, before any table node is evaluated
+    if the bracket's lower end already needs too many.  One
+    :func:`marginal_density` call checks the table at three probes (0,
+    0.9 sd and -1.7 sd, sd = sqrt((v0 + theta) T)), truncated at the
+    table's last node l_max: its window [0, 2 l_max] holds the whole
+    kernel and its outer octave tests the tail.  A probe missed by more
+    than 1e-7 (peak + 1) raises a :class:`PricingError` naming T, the x
+    and both values.
 
-    The table's density is f(x) = Re sum_k c_k exp(i l_k x) / 2 pi.  An
-    evenly spaced x grid (the CLI's and :func:`marginal_density_grid`'s
-    usual input) sums it by a chirp-z transform, O((N + M) log(N + M))
-    in time and memory; every other x (the three probe points, uneven
-    grids) by cos/sin phase matrices, O(N M) in time, in blocks of
-    bounded size.  Both routes stay, because the transform needs evenly
-    spaced x.  A payoff strip needs no x at all: every mode integrates
-    against a e^x - k in closed form (:func:`_payoff_strip_sum`), so a
-    strip is one O(N) dot product and exact for the table.
+    The density is Re sum_k c_k exp(i l_k x) / 2 pi: on an even grid
+    whose step divides the period into M <= points x nodes, one FFT of
+    length M (:func:`_fft_sum`); elsewhere (the probes, uneven grids)
+    cos/sin phase matrices in bounded blocks.  A payoff strip integrates
+    each mode against a e^x - k in closed form, one O(N) dot product
+    exact for the table (:func:`_payoff_strip_sum`).
     """
+    if dx is not None and period <= 2.0 ** 36 * abs(dx):
+        period = _smooth_size(math.ceil(period / abs(dx))) * abs(dx)
     h = _TWO_PI / period
-    l_max = _decay_limit(T, p)
-    nodes = math.ceil(l_max / h) + 1
-    if nodes > cfg.max_evals:
-        w_minus, w_plus = critical_moments(p, T)
-        raise PricingError(
-            "density table at T=%g needs %d nodes, more than max_evals=%d "
-            "(critical moments w- = %.6g, w+ = %.6g)"
-            % (T, nodes, cfg.max_evals, w_minus, w_plus))
+    below = _strike_core(_DECAY_BRACKET, T, p).real < _DECAY_FLOOR
+    k = int(np.argmax(below)) if below.any() else below.size - 1
+    # the first node below the floor lies past the bracket's lower end
+    _check_table_size(T, p, cfg,
+                      math.ceil(_DECAY_BRACKET[k - 1] / h) + 1 if k else 2)
+    core = _strike_core(np.arange(math.ceil(_DECAY_BRACKET[k] / h) + 1) * h,
+                        T, p)
+    below = core.real < _DECAY_FLOOR
+    nodes = int(np.argmax(below)) + 1 if below.any() else core.size
+    _check_table_size(T, p, cfg, nodes)
     # conjugate symmetry of the kernel folds the line onto l >= 0
-    grid = np.arange(nodes) * h
-    weights = np.full(grid.shape, 2.0 * h)
-    weights[0] = h
-    weights[-1] = h
-    kernel = weights * np.exp(_strike_core(grid, T, p))
+    kernel = np.exp(core[:nodes]) * (2.0 * h)
+    kernel[[0, -1]] *= 0.5
 
     def table_density(xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        dx = _uniform_step(xs)
-        if dx is None:
-            return _phase_matrix_sum(kernel, h, xs) / _TWO_PI
-        return _chirp_z_sum(kernel, h, xs[0], dx, xs.size) / _TWO_PI
+        step = _uniform_step(xs)
+        if step is not None:
+            size = period / abs(step)
+            if (abs(size - round(size)) <= 1e-9 * size
+                    and size <= xs.size * nodes):
+                return _fft_sum(kernel, h, xs[0], step, xs.size) / _TWO_PI
+        return _phase_matrix_sum(kernel, h, xs) / _TWO_PI
 
     def table_strip(lo, hi, a, k):
         return _payoff_strip_sum(kernel, h, lo, hi, a, k) / _TWO_PI
@@ -783,8 +774,8 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     scale = math.sqrt((p.v0 + p.theta) * T)
     probes = np.array([0.0, 0.9 * scale, -1.7 * scale])
     got = table_density(probes)
-    ref = marginal_density(probes, T, p,
-                           dataclasses.replace(cfg, truncation_bound=l_max))
+    ref = marginal_density(probes, T, p, dataclasses.replace(
+        cfg, truncation_bound=(nodes - 1) * h))
     miss = np.abs(got - ref)
     if np.max(miss) <= 1e-7 * (got[0] + 1.0):
         return table_density, table_strip
@@ -801,17 +792,23 @@ def marginal_density_grid(xs, T: float, p: HestonParams,
     The variable is the drift-adjusted logreturn x_T = ln(S_T/S0) - mu T,
     as for :func:`marginal_density`.  The result has the shape of xs (a
     scalar gives one value in an array); the table is summed on the
-    flattened points.  A non-finite x raises ValueError, and a table
-    that fails its probe a :class:`PricingError`.
+    flattened points in [lo, hi].  With P(x_T < -d-) and P(x_T > d+)
+    below e^-45 (:func:`_tail_depths`), its period max(d+ - lo, hi + d-)
+    + 1 keeps every image x + j period, j != 0, beyond d+ or below -d-;
+    an even grid rounds it to M |dx| for one FFT of length M
+    (:func:`_density_evaluator`).  An empty xs gives an empty array of
+    its shape and builds no table.  A non-finite x raises ValueError,
+    and a table that fails its probe a :class:`PricingError`.
     """
     cfg = cfg or QuadratureConfig()
     xs = np.atleast_1d(_finite_x(xs, "marginal_density_grid"))
-    reach = float(np.max(np.abs(xs))) if xs.size else 1.0
-    # the period clears twice the grid's reach plus the density's support
-    sd = math.sqrt((p.v0 + p.theta) * T)
-    density, _ = _density_evaluator(T, p, cfg,
-                                    2.0 * (reach + 12.0 * sd + 1.0))
-    return density(xs.reshape(-1)).reshape(xs.shape)
+    if not xs.size:
+        return np.empty(xs.shape)
+    flat = xs.reshape(-1)
+    d_minus, d_plus = _tail_depths(p, T, -_DECAY_FLOOR)
+    period = max(d_plus - flat.min(), flat.max() + d_minus) + 1.0
+    density, _ = _density_evaluator(T, p, cfg, period, _uniform_step(flat))
+    return density(flat).reshape(xs.shape)
 
 
 def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
@@ -822,17 +819,19 @@ def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
     spot is S0 exp(x_T + rT), so the put payoff is K - a e^x with
     a = S0 e^{rT}, nonzero for x below x_lo = ln(K/S0) - rT.  The route
     reads the pricer's strike core on the real line, independent of it
-    in the quadrature only: the l-table of :func:`marginal_density_grid`
-    checked at three probes (see :func:`_density_evaluator`); the
-    30-digit oracle of ``tests/mp_price_oracle.py`` checks both.
+    in the quadrature only: an l-table built as the density grid's,
+    ending at its first node below e^-45 and checked at three probes
+    (see :func:`_density_evaluator`); the 30-digit oracle of
+    ``tests/mp_price_oracle.py`` checks both.
 
     The put is one integral of the bounded payoff against that table,
     in closed form for each mode, over [lo, x_lo].  Being bounded, the
     payoff does not magnify the table's rounding or aliasing on a fat
     right tail, where e^x f(x) barely decays.  Both lo and the table's
     period come from the moments M(s) = E[exp(s x_T)], finite between
-    the critical moments -w- < s < w+ (:func:`critical_moments`):
-    with L = log(1 + 3 K/abs_tol), the Chernoff bound
+    the critical moments -w- < s < w+ (:func:`critical_moments`), as
+    the grid's period does, but at the log odds L = log(1 + 3
+    K/abs_tol) that the payoff needs rather than 45: the Chernoff bound
     P(x_T < -d) <= M(-s) e^{-s d} puts mass under e^-L below -d- =
     -min_s (L + log M(-s))/s, and likewise above d+.  Then lo =
     min(x_lo, 0) - d- - 2, and the period max(d+ - lo, x_lo + d- + 2) + 1

@@ -71,7 +71,9 @@ class QuadratureConfig:
     a ``scale``), whose outer octave [L, 2L], the two panels
     [L, sqrt(2) L] and [sqrt(2) L, 2L], is the first tail test; the
     window grows one octave at a time until the absolute values of its
-    outermost octave's panels sum to less than ``abs_tol``.  All its
+    outermost octave's panels sum to less than ``abs_tol``.  An L whose
+    start window overflows, 4L past the largest float (a panel's
+    midpoint is formed as (a + b)/2), raises ValueError.  All its
     panels share one tolerance, max(``abs_tol``, ``rel_tol`` |value|).
     The whole-line :func:`integrate_real_line` takes [-2L, 2L] as f(l) +
     f(-l) on [0, 2L], so its first tail test is the pair [L, 2L] and
@@ -94,6 +96,10 @@ class QuadratureConfig:
             raise ValueError("max_evals must be at least 15 (one panel)")
         if not self.truncation_bound > 0:
             raise ValueError("truncation_bound must be positive")
+        # a panel's midpoint is (a + b)/2, up to 4L on [0, 2L]
+        if not math.isfinite(4.0 * self.truncation_bound):
+            raise ValueError("truncation_bound %r overflows the start window "
+                             "[0, 2L]" % (self.truncation_bound,))
 
 
 @dataclass
@@ -322,7 +328,9 @@ def integrate_half_line(f, cfg=None, scale=None):
 
     The integral is converged when the last refinement met the
     tolerance and the tail test passed; it is not when the budget runs
-    out first or the panels left are too narrow to bisect.  A budget of
+    out first, the panels left are too narrow to bisect or the next
+    octave's panel midpoints would overflow (the window reported is
+    then the last one that does not).  A budget of
     one panel (max_evals under 30) has no edge at or beyond L and so no
     tail test: the integral is not converged.  ``evaluations`` never
     exceeds ``cfg.max_evals``.  The result reports the integrand calls
@@ -375,7 +383,8 @@ def _half_line(f, cfg, per_node=1, scale=None):
             converged = True
             break
         room = (budget - panels.evals) // 15
-        if room == 0:
+        # the next octave [2L, 4L] would overflow its midpoints (a + b)/2
+        if room == 0 or not math.isfinite(8.0 * L):
             break
         ended = np.count_nonzero(outer)
         n = min(ended * (2 if ended > n else 1), 2 * max_splits, room)

@@ -443,6 +443,17 @@ class TestMarginalDensity:
         got = density(np.array([]), 1.0, fig1_heston)
         assert isinstance(got, np.ndarray) and got.shape == (0,)
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+    def test_empty_grid_builds_no_table(self, fig1_heston, monkeypatch,
+                                        shape):
+        # an empty grid used to build and probe a whole table
+        def no_work(*args):
+            raise AssertionError("an empty grid reached the tail depths")
+        monkeypatch.setattr(heston, "_tail_depths", no_work)
+        monkeypatch.setattr(heston, "_density_evaluator", no_work)
+        got = marginal_density_grid(np.empty(shape), 1.0, fig1_heston)
+        assert isinstance(got, np.ndarray) and got.shape == shape
+
     def test_grid_evaluator_matches_scalar_route(self, fig1_heston):
         xs = np.array([-0.6, -0.1, 0.0, 0.2, 0.7])
         grid = marginal_density_grid(xs, 1.0, fig1_heston)
@@ -488,6 +499,7 @@ class TestMarginalDensity:
         # bound is the measured count
         real_density, cfgs = heston.marginal_density, []
         real_integral, results = heston.integrate_half_line, []
+        tables = _kept_tables(monkeypatch)
 
         def captured(x, T, p, cfg):
             cfgs.append(cfg)
@@ -499,7 +511,8 @@ class TestMarginalDensity:
         monkeypatch.setattr(heston, "marginal_density", captured)
         monkeypatch.setattr(heston, "integrate_half_line", counted)
         marginal_density_grid(np.linspace(-1.0, 1.0, 101), 1.0, fig1_heston)
-        l_max = heston._decay_limit(1.0, fig1_heston)
+        (n, h), = tables
+        l_max = (n - 1) * h      # the table's last node
         assert len(cfgs) == 1 and cfgs[0].truncation_bound == l_max
         assert len(results) == 1 and results[0].converged
         assert results[0].window == 2.0 * l_max
@@ -508,17 +521,38 @@ class TestMarginalDensity:
     def test_benchmark_grid_table_is_sized_by_its_aliasing_bound(
             self, fig1_heston, monkeypatch):
         # T = 0.25, 501 points over mean - 24 sd .. mean + 14 sd: a step
-        # capped at 0.05 made 16,001 nodes
-        real, sizes = heston._chirp_z_sum, []
+        # capped at 0.05 made 16,001 nodes, the 12 sd period 738
+        real, sizes = heston._fft_sum, []
 
-        def sized(kernel, *args):
-            sizes.append(kernel.size)
-            return real(kernel, *args)
-        monkeypatch.setattr(heston, "_chirp_z_sum", sized)
+        def sized(kernel, h, x0, dx, m):
+            sizes.append((kernel.size, h, dx))
+            return real(kernel, h, x0, dx, m)
+        monkeypatch.setattr(heston, "_fft_sum", sized)
         xs = np.linspace(-0.005 - 2.4, -0.005 + 1.4, 501)
         dens = marginal_density_grid(xs, 0.25, fig1_heston)
-        assert len(sizes) == 1 and sizes[0] < 2000
+        (n, h, dx), = sizes
+        # the least 5-smooth multiple of dx that clears the tail depths
+        d_minus, d_plus = heston._tail_depths(fig1_heston, 0.25, 45.0)
+        need = max(d_plus - xs[0], xs[-1] + d_minus) + 1.0
+        size = heston._smooth_size(math.ceil(need / dx))
+        assert 2.0 * math.pi / h == pytest.approx(size * dx, rel=1e-14)
+        assert need <= size * dx < 1.1 * need
+        assert n < 200      # 154 nodes, where the 12 sd period took 358
         assert abs(np.trapezoid(dens, xs) - 1.0) <= 1e-6
+
+    # kappa 0.12, sigma 1.52, T 20.9, w- = 0.020: the 12 sd period aliased
+    # the probe at 0.9 sd to 5.38e-3 against 5.24e-3, and the grid raised
+    @pytest.mark.parametrize("p,T", [
+        (HestonParams(mu=0.03, kappa=0.11966803061195103,
+                      theta=0.02763668471683995, sigma=1.5179781404891466,
+                      rho=-0.6601583280571415, v0=0.020393727618420298),
+         20.86949557100178),
+    ], ids=["seed10-put"])
+    def test_fat_tail_grid_matches_adaptive(self, p, T):
+        xs = np.linspace(-6.0, 3.0, 91)
+        grid = marginal_density_grid(xs, T, p)
+        ref = marginal_density(xs, T, p)
+        assert np.max(np.abs(grid - ref)) <= 1e-8 * ref.max()
 
     @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5])
     def test_nonnegative_on_grid(self, rho):
@@ -605,7 +639,7 @@ class TestPayoffStrips:
     @pytest.mark.parametrize("T", [0.02, 1.0, 30.0])
     def test_table_strips_match_quadrature_of_table_density(
             self, fig1_heston, T):
-        # the period marginal_density_grid gives a grid of reach 10
+        # a period whose images stay off the strips
         period = 2.0 * (10.0 + 12.0 * math.sqrt(0.08 * T) + 1.0)
         density, strip = heston._density_evaluator(
             T, fig1_heston, QuadratureConfig(), period)
@@ -737,21 +771,15 @@ class TestMomentSizing:
         ({**FAT_TAIL, "rho": 0.9}, 30.0),
         ({**FAT_TAIL, "v0": 25.0, "theta": 25.0, "rho": -0.5}, 50.0),
     ])
-    def test_table_ends_within_1pc_past_the_decay_crossing(
+    def test_table_ends_at_its_first_node_below_the_floor(
             self, monkeypatch, params, T):
         p = HestonParams(**{"mu": 0.03, "v0": 0.04, **params})
-        l_max = heston._decay_limit(T, p)
-        core = heston._strike_core(np.array([l_max / 1.01, l_max]), T, p)
-        assert core[0].real >= -45.0 > core[1].real
-        real, tables = heston._chirp_z_sum, []
-
-        def kept(kernel, h, *args):
-            tables.append((kernel.size, h))
-            return real(kernel, h, *args)
-        monkeypatch.setattr(heston, "_chirp_z_sum", kept)
+        tables = _kept_tables(monkeypatch)
         marginal_density_grid(np.linspace(-1.0, 1.0, 101), T, p)
-        (n, h), = tables
-        assert l_max <= (n - 1) * h < l_max + h
+        # the probe's sum, and the grid's if it takes the matrix route
+        (n, h), = set(tables)
+        core = heston._strike_core(np.arange(n) * h, T, p).real
+        assert np.all(core[:-1] >= -45.0) and core[-1] < -45.0
 
     @pytest.mark.parametrize("price", [True, False], ids=["price", "grid"])
     def test_table_over_budget_raises(self, fig1_heston, price):
@@ -768,6 +796,18 @@ class TestMomentSizing:
                 marginal_density_grid(np.linspace(-1.0, 1.0, 101), 1.0,
                                       fig1_heston, cfg)
         assert time.perf_counter() - start < 1.0
+
+
+def _kept_tables(monkeypatch):
+    """Record (nodes, h) of each density table, from the probe's phase
+    matrix sum that every table makes; returns the list."""
+    real, tables = heston._phase_matrix_sum, []
+
+    def kept(kernel, h, xs):
+        tables.append((kernel.size, h))
+        return real(kernel, h, xs)
+    monkeypatch.setattr(heston, "_phase_matrix_sum", kept)
+    return tables
 
 
 def _offset_first_probe(monkeypatch):
@@ -813,36 +853,51 @@ def _random_kernel(rng, n):
         * np.exp(-np.linspace(0.0, 8.0, n))
 
 
-class TestChirpZ:
-    # (kernel nodes n, grid points m, x0, dx): m = 2, m > n, n = 1,
-    # negative dx and a benchmark-sized table
-    CASES = [(64, 2, -0.7, 0.3), (40, 300, -3.0, 0.02), (1, 17, 0.5, 0.1),
-             (300, 101, 2.0, -0.04), (16001, 2001, -4.0, 0.004)]
+class TestFoldedFFT:
+    # (kernel nodes n, grid points m, x0, dx, FFT length M), h = 2 pi/(M
+    # |dx|): m = 2, m > n, n = 1, negative dx, a table folded onto M < n
+    # bins, M < m (the sums repeat every M points), a prime M and a
+    # benchmark-sized table
+    CASES = [(64, 2, -0.7, 0.3, 450), (40, 300, -3.0, 0.02, 6250),
+             (1, 17, 0.5, 0.1, 1250), (300, 101, 2.0, -0.04, 3125),
+             (3000, 200, -1.0, 0.01, 500), (50, 300, -1.0, 0.05, 120),
+             (200, 64, 0.3, 0.02, 6277), (16001, 2001, -4.0, 0.004, 31250)]
 
-    @pytest.mark.parametrize("n,m,x0,dx", CASES)
-    def test_matches_direct_sum(self, n, m, x0, dx):
+    @pytest.mark.parametrize("n,m,x0,dx,size", CASES)
+    def test_matches_direct_sum(self, n, m, x0, dx, size):
         rng = np.random.default_rng(n + m)
-        kernel, h = _random_kernel(rng, n), 0.05
+        kernel, h = _random_kernel(rng, n), 2.0 * math.pi / (size * abs(dx))
         xs = x0 + dx * np.arange(m)
-        got = heston._chirp_z_sum(kernel, h, x0, dx, m)
+        got = heston._fft_sum(kernel, h, x0, dx, m)
         scale = np.sum(np.abs(kernel))
         np.testing.assert_allclose(got, _direct_sum(kernel, h, xs),
                                    rtol=0, atol=1e-13 * scale)
 
     # scipy builds its chirp from complex powers, whose phase error grows
-    # like n^2 (5e-12 of the kernel's sum on the largest case), so it is
-    # compared on the small ones
-    @pytest.mark.parametrize("n,m,x0,dx", CASES[:-1])
-    def test_matches_scipy_czt(self, n, m, x0, dx):
+    # like n^2, so it is compared on the small cases
+    @pytest.mark.parametrize("n,m,x0,dx,size", CASES[:4])
+    def test_matches_scipy_czt(self, n, m, x0, dx, size):
         from scipy.signal import czt
         rng = np.random.default_rng(7 * n + m)
-        kernel, h = _random_kernel(rng, n), 0.03
+        kernel, h = _random_kernel(rng, n), 2.0 * math.pi / (size * abs(dx))
         # czt sums x_k a^-k w^(jk): a = exp(-i x0 h), w = exp(i dx h)
         ref = czt(kernel, m, w=np.exp(1j * dx * h),
                   a=np.exp(-1j * x0 * h)).real
-        got = heston._chirp_z_sum(kernel, h, x0, dx, m)
+        got = heston._fft_sum(kernel, h, x0, dx, m)
         np.testing.assert_allclose(got, ref, rtol=0,
                                    atol=1e-13 * np.sum(np.abs(kernel)))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 97, 100, 1001, 4097, 31251,
+                                   2 ** 36 - 1])
+    def test_smooth_size_is_the_least_5_smooth_length(self, n):
+        def smooth(k):
+            for f in (2, 3, 5):
+                while k % f == 0:
+                    k //= f
+            return k == 1
+        got = heston._smooth_size(n)
+        assert got >= n and smooth(got)
+        assert not any(smooth(k) for k in range(n, got))
 
     @pytest.mark.parametrize("xs,step", [
         (np.linspace(-3.0, 3.0, 4001), 1.5e-3),
@@ -872,19 +927,33 @@ class TestChirpZ:
     def test_uneven_and_constant_grids_take_the_matrix_route(
             self, fig1_heston, monkeypatch, xs):
         def refuse(*args):
-            raise AssertionError("chirp-z route taken")
-        monkeypatch.setattr(heston, "_chirp_z_sum", refuse)
+            raise AssertionError("FFT route taken")
+        monkeypatch.setattr(heston, "_fft_sum", refuse)
         dens = marginal_density_grid(xs, 1.0, fig1_heston)
         scalar = [marginal_density(x, 1.0, fig1_heston) for x in xs]
         np.testing.assert_allclose(dens, scalar, atol=1e-9)
 
     def test_even_grid_takes_the_transform(self, fig1_heston, monkeypatch):
         calls = []
-        real = heston._chirp_z_sum
-        monkeypatch.setattr(heston, "_chirp_z_sum",
+        real = heston._fft_sum
+        monkeypatch.setattr(heston, "_fft_sum",
                             lambda *a: calls.append(a[3:]) or real(*a))
         marginal_density_grid(np.linspace(-1.0, 1.0, 101), 1.0, fig1_heston)
         assert len(calls) == 1 and calls[0][1] == 101
+
+    # dx = 1e-6 would make the FFT about 10^7 long for two points; at
+    # dx = 1e-12 the period is too many steps to round to a 5-smooth count
+    @pytest.mark.parametrize("dx", [1e-6, 1e-12])
+    def test_fft_longer_than_the_phase_matrices_is_not_taken(
+            self, fig1_heston, monkeypatch, dx):
+        def refuse(*args):
+            raise AssertionError("FFT route taken")
+        monkeypatch.setattr(heston, "_fft_sum", refuse)
+        xs = np.array([0.1, 0.1 + dx])
+        dens = marginal_density_grid(xs, 1.0, fig1_heston)
+        np.testing.assert_allclose(dens, marginal_density(xs, 1.0,
+                                                          fig1_heston),
+                                   atol=1e-9)
 
     @pytest.mark.parametrize("T,n", [(0.25, 501), (1.0, 1001), (5.0, 2001),
                                      (10.0, 1001), (1.0, 4001)])
@@ -898,6 +967,32 @@ class TestChirpZ:
         fast = marginal_density_grid(xs, T, fig1_heston)
         monkeypatch.setattr(heston, "_uniform_step", lambda xs: None)
         slow = marginal_density_grid(xs, T, fig1_heston)
+        np.testing.assert_allclose(fast, slow, rtol=0,
+                                   atol=1e-12 * slow.max())
+
+    def test_fat_tail_fft_matches_matrix_route_on_one_table(
+            self, monkeypatch):
+        # the seed-10 fat tail: a table of about 370,000 nodes summed at 91
+        # points by one FFT of 5-smooth, not power-of-two, length
+        p = HestonParams(mu=0.03, kappa=0.11966803061195103,
+                         theta=0.02763668471683995, sigma=1.5179781404891466,
+                         rho=-0.6601583280571415, v0=0.020393727618420298)
+        real, tables = heston._density_evaluator, []
+        monkeypatch.setattr(heston, "_density_evaluator",
+                            lambda *a: tables.append(real(*a)) or tables[-1])
+        real_fft, sizes = heston._fft_sum, []
+
+        def sized(kernel, h, x0, dx, m):
+            sizes.append(round(2.0 * math.pi / abs(dx * h)))
+            return real_fft(kernel, h, x0, dx, m)
+        monkeypatch.setattr(heston, "_fft_sum", sized)
+        xs = np.linspace(-6.0, 3.0, 91)
+        fast = marginal_density_grid(xs, 20.86949557100178, p)
+        (size,), ((density, _),) = sizes, tables
+        assert size & (size - 1) and size == heston._smooth_size(size)
+        monkeypatch.setattr(heston, "_uniform_step", lambda xs: None)
+        slow = density(xs)
+        assert len(sizes) == 1
         np.testing.assert_allclose(fast, slow, rtol=0,
                                    atol=1e-12 * slow.max())
 
@@ -948,7 +1043,7 @@ class TestDensityOracle:
     @pytest.mark.parametrize("T,x,ref", MP_DENSITIES)
     def test_grid_and_adaptive_match_mpmath(self, fig1_heston, T, x, ref):
         peak = next(d for t, _, d in MP_DENSITIES if t == T)
-        # an even grid with x at its centre takes the chirp-z route
+        # an even grid with x at its centre takes the FFT route
         xs = x + np.linspace(-1.0, 1.0, 201)
         grid = marginal_density_grid(xs, T, fig1_heston)[100]
         assert abs(grid - ref) <= 1e-10 * peak

@@ -330,6 +330,31 @@ class TestIntegrateRealLine:
         with pytest.raises(ValueError, match="%s must be finite" % name):
             QuadratureConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [1e308, 6e307])
+    def test_window_that_overflows_names_the_field(self, value):
+        # 2L = inf used to end in "integrand returned a non-finite value
+        # at l=nan", blaming the integrand; at L = 6e307 the outer start
+        # panel [sqrt(2) L, 2L] overflowed its midpoint (a + b)/2
+        with pytest.raises(ValueError, match="truncation_bound"):
+            QuadratureConfig(truncation_bound=value)
+        # the largest start window at a power of ten
+        res = integrate_half_line(lambda l: 1e-300 / (1e300 + l),
+                                  QuadratureConfig(truncation_bound=4e307))
+        assert res.converged and res.window == 8e307
+
+    @pytest.mark.parametrize("integrate", [integrate_half_line,
+                                           integrate_real_line])
+    def test_growth_stops_at_the_last_finite_window(self, integrate):
+        # 1/(L + |l|) adds about log 2 an octave, so the window grows
+        # until the next octave would end past the largest float
+        res = integrate(lambda l: 1.0 / (1e300 + np.abs(l)),
+                        QuadratureConfig(truncation_bound=1e300))
+        # the last window whose panel midpoints (a + b)/2 are finite
+        assert not res.converged
+        assert math.isfinite(2.0 * res.window)
+        assert not math.isfinite(4.0 * res.window)
+        assert np.isfinite(res.value) and res.evaluations < 5000
+
 
 class TestIntegrateHalfLine:
     def test_gaussian_converges_in_the_first_call(self):
