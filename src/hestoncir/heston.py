@@ -34,16 +34,19 @@ its abscissae' bytes.  Parameter sets priced once store nothing.
 The density is one Fourier integral over l as well, taken on a uniform
 l-table of its kernel that ends at its first node below e^-45 and whose
 step an aliasing period sets, checked by one adaptive integral at three
-probes; a table that fails its probe, or needs more nodes than the
-evaluation budget, raises.  Every period comes from the law's own tail
-depths, Chernoff bounds on the moments E[exp(s x_T)], the strike core at
-l = i s, finite between the critical moments (:func:`critical_moments`).
+probes, whose start window of 4 panels an octave resolves the kernel in
+its first integrand call; a table that fails its probe, or needs more
+nodes than the evaluation budget, raises.  Every period comes from the
+law's own tail depths, Chernoff bounds on the moments E[exp(s x_T)], the
+strike core at l = i s, finite between the critical moments
+(:func:`critical_moments`).
 A grid's period keeps the images of its x-range where the mass is below
 e^-45, rounded to M |dx| for a 5-smooth M, so an even grid sums the
 table by one FFT of length M; any other x by cos/sin phase matrices in
 bounded blocks.  The price-via-density cross-check integrates the
 bounded put payoff against each mode of its table in closed form, from
-below the strike up to it, and prices the call by parity.  The contour,
+below the strike up to it, and prices the call by parity, finishing the
+price by the pricers' sign check and floor.  The contour,
 the critical moments and the Chernoff samples take one explosion test,
 the closed-form explosion time T*(s) (:func:`_explosion_time`).
 """
@@ -58,7 +61,8 @@ from collections import OrderedDict
 import numpy as np
 
 from .models import HestonParams, VanillaOption, risk_neutral_map
-from .numerics import QuadratureConfig, QuadratureError, integrate_half_line
+from .numerics import (QuadratureConfig, QuadratureError, _half_line,
+                       integrate_half_line)
 # nothing here calls them: bench/tracing.py wraps heston.integrate_interval
 # and heston.integrate_real_line
 from .numerics import integrate_interval, integrate_real_line  # noqa: F401
@@ -488,23 +492,24 @@ def _finish_price(res, opt: VanillaOption, p: HestonParams, c, bond,
                  "w+ = %.6g)" % ((c,) + critical_moments(p, opt.maturity)))
     _check_result(res, what)
     if not isinstance(res.value, np.ndarray):
-        return _column_price(res.value.real, res.error_estimate, opt, bond,
-                             cfg, what), res
+        return _column_price(res.value.real / _TWO_PI, res.error_estimate,
+                             opt, bond, cfg, what), res
     return np.array([
-        _column_price(v, e, opt, b, cfg, what) for v, e, b in zip(
+        _column_price(v / _TWO_PI, e, opt, b, cfg, what) for v, e, b in zip(
             res.value.real.tolist(), res.error_estimate.tolist(),
             bond.tolist())]), res
 
 
-def _column_price(value, error, opt: VanillaOption, bond,
+def _column_price(put, error, opt: VanillaOption, bond,
                   cfg: QuadratureConfig, what):
-    """The price from one column of the folded contour integral, checked.
+    """The price from a put, checked: one column of the folded contour
+    integral over 2 pi, or the put of :func:`price_via_density`.
 
-    The folded integral is real by construction, so there is no
-    imaginary residual to check; a call or put below
-    -10 max(abs_tol, error) raises.
+    The call follows by the parity C - P = S0 - K bond.  A call or put
+    below -10 max(abs_tol, error) raises a :class:`PricingError`,
+    ``error`` being the folded integral's error estimate (0 for the
+    density route), and a price above that floor but below 0 is 0.
     """
-    put = value / _TWO_PI
     call = put + opt.s0 - opt.strike * bond
     floor = -10.0 * max(cfg.abs_tol, error)
     for kind, price in (("call", call), ("put", put)):
@@ -569,8 +574,15 @@ def marginal_density(x, T: float, p: HestonParams,
     whose integral is smallest.  The integrand is conjugate-symmetric
     over real l, so the density is 1/(2 pi) times the integral of 2 Re
     of it over l > 0; that integral is real by construction, and no
-    imaginary residual is left to check.  A non-finite x raises
-    ValueError, and an empty array gives an empty array.
+    imaginary residual is left to check.  The kernel decays
+    exponentially in l across the start window [0, 2L] (L =
+    ``cfg.truncation_bound``), so the window is cut into 4 panels an
+    octave, where the pricers take 2: a window that ends where the
+    kernel has decayed, as the density table's probe has, is resolved
+    in its first integrand call.  An integral that does not converge
+    raises a :class:`PricingError` naming T and the x range.  A
+    non-finite x raises ValueError, and an empty array gives an empty
+    array.
     """
     cfg = cfg or QuadratureConfig()
     xs = _finite_x(x, "marginal_density")
@@ -582,8 +594,11 @@ def marginal_density(x, T: float, p: HestonParams,
         core = _strike_core(l, T, p).reshape(l.shape + (1,) * flat.ndim)
         return 2.0 * np.exp(core.real) * np.cos(
             core.imag + np.multiply.outer(l, flat))
-    res = integrate_half_line(folded, cfg)
-    _check_result(res, "density")
+    res = _half_line(folded, cfg, per_octave=4)
+    if not res.converged:
+        lo, hi = np.min(flat), np.max(flat)
+        _check_result(res, "density at T=%g, %s" % (
+            T, "x=%.6g" % lo if lo == hi else "x in [%.6g, %.6g]" % (lo, hi)))
     if not xs.ndim:
         return res.value.real / _TWO_PI
     return (res.value.real / _TWO_PI).reshape(xs.shape)
@@ -711,9 +726,9 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     """Logreturn density from an l-table of aliasing period ``period``,
     and its payoff strips.
 
-    Returns ``(density, payoff_strip)``: ``density(xs)`` is vectorized
-    over x, and ``payoff_strip(lo, hi, a, k)`` is the integral of
-    (a e^x - k) times the density over [lo, hi].
+    Returns ``(density, payoff_strip)``: ``density(xs, step=None)`` is
+    vectorized over a 1-D x, and ``payoff_strip(lo, hi, a, k)`` is the
+    integral of (a e^x - k) times the density over [lo, hi].
 
     The table is the trapezoid rule on l = k h, h = 2 pi/period, which
     converges near-spectrally for an analytic, exponentially decaying
@@ -730,16 +745,19 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     :func:`marginal_density` call checks the table at three probes (0,
     0.9 sd and -1.7 sd, sd = sqrt((v0 + theta) T)), truncated at the
     table's last node l_max: its window [0, 2 l_max] holds the whole
-    kernel and its outer octave tests the tail.  A probe missed by more
-    than 1e-7 (peak + 1) raises a :class:`PricingError` naming T, the x
-    and both values.
+    kernel and its outer octave tests the tail, and its 32 start panels,
+    4 an octave, resolve the kernel's exponential decay in the first
+    integrand call.  A probe missed by more than 1e-7 (peak + 1) raises
+    a :class:`PricingError` naming T, the x and both values, and a probe
+    integral that does not converge one that names the table's probe.
 
-    The density is Re sum_k c_k exp(i l_k x) / 2 pi: on an even grid
-    whose step divides the period into M <= points x nodes, one FFT of
-    length M (:func:`_fft_sum`); elsewhere (the probes, uneven grids)
-    cos/sin phase matrices in bounded blocks.  A payoff strip integrates
-    each mode against a e^x - k in closed form, one O(N) dot product
-    exact for the table (:func:`_payoff_strip_sum`).
+    The density is Re sum_k c_k exp(i l_k x) / 2 pi: given the ``step``
+    of an even grid (``density(xs, step)``) that divides the period into
+    M <= points x nodes, one FFT of length M (:func:`_fft_sum`);
+    elsewhere (the probes, uneven grids, no step) cos/sin phase
+    matrices in bounded blocks.  A payoff strip integrates each mode
+    against a e^x - k in closed form, one O(N) dot product exact for the
+    table (:func:`_payoff_strip_sum`).
     """
     if dx is not None and period <= 2.0 ** 36 * abs(dx):
         period = _smooth_size(math.ceil(period / abs(dx))) * abs(dx)
@@ -758,9 +776,8 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     kernel = np.exp(core[:nodes]) * (2.0 * h)
     kernel[[0, -1]] *= 0.5
 
-    def table_density(xs):
+    def table_density(xs, step=None):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        step = _uniform_step(xs)
         if step is not None:
             size = period / abs(step)
             if (abs(size - round(size)) <= 1e-9 * size
@@ -774,8 +791,12 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     scale = math.sqrt((p.v0 + p.theta) * T)
     probes = np.array([0.0, 0.9 * scale, -1.7 * scale])
     got = table_density(probes)
-    ref = marginal_density(probes, T, p, dataclasses.replace(
-        cfg, truncation_bound=(nodes - 1) * h))
+    try:
+        ref = marginal_density(probes, T, p, dataclasses.replace(
+            cfg, truncation_bound=(nodes - 1) * h))
+    except PricingError as err:
+        raise PricingError("density table's probe failed: %s" % err,
+                           err.result) from err
     miss = np.abs(got - ref)
     if np.max(miss) <= 1e-7 * (got[0] + 1.0):
         return table_density, table_strip
@@ -807,8 +828,9 @@ def marginal_density_grid(xs, T: float, p: HestonParams,
     flat = xs.reshape(-1)
     d_minus, d_plus = _tail_depths(p, T, -_DECAY_FLOOR)
     period = max(d_plus - flat.min(), flat.max() + d_minus) + 1.0
-    density, _ = _density_evaluator(T, p, cfg, period, _uniform_step(flat))
-    return density(flat).reshape(xs.shape)
+    step = _uniform_step(flat)
+    density, _ = _density_evaluator(T, p, cfg, period, step)
+    return density(flat, step).reshape(xs.shape)
 
 
 def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
@@ -842,7 +864,10 @@ def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
     below -d-, checks that the integral has decayed at lo: unless it
     adds less than 10 max(abs_tol, 1e-9), a :class:`PricingError` names
     T and the strip.  Since E[e^x] = 1, the call follows by parity,
-    put + S0 - K e^{-rT}.  A NaN or infinite rate raises a ValueError.
+    put + S0 - K e^{-rT}.  The price is finished as the pricers' are
+    (:func:`_column_price`): a put or call below -10 abs_tol raises a
+    :class:`PricingError` naming it, and one above that floor is at
+    least 0.  A NaN or infinite rate raises a ValueError.
     """
     if not math.isfinite(r):
         raise ValueError("rate r must be finite, got %r" % (r,))
@@ -863,6 +888,5 @@ def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
             "[%.4g, %.4g] adds %.3e, not below %.1e"
             % (T, lo, lo + 2.0, edge, bound))
     put = disc * payoff_strip(lo, x_lo, -a, -k)
-    if opt.kind == "put":
-        return put
-    return put + s0 - k * disc
+    return _column_price(put, 0.0, opt, disc, cfg,
+                         "price via density at T=%g" % T)

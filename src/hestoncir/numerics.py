@@ -12,12 +12,17 @@ call resolves any scale from L/90 to 2L.  An integrand with a
 singularity a distance ``scale`` from l = 0, such as the put's pole on
 its contour, passes that scale, and the half-octave edges continue
 inward until the innermost is at most 0.78 scale, so the first call
-resolves that scale too.  The engine then refines in batches --
+resolves that scale too.  The density, whose kernel decays
+exponentially across its window, cuts the same 8 octaves into 4 panels
+each, 32 start panels with edges 2L 2^(-k/4), k = 31, ..., 0, so that
+GK15 resolves it in the first call too; the count of panels an octave
+is an argument of the private engine, not an option of
+:func:`integrate_half_line`.  The engine then refines in batches --
 each round bisects every panel whose error is above its share, tol/(2n)
 of n panels, at most 128 of them, and evaluates all their children in
 one vectorized integrand call of at most 3840 nodes.  An integral is
 one set of panels held to one tolerance.  The window's outermost
-octave [L, 2L], at first the two outer start panels, is the tail test:
+octave [L, 2L], at first its outer start panels, is the tail test:
 while the absolute values of its panels sum to abs_tol or more, the
 next octave [2L, 4L] joins the set and the whole set is refined again.
 A new octave starts at the resolution the octave before it ended with,
@@ -340,9 +345,10 @@ def integrate_half_line(f, cfg=None, scale=None):
     return _half_line(f, cfg, scale=scale)
 
 
-def _half_line(f, cfg, per_node=1, scale=None):
+def _half_line(f, cfg, per_node=1, scale=None, per_octave=2):
     """:func:`integrate_half_line` of an f that costs ``per_node``
-    evaluations a node, with its start window graded down to ``scale``.
+    evaluations a node, with its start window graded down to ``scale``
+    and cut into ``per_octave`` panels an octave.
 
     The budget is cfg.max_evals // per_node nodes, and a round bisects
     at most _MAX_SPLITS // per_node panels and a new octave, or the
@@ -350,31 +356,39 @@ def _half_line(f, cfg, per_node=1, scale=None):
     than 3840 evaluations; ``evaluations`` counts per_node a node.
     Under 15 nodes nothing is evaluated, and the integral is not
     converged.
+
+    The start window [0, 2L] has ``per_octave`` panels an octave, edges
+    0 and 2L 2^(-k/per_octave), k = 8 per_octave - 1, ..., 0, and a
+    ``scale`` continues them inward at the same spacing.  The pricers
+    keep the half-octave edges of 2 an octave; an integrand that decays
+    exponentially across the window, such as the density kernel, takes
+    4, so that its first call resolves it.  The outer octave's
+    ``per_octave`` start panels are the first tail test.
     """
     budget = cfg.max_evals // per_node
     max_splits = _MAX_SPLITS // per_node
     L = cfg.truncation_bound
-    n = 16
+    n = 8 * per_octave
     if scale is not None:
         if not (math.isfinite(scale) and scale > 0):
             raise ValueError("scale must be positive and finite, got %r"
                              % (scale,))
-        # the innermost edge 2L 2^(-(n-1)/2) at most 0.78 scale: at L =
-        # 100 the contours Im z = -4 and -2 keep 16 panels, and each
-        # halving of |c| below adds two; log2 of scale alone stays finite
-        # for the smallest positive float
-        half_octaves = 2.0 * (math.log2(2.0 * L / 0.78) - math.log2(scale))
-        n = min(max(n, 1 + math.ceil(half_octaves)), 2 * max_splits)
+        # the innermost edge 2L 2^(-(n-1)/per_octave) at most 0.78 scale:
+        # at L = 100 the contours Im z = -4 and -2 keep 8 octaves, and each
+        # halving of |c| below adds one octave of per_octave panels; log2
+        # of scale alone stays finite for the smallest positive float
+        steps = per_octave * (math.log2(2.0 * L / 0.78) - math.log2(scale))
+        n = min(max(n, 1 + math.ceil(steps)), 2 * max_splits)
     n = min(n, budget // 15)
     if n == 0:
         return QuadratureResult(0j, math.inf, 0, False)
-    edges = np.concatenate(
-        [[0.0], 2.0 * L * 2.0 ** (-0.5 * np.arange(n - 1, -1, -1.0))])
+    edges = np.concatenate([[0.0], 2.0 * L * 2.0 ** (
+        -np.arange(n - 1, -1, -1.0) / per_octave)])
     panels = _Panels(f, edges[:-1], edges[1:])
     # n is the panel count the outermost octave [L, 2L] started with, the
     # start panels from L = 2L 2^(-1) on; one start panel has no edge at
     # L, so it tests no tail
-    n = min(2, n - 1)
+    n = min(per_octave, n - 1)
     converged = False
     while panels.refine(cfg.abs_tol, cfg.rel_tol, budget, max_splits):
         # |panel values|: panels that cancel in sign are not a small tail

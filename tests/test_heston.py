@@ -419,6 +419,11 @@ class TestCoreMemo:
             [heston._heston_key(fig1_heston, 1.0, -4.0)] if shared else [])
 
 
+# a market of the benchmark's band (bench/workloads.py `_market`)
+BENCH_MARKET = dict(mu=0.03, kappa=1.75, theta=0.045, sigma=0.45,
+                    rho=-0.65, v0=0.04)
+
+
 class TestMarginalDensity:
     def test_normalization(self, fig1_heston):
         xs = np.linspace(-3.0, 3.0, 2001)
@@ -495,28 +500,72 @@ class TestMarginalDensity:
 
     def test_probe_window_is_the_table_end(self, fig1_heston, monkeypatch):
         # the probe's start window [0, 2 l_max] holds the whole table, so
-        # its outer panel is below abs_tol and it never grows; the call
-        # bound is the measured count
+        # its outer octave is below abs_tol and it never grows, and its
+        # quarter-octave panels resolve the kernel in the first call
         real_density, cfgs = heston.marginal_density, []
-        real_integral, results = heston.integrate_half_line, []
+        real_integral, results = heston._half_line, []
         tables = _kept_tables(monkeypatch)
 
         def captured(x, T, p, cfg):
             cfgs.append(cfg)
             return real_density(x, T, p, cfg)
 
-        def counted(f, cfg):
-            results.append(real_integral(f, cfg))
+        def counted(f, cfg, **kwargs):
+            results.append(real_integral(f, cfg, **kwargs))
             return results[-1]
         monkeypatch.setattr(heston, "marginal_density", captured)
-        monkeypatch.setattr(heston, "integrate_half_line", counted)
+        monkeypatch.setattr(heston, "_half_line", counted)
         marginal_density_grid(np.linspace(-1.0, 1.0, 101), 1.0, fig1_heston)
         (n, h), = tables
         l_max = (n - 1) * h      # the table's last node
         assert len(cfgs) == 1 and cfgs[0].truncation_bound == l_max
         assert len(results) == 1 and results[0].converged
         assert results[0].window == 2.0 * l_max
-        assert results[0].integrand_calls <= 3
+        assert results[0].integrand_calls == 1
+
+    # the benchmark's maturities, on fig. 1 and on a market of its band;
+    # the half-octave start window took 2 calls at all but fig. 1, T = 10
+    @pytest.mark.parametrize("T", [0.25, 0.5, 1.0, 2.0, 5.0, 10.0])
+    @pytest.mark.parametrize("params", [
+        dict(mu=0.03, kappa=1.0, theta=0.04, sigma=0.2, rho=-0.5, v0=0.04),
+        BENCH_MARKET], ids=["fig1", "bench"])
+    def test_probe_converges_in_one_integrand_call(self, monkeypatch,
+                                                   params, T):
+        real_integral, results = heston._half_line, []
+
+        def counted(f, cfg, **kwargs):
+            results.append(real_integral(f, cfg, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(heston, "_half_line", counted)
+        marginal_density_grid(np.linspace(-1.0, 1.0, 101), T,
+                              HestonParams(**params))
+        (res,) = results
+        assert res.converged and res.integrand_calls == 1
+
+    def test_nonconverged_density_names_T_and_the_x_range(self,
+                                                          fig1_heston):
+        with pytest.raises(PricingError,
+                           match=r"^density at T=1, x=0 quadrature did not "
+                                 r"converge: .* 30 evaluations"):
+            marginal_density(0.0, 1.0, fig1_heston,
+                             QuadratureConfig(max_evals=30))
+        with pytest.raises(PricingError, match=r"^density at T=0.5, x in "
+                                               r"\[-0.2, 0.3\] quadrature"):
+            marginal_density([0.3, -0.2, 0.1], 0.5, fig1_heston,
+                             QuadratureConfig(max_evals=30))
+
+    def test_nonconverged_probe_names_the_table(self, fig1_heston):
+        # a budget that pays for the table (under 100 nodes) but not for
+        # the probe's 32 start panels, so the probe stops unconverged
+        with pytest.raises(PricingError) as err:
+            marginal_density_grid(np.linspace(-1.0, 1.0, 101), 1.0,
+                                  fig1_heston, QuadratureConfig(max_evals=200))
+        msg = str(err.value)
+        assert msg.startswith("density table's probe failed: density at "
+                              "T=1, x in [")
+        assert "did not converge" in msg
+        assert err.value.result is not None
+        assert not err.value.result.converged
 
     def test_benchmark_grid_table_is_sized_by_its_aliasing_bound(
             self, fig1_heston, monkeypatch):
@@ -587,6 +636,37 @@ class TestPriceViaDensity:
         opt = VanillaOption(100.0, 1e-8, 1.0)
         assert price_via_density(opt, fig1_heston, 0.03) == pytest.approx(
             100.0, abs=1e-4)
+
+    # T = 0.05 on a market of the benchmark's band: the density route
+    # gave -9.0e-15, -1.06e-14 and -5.68e-14 (twice) where the pricer
+    # gives 0
+    @pytest.mark.parametrize("strike,kind", [(20.0, "put"), (40.0, "put"),
+                                             (150.0, "call"),
+                                             (250.0, "call")])
+    def test_worthless_quotes_price_at_zero(self, strike, kind):
+        opt = VanillaOption(100.0, strike, 0.05, kind)
+        p = HestonParams(mu=0.03, kappa=1.7, theta=0.045, sigma=0.45,
+                         rho=-0.65, v0=0.04)
+        assert heston_call_price(opt, p, 0.03) == 0.0
+        assert price_via_density(opt, p, 0.03) == 0.0
+
+    def test_negative_price_below_the_floor_names_it(self, fig1_heston,
+                                                     monkeypatch):
+        # the put's strip, after the edge strip, spoiled to -1e-6: a put of
+        # -1e-6 disc, below -10 abs_tol, raises as the pricers' do
+        real, strips = heston._payoff_strip_sum, []
+
+        def spoiled(*args):
+            strips.append(args[2:4])
+            return real(*args) if len(strips) == 1 else -2e-6 * math.pi
+        monkeypatch.setattr(heston, "_payoff_strip_sum", spoiled)
+        with pytest.raises(PricingError,
+                           match=r"^price via density at T=1 gives a "
+                                 r"negative put -9\.\d+e-07$"):
+            price_via_density(VanillaOption(100.0, 100.0, 1.0, "put"),
+                              fig1_heston, 0.03,
+                              QuadratureConfig(abs_tol=1e-9))
+        assert len(strips) == 2
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
@@ -712,10 +792,6 @@ class TestPriceViaDensitySweep:
         assert "failed to decay" in msg and "T=1:" in msg
         # lo = x_lo - 2, x_lo = -0.03
         assert "edge strip [-2.03, -0.03]" in msg
-
-
-BENCH_MARKET = dict(mu=0.03, kappa=1.75, theta=0.045, sigma=0.45,
-                    rho=-0.65, v0=0.04)
 
 
 class TestMomentSizing:
@@ -990,8 +1066,7 @@ class TestFoldedFFT:
         fast = marginal_density_grid(xs, 20.86949557100178, p)
         (size,), ((density, _),) = sizes, tables
         assert size & (size - 1) and size == heston._smooth_size(size)
-        monkeypatch.setattr(heston, "_uniform_step", lambda xs: None)
-        slow = density(xs)
+        slow = density(xs)      # given no step, by the phase matrices
         assert len(sizes) == 1
         np.testing.assert_allclose(fast, slow, rtol=0,
                                    atol=1e-12 * slow.max())

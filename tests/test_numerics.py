@@ -20,7 +20,7 @@ from hestoncir import (
     sample_noncentral_chisq,
     sample_standard_normal,
 )
-from hestoncir.numerics import _gk_panels, _Panels
+from hestoncir.numerics import _gk_panels, _half_line, _Panels
 
 
 class TestIntegrateRealLine:
@@ -396,6 +396,59 @@ class TestIntegrateHalfLine:
         res = integrate_half_line(f, QuadratureConfig(max_evals=max_evals))
         assert sizes[0] == 15 * min(16, max_evals // 15)
         assert res.evaluations <= max_evals
+
+    @pytest.mark.parametrize("max_evals", [15, 29, 30, 239, 240, 479, 480,
+                                           500_000])
+    def test_quarter_octave_window_drops_its_innermost_panels_first(
+            self, max_evals):
+        # 4 panels an octave: 32 start panels with edges 0 and 2L
+        # 2^(-k/4), k = 31, ..., 0, and a short budget keeps the outermost
+        def first_call(cfg):
+            nodes = []
+
+            def f(l):
+                nodes.append(l.copy())
+                return np.exp(-l / 4.0) * np.cos(l)
+
+            res = _half_line(f, cfg, per_octave=4)
+            assert res.evaluations == sum(map(np.size, nodes)) <= \
+                cfg.max_evals
+            return res, nodes[0].reshape(-1, 15)
+
+        res, full = first_call(QuadratureConfig())
+        # e^{-l/4} cos l, whose integral is 4/17: the half-octave window
+        # takes 2 calls
+        assert res.converged and abs(res.value - 4.0 / 17.0) <= 1e-9
+        assert res.integrand_calls == 1 and res.window == 200.0
+        assert integrate_half_line(
+            lambda l: np.exp(-l / 4.0) * np.cos(l)).integrand_calls == 2
+        mid = full[:, 7]        # the Kronrod centre node
+        half = (full[:, 14] - full[:, 0]) / (2.0 * 0.991455371120813)
+        edges = np.concatenate([[0.0], 200.0 * 2.0 ** (-np.arange(31, -1,
+                                                                  -1) / 4)])
+        assert full.shape == (32, 15)
+        np.testing.assert_allclose(mid - half, edges[:-1], rtol=1e-12,
+                                   atol=1e-12)
+        np.testing.assert_allclose(mid + half, edges[1:], rtol=1e-12)
+        _, short = first_call(QuadratureConfig(max_evals=max_evals))
+        n = min(32, max_evals // 15)
+        assert short.shape == (n, 15)
+        if n > 1:       # but for the first, from 0, the outermost ones
+            assert short[1:].tobytes() == full[33 - n:].tobytes()
+        assert np.all(short > 0.0)
+
+    def test_quarter_octave_window_grows_by_its_outer_octave_count(self):
+        # e^{-l/40} from L = 100: the outer octave [100, 200] meets the
+        # tolerance on its 4 start panels, so each new octave starts as 4
+        sizes = []
+
+        def f(l):
+            sizes.append(l.size // 15)
+            return np.exp(-l / 40.0)
+
+        res = _half_line(f, QuadratureConfig(), per_octave=4)
+        assert res.converged and abs(res.value - 40.0) <= 1e-9 * 40.0
+        assert sizes == [32, 4, 4, 4, 4] and res.window == 3200.0
 
     # d e^{-l^2}/(l^2 + d^2) has poles at l = +-i d; with scale = d the
     # half-octave edges reach below 0.78 d: 18, 22 and 28 start panels
