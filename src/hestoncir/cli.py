@@ -245,6 +245,11 @@ def cmd_verify(args) -> int:
     cfg = parse_run_config(args.config)
     if cfg.mc is None:
         raise ConfigError("verify requires an 'mc' block")
+    if cfg.mc.antithetic and cfg.model != "heston":
+        # the averaged-rate and exact lognormal routes draw no Euler paths
+        raise ConfigError("mc.antithetic has no effect for model %r; only "
+                          "the Euler route of model 'heston' reads it"
+                          % cfg.model)
     if args.seed is not None:
         cfg.mc = McConfig(cfg.mc.paths, cfg.mc.steps, args.seed,
                           cfg.mc.antithetic)

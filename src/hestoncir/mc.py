@@ -8,7 +8,11 @@ Two independent routes check the closed forms:
   evaluated at each draw and averaged; the closed form's whole curve in
   the rate comes from one multi-column integral;
 * a full-truncation Euler simulator of the variance/log-spot system,
-  used as a formula-free oracle for the constant-rate price.
+  used as a formula-free oracle for the constant-rate price.  Each step
+  draws the variance's normal only; the spot's noise orthogonal to it
+  is summed exactly given the variance path, in one more normal per
+  path (Willard 1997, Romano & Touzi 1997), so a path costs steps + 1
+  normals.  Antithetic sampling applies to this route only.
 
 Paths are partitioned into fixed-size blocks; block i draws from its own
 SFC64 stream, the i-th ``SeedSequence`` child of the seed (see
@@ -50,6 +54,12 @@ _RATE_BLOCK = 64
 
 @dataclass(frozen=True)
 class McConfig:
+    """Path count, steps per path, seed, and antithetic sampling.
+
+    ``antithetic`` mirrors the Euler route's normals
+    (:func:`simulate_heston_terminal`, :func:`mc_price_heston_euler`);
+    the averaged-rate route, :func:`mc_price_hybrid`, does not read it.
+    """
     paths: int
     steps: int
     seed: int = 0
@@ -167,7 +177,8 @@ def mc_price_hybrid(opt: VanillaOption, p: HestonParams, rp: CirRateParams,
     paths take one exact noncentral chi-square draw per path and step.
     With sigma_r = 0 the rate is deterministic and the estimate
     degenerates to a single closed-form evaluation with zero standard
-    error.
+    error.  ``mc.antithetic`` is not read: antithetic sampling applies
+    to the Euler route only.
     """
     cfg = cfg or QuadratureConfig()
     if rp.sigma_r == 0.0:
@@ -181,16 +192,42 @@ def mc_price_hybrid(opt: VanillaOption, p: HestonParams, rp: CirRateParams,
     return McEstimate(mean, se, mc.paths, mc.seed)
 
 
+def _normals(gen, out, half):
+    """Fill ``out`` with standard normals; given ``half``, draw that many
+    and mirror them: out = concatenate([wb, -wb])."""
+    if half is None:
+        return gen.standard_normal(out=out)
+    gen.standard_normal(out=out[:half])
+    np.negative(out[:half], out=out[half:])
+    return out
+
+
 def _euler_blocks(p: HestonParams, mu, T, mc: McConfig):
     """Yield per-block arrays of terminal ln(S_T/S0) from full-truncation Euler.
 
+    The variance steps on one standard normal W per path:
+    v += kappa (theta - v+) dt + sigma sqrt(v+ dt) W, with v+ = max(v, 0).
+    The spot's Brownian increment is rho W + rho_c U, U independent of
+    W, so given the variance path the sum of its U terms,
+    sum sqrt(v+ dt) U, is exactly normal with variance dt sum v+.  Each
+    path therefore draws steps + 1 normals, one W per step and one Z at
+    the end, and
+
+        x = mu T - dt/2 sum v+ + rho sum sqrt(v+ dt) W
+            + rho_c sqrt(dt sum v+) Z
+
+    has the same joint law with the variance path as the two-normal
+    scheme's sum of its increments (mu - v+/2) dt + sqrt(v+ dt) Z_s.
+
     The samples include the drift mu T; :func:`marginal_density` is
     defined on the drift-adjusted x - mu T.  With antithetic sampling
-    each block is two mirrored halves laid out contiguously, so path i
-    pairs with path i + len/2 within the block.
+    each block is two mirrored halves laid out contiguously, in W and
+    in Z, so path i pairs with path i + len/2 within the block.
     """
     dt = T / mc.steps
     sqdt = math.sqrt(dt)
+    kdt = p.kappa * dt
+    ssdt = p.sigma * sqdt
     rho_c = math.sqrt(1.0 - p.rho * p.rho)
     start = 0
     block = 0
@@ -201,47 +238,33 @@ def _euler_blocks(p: HestonParams, mu, T, mc: McConfig):
             if n == 0:
                 break
         gen = RngStream(mc.seed, block).generator
-        x = np.zeros(n)
+        half = n // 2 if mc.antithetic else None
         v = np.full(n, p.v0)
+        sv = np.zeros(n)            # sum of v+
+        sw = np.zeros(n)            # sum of sqrt(v+) W
         # The step works in buffers allocated once per block: fresh
         # block-sized temporaries on every step cost page faults whenever
         # the allocator hands their memory back to the system.  Each
         # update keeps the operation order of the plain expression in
         # its comment, so the paths are bit-identical to it.
-        z = np.empty((2, n))
-        zb = np.empty((2, n // 2))
-        vp, sq, dx, dv, tmp = (np.empty(n) for _ in range(5))
+        w, vp, dw = (np.empty(n) for _ in range(3))
         for _ in range(mc.steps):
-            if mc.antithetic:
-                # z = concatenate([zb, -zb], axis=1)
-                gen.standard_normal(out=zb)
-                z[:, :n // 2] = zb
-                np.negative(zb, out=z[:, n // 2:])
-            else:
-                gen.standard_normal(out=z)
+            _normals(gen, w, half)
             np.maximum(v, 0.0, out=vp)
-            np.sqrt(vp, out=sq)
-            sq *= sqdt
-            # x += (mu - 0.5 * vp) * dt + sq * z[0]
-            np.multiply(vp, 0.5, out=dx)
-            np.subtract(mu, dx, out=dx)
-            dx *= dt
-            np.multiply(sq, z[0], out=tmp)
-            dx += tmp
-            x += dx
-            # v += kappa * (theta - vp) * dt
-            #      + sigma * sq * (rho * z[0] + rho_c * z[1])
-            np.subtract(p.theta, vp, out=dv)
-            dv *= p.kappa
-            dv *= dt
-            np.multiply(z[0], p.rho, out=dx)
-            np.multiply(z[1], rho_c, out=tmp)
-            dx += tmp
-            np.multiply(sq, p.sigma, out=tmp)
-            tmp *= dx
-            dv += tmp
-            v += dv
-        yield x
+            sv += vp
+            # dw = sqrt(vp) * w; sw += dw
+            np.sqrt(vp, out=dw)
+            dw *= w
+            sw += dw
+            # v = v + kdt * (theta - vp) + ssdt * dw
+            np.subtract(p.theta, vp, out=vp)
+            vp *= kdt
+            v += vp
+            dw *= ssdt
+            v += dw
+        z = _normals(gen, w, half)
+        yield (mu * T - 0.5 * dt * sv + p.rho * sqdt * sw
+               + rho_c * np.sqrt(dt * sv) * z)
         start += n
         block += 1
 
@@ -249,6 +272,13 @@ def _euler_blocks(p: HestonParams, mu, T, mc: McConfig):
 def simulate_heston_terminal(p: HestonParams, mu: float, T: float,
                              mc: McConfig) -> np.ndarray:
     """Terminal ln(S_T/S0) samples under the generalized Heston dynamics.
+
+    Full-truncation Euler on steps + 1 normals per path: one a step for
+    the variance and one for the spot's orthogonal noise, summed exactly
+    given the variance path (see :func:`_euler_blocks`).  Each path has
+    the law of the scheme that draws two normals a step.  With
+    ``mc.antithetic`` both normals are mirrored, and path i pairs with
+    path i + len/2 within each block of up to 65536 paths.
 
     The samples include the drift mu T, so E[exp(x)] = exp(mu T).
     :func:`marginal_density` is the density of x - mu T, the paper's
@@ -262,8 +292,11 @@ def mc_price_heston_euler(opt: VanillaOption, p: HestonParams, r: float,
     """Full-truncation Euler Monte Carlo price with constant rate r.
 
     Independent of every closed-form ingredient: simulates the SDE
-    system directly with drift mu = r and averages discounted payoffs.
-    Antithetic pairs are averaged before the standard error is formed.
+    system directly with drift mu = r, on the steps + 1 normals a path
+    of :func:`simulate_heston_terminal`, and averages discounted
+    payoffs.  Antithetic pairs, whose variance and
+    orthogonal normals are both mirrored, are averaged before the
+    standard error is formed.
     """
     s0, k, T = opt.s0, opt.strike, opt.maturity
     disc = math.exp(-r * T)

@@ -128,6 +128,16 @@ class TestExitCodes:
             main(["price", "--config", path] + flag)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("model", ["bs", "heston_cir"])
+    def test_antithetic_of_no_effect_exits_2(self, tmp_path, capsys, model):
+        # only the Euler route of model heston mirrors its paths
+        path = write_config(tmp_path, {"model": model,
+                                       "mc": {"paths": 100, "steps": 10,
+                                              "antithetic": True}})
+        assert main(["verify", "--config", path]) == 2
+        assert "mc.antithetic has no effect for model %r" % model \
+            in capsys.readouterr().err
+
     def test_missing_rate_exits_2(self, tmp_path):
         cfg = json.loads(json.dumps(FIG1))
         del cfg["rate"]

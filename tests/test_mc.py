@@ -178,6 +178,34 @@ class TestHybridMc:
                                                 rel=0.2)
 
 
+def _two_normal_euler(p, mu, T, paths, steps, seed, antithetic=False):
+    """Terminal ln(S_T/S0) from full-truncation Euler with two normals a
+    step: Z0 drives the spot and rho Z0 + rho_c Z1 the variance.  With
+    antithetic sampling both normals are mirrored, path i pairing with
+    path i + paths/2.  A reference for the law of the sampler, which
+    sums the spot's orthogonal noise exactly."""
+    gen = RngStream(seed, 0).generator
+    dt = T / steps
+    rho_c = math.sqrt(1.0 - p.rho * p.rho)
+    x, v = np.zeros(paths), np.full(paths, p.v0)
+    for _ in range(steps):
+        if antithetic:
+            zb = gen.standard_normal((2, paths // 2))
+            z = np.concatenate([zb, -zb], axis=1)
+        else:
+            z = gen.standard_normal((2, paths))
+        vp = np.maximum(v, 0.0)
+        sq = np.sqrt(vp * dt)
+        x += (mu - 0.5 * vp) * dt + sq * z[0]
+        v += p.kappa * (p.theta - vp) * dt \
+            + p.sigma * sq * (p.rho * z[0] + rho_c * z[1])
+    return x
+
+
+def _centred_squares(x):
+    return (x - x.mean()) ** 2
+
+
 class TestHestonEulerMc:
     def test_terminal_logreturns_are_reproducible(self, fig1_heston):
         mc = McConfig(paths=5_000, steps=20, seed=13)
@@ -197,20 +225,85 @@ class TestHestonEulerMc:
         T, dt = 2.0, 2.0 / 40
         n = 3_000 if antithetic else 3_001
         gen = RngStream(21, 0).generator
-        x, v = np.zeros(n), np.full(n, p.v0)
+
+        def normals():
+            if antithetic:
+                wb = gen.standard_normal(n // 2)
+                return np.concatenate([wb, -wb])
+            return gen.standard_normal(n)
+
+        v, sv, sw = np.full(n, p.v0), np.zeros(n), np.zeros(n)
         rho_c = math.sqrt(1.0 - p.rho * p.rho)
         for _ in range(mc.steps):
-            if antithetic:
-                zb = gen.standard_normal((2, n // 2))
-                z = np.concatenate([zb, -zb], axis=1)
-            else:
-                z = gen.standard_normal((2, n))
+            w = normals()
             vp = np.maximum(v, 0.0)
-            sq = np.sqrt(vp) * math.sqrt(dt)
-            x += (p.mu - 0.5 * vp) * dt + sq * z[0]
-            v += p.kappa * (p.theta - vp) * dt \
-                + p.sigma * sq * (p.rho * z[0] + rho_c * z[1])
+            sv += vp
+            dw = np.sqrt(vp) * w
+            sw += dw
+            v = v + p.kappa * dt * (p.theta - vp) \
+                + p.sigma * math.sqrt(dt) * dw
+        x = p.mu * T - 0.5 * dt * sv + p.rho * math.sqrt(dt) * sw \
+            + rho_c * np.sqrt(dt * sv) * normals()
         assert np.array_equal(simulate_heston_terminal(p, p.mu, T, mc), x)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("rho", [-0.9, 0.5])
+    def test_terminal_law_matches_two_normal_scheme(self, rho, antithetic):
+        # Summing the spot's orthogonal noise given the variance path
+        # leaves each path's law that of the scheme that draws it step
+        # by step.  Antithetic pairs are not independent, so only the
+        # first half of the block, one path of each pair, is compared.
+        p = HestonParams(mu=0.03, kappa=1.5, theta=0.04, sigma=0.9,
+                         rho=rho, v0=0.04)
+        n, steps, T = 40_000, 40, 1.0
+        got = simulate_heston_terminal(
+            p, p.mu, T, McConfig(n, steps, seed=31, antithetic=antithetic))
+        if antithetic:
+            got = got[:n // 2]
+        ref = _two_normal_euler(p, p.mu, T, n, steps, seed=32)
+        assert stats.ks_2samp(got, ref).pvalue > 1e-3
+        for a, b in ((got, ref), (_centred_squares(got),
+                                  _centred_squares(ref))):
+            se = math.sqrt(a.var() / a.size + b.var() / b.size)
+            assert abs(a.mean() - b.mean()) <= 4.0 * se
+
+    def test_antithetic_error_no_larger_than_two_normal_pairs(self):
+        # Both members of a pair now carry opposite orthogonal sums
+        # where the two-normal scheme's were only partly anticorrelated,
+        # so its pair-averaged error is no larger, within the sampling
+        # error of the two standard errors (3 SE of their difference).
+        p = HestonParams(mu=0.03, kappa=1.5, theta=0.04, sigma=0.9,
+                         rho=-0.9, v0=0.04)
+        opt = VanillaOption(100.0, 100.0, 1.0)
+        n, steps = 40_000, 40
+        est = mc_price_heston_euler(opt, p, p.mu,
+                                    McConfig(n, steps, seed=33,
+                                             antithetic=True))
+        x = _two_normal_euler(p, p.mu, 1.0, n, steps, seed=34,
+                              antithetic=True)
+        pay = math.exp(-p.mu) * np.maximum(100.0 * np.exp(x) - 100.0, 0.0)
+        pairs = 0.5 * (pay[:n // 2] + pay[n // 2:])
+        ref_se = pairs.std(ddof=1) / math.sqrt(pairs.size)
+        # the relative error of a standard deviation estimate is
+        # sqrt((m4 / s^4 - 1) / (4 n)); the new estimate's is alike
+        d = pairs - pairs.mean()
+        rel = math.sqrt((np.mean(d ** 4) / np.mean(d * d) ** 2 - 1.0)
+                        / (4.0 * pairs.size))
+        assert est.std_error <= ref_se * (1.0 + 3.0 * math.sqrt(2.0) * rel)
+
+    def test_one_step_antithetic_pairs_cancel_both_normals(self):
+        # With one step v+ = v0 on every path, so a pair's W and Z terms
+        # cancel only if both normals are mirrored.
+        p = HestonParams(mu=0.03, kappa=1.5, theta=0.04, sigma=0.9,
+                         rho=-0.7, v0=0.04)
+        T = 1.5
+        x = simulate_heston_terminal(p, p.mu, T,
+                                     McConfig(1_000, 1, seed=35,
+                                              antithetic=True))
+        pair = x[:500] + x[500:]
+        want = 2.0 * (p.mu * T - 0.5 * p.v0 * T)
+        assert np.max(np.abs(pair - want)) <= 1e-15
+        assert np.std(x) > 0.1
 
     def test_martingale_property(self, fig1_heston):
         # E[S_T / S0] = exp(mu T) under the simulated dynamics
