@@ -32,7 +32,6 @@ from .mc import (
     mc_price_hybrid,
     simulate_average_rates,
     simulate_heston_terminal,
-    simulate_rbar,
 )
 from .models import (
     CirRateParams,
@@ -52,7 +51,6 @@ from .numerics import (
     integrate_interval,
     integrate_real_line,
     sample_noncentral_chisq,
-    sample_standard_normal,
 )
 
 __version__ = "0.1.0"

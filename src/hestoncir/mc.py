@@ -37,7 +37,6 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "cir_exact_step",
-    "simulate_rbar",
     "simulate_average_rates",
     "simulate_heston_terminal",
     "mc_price_hybrid",
@@ -58,7 +57,7 @@ class McConfig:
 
     ``antithetic`` mirrors the Euler route's normals
     (:func:`simulate_heston_terminal`, :func:`mc_price_heston_euler`);
-    the averaged-rate route, :func:`mc_price_hybrid`, does not read it.
+    the averaged-rate route, :func:`mc_price_hybrid`, rejects it.
     """
     paths: int
     steps: int
@@ -113,12 +112,6 @@ def _rbar_block(rp: CirRateParams, T, steps, ndraws, rng: RngStream):
         r = cir_exact_step(r, dt, rp.kappa_r, rp.theta_r, rp.sigma_r, rng)
         acc += r if i < steps - 1 else 0.5 * r
     return acc * dt / T
-
-
-def simulate_rbar(rp: CirRateParams, T: float, mc: McConfig,
-                  rng: RngStream) -> float:
-    """One draw of rbar = (1/T) * integral of r(t) over [0, T]."""
-    return float(_rbar_block(rp, T, mc.steps, 1, rng)[0])
 
 
 def simulate_average_rates(rp: CirRateParams, T: float,
@@ -177,9 +170,12 @@ def mc_price_hybrid(opt: VanillaOption, p: HestonParams, rp: CirRateParams,
     paths take one exact noncentral chi-square draw per path and step.
     With sigma_r = 0 the rate is deterministic and the estimate
     degenerates to a single closed-form evaluation with zero standard
-    error.  ``mc.antithetic`` is not read: antithetic sampling applies
-    to the Euler route only.
+    error.  Antithetic sampling applies to the Euler route only, so
+    ``mc.antithetic`` raises ValueError here.
     """
+    if mc.antithetic:
+        raise ValueError("antithetic has no effect on the averaged-rate "
+                         "route; use the Euler route or antithetic=False")
     cfg = cfg or QuadratureConfig()
     if rp.sigma_r == 0.0:
         rbar = deterministic_average_rate(rp, opt.maturity)

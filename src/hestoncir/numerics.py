@@ -58,7 +58,6 @@ __all__ = [
     "integrate_half_line",
     "integrate_real_line",
     "integrate_interval",
-    "sample_standard_normal",
     "sample_noncentral_chisq",
 ]
 
@@ -462,12 +461,6 @@ class RngStream:
                                          spawn_key=(int(self.stream_id),))
             self._gen = np.random.Generator(np.random.SFC64(seq))
         return self._gen
-
-
-def sample_standard_normal(rng: RngStream, size=None):
-    """Standard normal draw(s) from the given stream."""
-    out = rng.generator.standard_normal(size)
-    return float(out) if size is None else out
 
 
 def sample_noncentral_chisq(df, noncentrality, rng: RngStream, size=None):

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import trapezoid
 
 from hestoncir import (
     CirRateParams,
@@ -194,13 +195,13 @@ def test_criterion_7_density_normalization_and_histogram():
     for rho in RHOS:
         p = heston(rho)
         xs = np.linspace(-3.0, 3.0, 4001)
-        total = np.trapezoid(marginal_density_grid(xs, T, p), xs)
+        total = trapezoid(marginal_density_grid(xs, T, p), xs)
         norm_ok &= abs(total - 1.0) <= 1e-6
 
         dens = marginal_density_grid(fine, T, p)
         probs = np.array([
-            np.trapezoid(dens[i * 16:(i + 1) * 16 + 1],
-                         fine[i * 16:(i + 1) * 16 + 1])
+            trapezoid(dens[i * 16:(i + 1) * 16 + 1],
+                      fine[i * 16:(i + 1) * 16 + 1])
             for i in range(40)])
         sample = terminal_logs(0.03, rho)
         counts, _ = np.histogram(sample, edges)

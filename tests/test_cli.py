@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from hestoncir import (
     CirRateParams,
@@ -265,8 +266,8 @@ class TestDensityCommand:
         cfg = parse_run_config(path)
         xs = np.linspace(-3.0, 3.0, 2001)
         dens = marginal_density_grid(xs, 1.0, cfg.heston, cfg.quadrature)
-        footer = "# normalization,%.12g" % np.trapezoid(dens, xs)
-        monkeypatch.delattr(np, "trapezoid")
+        footer = "# normalization,%.12g" % trapezoid(dens, xs)
+        monkeypatch.delattr(np, "trapezoid", raising=False)
         out = tmp_path / "dens.csv"
         assert main(["density", "--config", path,
                      "--xrange=-3:3:2001", "--out", str(out)]) == 0
@@ -294,8 +295,8 @@ class TestDensityCommand:
                     in out.read_text().splitlines()[1:-1]]
             xs = np.array([float(r[0]) for r in rows])
             ds = np.array([float(r[1]) for r in rows])
-            mean = np.trapezoid(xs * ds, xs)
-            return np.trapezoid((xs - mean) ** 3 * ds, xs)
+            mean = trapezoid(xs * ds, xs)
+            return trapezoid((xs - mean) ** 3 * ds, xs)
 
         assert third_moment(-0.5) < 0.0 < third_moment(0.5)
 

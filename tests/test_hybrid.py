@@ -330,6 +330,7 @@ class TestNearDeterministicRate:
             ref = heston_call_price(opt, self.HESTON,
                                     deterministic_average_rate(rp, T),
                                     self.CFG)
+            assert abs(price - ref) <= 1e-8
             ratios.append((price - ref) / sigma_r ** 2)
         mid = float(np.median(ratios))
         assert max(ratios) - min(ratios) <= 1e-2 * abs(mid), ratios

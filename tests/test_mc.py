@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,12 +152,35 @@ class TestAverageRateSimulation:
 
 
 class TestHybridMc:
-    def test_brackets_closed_form(self, fig1_heston, fig1_rate,
-                                  atm_option):
-        est = mc_price_hybrid(atm_option, fig1_heston, fig1_rate,
-                              McConfig(paths=10_000, steps=500, seed=41))
-        ref = hybrid_call_price(atm_option, fig1_heston, fig1_rate)
-        assert abs(est.mean - ref) <= 3.0 * est.std_error
+    # fig. 1, and the mc_verify market (CURVE_MARKETS "band") at 20 and
+    # 50 steps; the same seed repeats the estimate bit for bit
+    @pytest.mark.parametrize("market, paths, steps, seed, z_max", [
+        ("fig1", 10_000, 500, 41, 3.0),
+        ("band", 4_000, 20, 1, 4.0),
+        ("band", 4_000, 50, 5, 4.0),
+    ], ids=["fig1", "band-20", "band-50"])
+    def test_brackets_closed_form(self, fig1_heston, fig1_rate, atm_option,
+                                  market, paths, steps, seed, z_max):
+        opt, p, rp = (atm_option, fig1_heston, fig1_rate) \
+            if market == "fig1" else _curve_market(market)
+        mc = McConfig(paths=paths, steps=steps, seed=seed)
+        est = mc_price_hybrid(opt, p, rp, mc)
+        ref = hybrid_call_price(opt, p, rp)
+        assert abs(est.mean - ref) <= z_max * est.std_error
+        assert mc_price_hybrid(opt, p, rp, mc) == est
+
+    @pytest.mark.parametrize("sigma_r", [0.1, 0.0])
+    def test_antithetic_names_the_field_before_any_draw(
+            self, fig1_heston, atm_option, monkeypatch, sigma_r):
+        # the averaged rate draws no normals to mirror, so the flag would
+        # have no effect; neither a rate path nor a price is formed
+        monkeypatch.setattr(mc, "simulate_average_rates", None)
+        monkeypatch.setattr(mc, "heston_call_price", None)
+        rp = CirRateParams(kappa_r=1.8, theta_r=0.03, sigma_r=sigma_r,
+                           r0=0.035)
+        with pytest.raises(ValueError, match="antithetic"):
+            mc_price_hybrid(atm_option, fig1_heston, rp,
+                            McConfig(paths=100, steps=10, antithetic=True))
 
     def test_zero_rate_vol_degenerates(self, fig1_heston, atm_option):
         rp = CirRateParams(kappa_r=1.8, theta_r=0.03, sigma_r=0.0,
@@ -337,13 +361,28 @@ class TestHestonEulerMc:
         ref = bs_price(atm_option, 0.03, 0.2)
         assert abs(est.mean - ref) <= 3.0 * est.std_error
 
-    def test_prices_heston_within_error_bars(self, fig1_heston,
-                                             atm_option):
-        est = mc_price_heston_euler(atm_option, fig1_heston, 0.03,
-                                    McConfig(paths=200_000, steps=250,
-                                             seed=16))
-        ref = heston_call_price(atm_option, fig1_heston, 0.03)
-        assert abs(est.mean - ref) <= 3.5 * est.std_error
+    # fig. 1, and the mc_verify market (CURVE_MARKETS "band") antithetic
+    # and plain at rho = -0.9, where the spot's orthogonal noise is
+    # smallest; the same seed repeats the estimate bit for bit
+    @pytest.mark.parametrize(
+        "market, rho, paths, steps, seed, antithetic, z_max", [
+            ("fig1", None, 200_000, 250, 16, False, 3.5),
+            ("band", None, 4_000, 50, 5, True, 4.0),
+            ("band", -0.9, 4_000, 50, 6, False, 4.0),
+        ], ids=["fig1", "band-antithetic", "band-rho-0.9"])
+    def test_prices_heston_within_error_bars(self, fig1_heston, atm_option,
+                                             market, rho, paths, steps,
+                                             seed, antithetic, z_max):
+        opt, p = (atm_option, fig1_heston) if market == "fig1" \
+            else _curve_market(market)[:2]
+        if rho is not None:
+            p = replace(p, rho=rho)
+        mc = McConfig(paths=paths, steps=steps, seed=seed,
+                      antithetic=antithetic)
+        est = mc_price_heston_euler(opt, p, 0.03, mc)
+        ref = heston_call_price(opt, p, 0.03)
+        assert abs(est.mean - ref) <= z_max * est.std_error
+        assert mc_price_heston_euler(opt, p, 0.03, mc) == est
 
     def test_antithetic_reduces_error(self, fig1_heston, atm_option):
         plain = mc_price_heston_euler(atm_option, fig1_heston, 0.03,

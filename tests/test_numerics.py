@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import trapezoid
 
 from hestoncir import (
     CirRateParams,
@@ -18,7 +19,6 @@ from hestoncir import (
     integrate_real_line,
     price_integrand,
     sample_noncentral_chisq,
-    sample_standard_normal,
 )
 from hestoncir.numerics import _gk_panels, _half_line, _Panels
 
@@ -43,7 +43,7 @@ class TestIntegrateRealLine:
         f = lambda l: price_integrand(l, atm_option, fig1_heston, 0.03)
         res = integrate_real_line(f, QuadratureConfig())
         grid = np.linspace(-200.0, 200.0, 1_000_000)
-        oracle = np.trapezoid(f(grid), grid)
+        oracle = trapezoid(f(grid), grid)
         assert res.converged
         assert abs(res.value - oracle) <= 1e-8 * (1.0 + abs(oracle))
 
@@ -119,13 +119,14 @@ class TestIntegrateRealLine:
              "lorentz": lambda l: 1.0 / (1.0 + l * l),
              "price": lambda l: price_integrand(l, atm_option, fig1_heston,
                                                 0.03)}[which]
-        cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-13)
-        single = integrate_real_line(f, cfg)
-        column = integrate_real_line(lambda l: f(l)[:, None], cfg)
-        assert column.evaluations == single.evaluations
-        assert column.integrand_calls == single.integrand_calls
-        assert abs(column.value[0] - single.value) \
-            <= 1e-14 * abs(single.value)
+        for cfg in (QuadratureConfig(),
+                    QuadratureConfig(abs_tol=1e-12, rel_tol=1e-13)):
+            single = integrate_real_line(f, cfg)
+            column = integrate_real_line(lambda l: f(l)[:, None], cfg)
+            assert column.evaluations == single.evaluations
+            assert column.integrand_calls == single.integrand_calls
+            assert abs(column.value[0] - single.value) \
+                <= 1e-14 * abs(single.value)
 
     def test_polynomial_exactness_on_interval(self):
         # A single Gauss-Kronrod panel is exact for polynomials well past
@@ -772,27 +773,24 @@ class TestToSplit:
 
 
 class TestNormalSampler:
+    """The oracles' normals: ``RngStream(seed, stream).generator``."""
+
     def test_moments(self):
-        z = sample_standard_normal(RngStream(master_seed=7, stream_id=0),
-                                   1_000_000)
+        z = RngStream(7, 0).generator.standard_normal(1_000_000)
         assert abs(z.mean()) <= 0.005
         assert abs(z.var() - 1.0) <= 0.01
 
     @pytest.mark.parametrize("seed", [42, -1])
     def test_deterministic_given_seed_and_stream(self, seed):
         # a negative master seed is valid: it is taken mod 2**64
-        a = sample_standard_normal(RngStream(master_seed=seed, stream_id=3),
-                                   128)
-        b = sample_standard_normal(RngStream(master_seed=seed, stream_id=3),
-                                   128)
+        a = RngStream(seed, 3).generator.standard_normal(128)
+        b = RngStream(seed, 3).generator.standard_normal(128)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", [42, -1])
     def test_streams_are_distinct(self, seed):
-        a = sample_standard_normal(RngStream(master_seed=seed, stream_id=0),
-                                   128)
-        b = sample_standard_normal(RngStream(master_seed=seed, stream_id=1),
-                                   128)
+        a = RngStream(seed, 0).generator.standard_normal(128)
+        b = RngStream(seed, 1).generator.standard_normal(128)
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed,stream", [(0, 0), (42, 3), (11, 17)])
@@ -800,7 +798,7 @@ class TestNormalSampler:
         # stream i of a seed is SeedSequence(seed)'s i-th spawned child
         child = np.random.SeedSequence(seed).spawn(stream + 1)[stream]
         expected = np.random.Generator(np.random.SFC64(child))
-        a = sample_standard_normal(RngStream(seed, stream), 64)
+        a = RngStream(seed, stream).generator.standard_normal(64)
         assert np.array_equal(a, expected.standard_normal(64))
 
 
@@ -811,12 +809,13 @@ class TestNoncentralChisqSampler:
                                     size=1_000_000)
         assert abs(s.mean() - 4.0) <= 0.02
 
-    def test_mean_and_variance(self):
+    # df 15, nc 593 is one rate step of the mc_verify market
+    @pytest.mark.parametrize("df,nc,seed", [(2.0, 3.0, 2), (15.0, 593.0, 3)])
+    def test_mean_and_variance(self, df, nc, seed):
         # E = df + nc, Var = 2 df + 4 nc; allow 5 standard errors.
         n = 1_000_000
-        df, nc = 2.0, 3.0
-        s = sample_noncentral_chisq(df, nc, RngStream(master_seed=2, stream_id=0),
-                                    size=n)
+        s = sample_noncentral_chisq(df, nc, RngStream(master_seed=seed,
+                                                      stream_id=0), size=n)
         mean, var = df + nc, 2.0 * df + 4.0 * nc
         se_mean = np.sqrt(var / n)
         assert abs(s.mean() - mean) <= 5.0 * se_mean
