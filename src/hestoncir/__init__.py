@@ -28,6 +28,7 @@ from .mc import (
     McConfig,
     McEstimate,
     cir_exact_step,
+    mc_price_bs,
     mc_price_heston_euler,
     mc_price_hybrid,
     simulate_average_rates,

@@ -1,6 +1,10 @@
 """Command-line surface: price, curve, density, verify.
 
 Configuration is a single JSON document; see the README for the schema.
+Each block's keys are its record's field names (heston's ``lambda`` is
+``HestonParams.lam``), so the records own the names, the defaults and
+the validation.  ``verify`` dispatches to :mod:`hestoncir.mc`, whose
+three routes share one block and stream rule.
 Exit codes: 0 success, 2 malformed config, 3 numerical failure,
 4 unwritable output path, 5 verification failure (|z| > 3).
 """
@@ -12,14 +16,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .heston import PricingError, heston_price_with_diagnostics, \
     marginal_density_grid
 from .hybrid import hybrid_price_with_diagnostics
-from .mc import McConfig, McEstimate, RngStream, mc_price_heston_euler, \
+from .mc import McConfig, McEstimate, mc_price_bs, mc_price_heston_euler, \
     mc_price_hybrid
 from .models import CirRateParams, HestonParams, VanillaOption, bs_price
 from .numerics import QuadratureConfig, QuadratureError, QuadratureResult
@@ -30,6 +34,10 @@ EXIT_UNWRITABLE = 4
 EXIT_VERIFY = 5
 
 _MODELS = ("bs", "heston", "heston_cir")
+_RECORDS = {"heston": HestonParams, "option": VanillaOption,
+            "rate": CirRateParams, "quadrature": QuadratureConfig,
+            "mc": McConfig}
+_KEYS = {"model", "output_path", *_RECORDS}
 
 
 class ConfigError(Exception):
@@ -47,12 +55,24 @@ class RunConfig:
     output_path: str | None = None
 
 
-def _require(block, name):
+def _record(raw, name, required=False):
+    """The record of config block ``name``, or None if it is absent."""
+    block = raw.get(name)
     if block is None:
-        raise ConfigError("config is missing required block %r" % name)
+        if required:
+            raise ConfigError("config is missing required block %r" % name)
+        return None
     if not isinstance(block, dict):
         raise ConfigError("config block %r must be an object" % name)
-    return block
+    if name == "heston":
+        block = {"lam" if k == "lambda" else k: v for k, v in block.items()}
+        if len(block) < len(raw[name]):
+            raise ConfigError("config block 'heston' sets lam twice, as "
+                              "'lambda' and as 'lam'")
+    try:
+        return _RECORDS[name](**block)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("invalid config block %r: %s" % (name, exc))
 
 
 def parse_run_config(path: str) -> RunConfig:
@@ -65,50 +85,29 @@ def parse_run_config(path: str) -> RunConfig:
         raise ConfigError("config is not valid JSON: %s" % exc)
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    unknown = sorted(set(raw) - _KEYS)
+    if unknown:
+        raise ConfigError("unknown config key(s) %s; expected %s"
+                          % (unknown, sorted(_KEYS)))
 
     model = raw.get("model")
     if model not in _MODELS:
         raise ConfigError("model must be one of %s, got %r" % (_MODELS, model))
-
-    try:
-        h = _require(raw.get("heston"), "heston")
-        heston = HestonParams(
-            mu=h["mu"], kappa=h["kappa"], theta=h["theta"],
-            sigma=h["sigma"], rho=h["rho"], v0=h["v0"],
-            lam=h.get("lambda", 0.0))
-        o = _require(raw.get("option"), "option")
-        option = VanillaOption(
-            s0=o["s0"], strike=o["strike"], maturity=o["maturity"],
-            kind=o.get("kind", "call"))
-        rate = None
-        if raw.get("rate") is not None:
-            rb = _require(raw.get("rate"), "rate")
-            rate = CirRateParams(
-                kappa_r=rb["kappa_r"], theta_r=rb["theta_r"],
-                sigma_r=rb["sigma_r"], r0=rb["r0"])
-        q = raw.get("quadrature") or {}
-        quadrature = QuadratureConfig(
-            abs_tol=q.get("abs_tol", 1e-9),
-            rel_tol=q.get("rel_tol", 1e-9),
-            max_evals=q.get("max_evals", 500_000),
-            truncation_bound=q.get("truncation_bound", 100.0))
-        mc = None
-        if raw.get("mc") is not None:
-            mb = _require(raw.get("mc"), "mc")
-            mc = McConfig(paths=mb["paths"], steps=mb["steps"],
-                          seed=mb.get("seed", 0),
-                          antithetic=mb.get("antithetic", False))
-    except KeyError as exc:
-        raise ConfigError("config is missing field %s" % exc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("invalid config value: %s" % exc)
-
+    output_path = raw.get("output_path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigError("output_path must be a string, got %r"
+                          % (output_path,))
+    rate = _record(raw, "rate")
     if model == "heston_cir" and rate is None:
         raise ConfigError("model 'heston_cir' requires a 'rate' block")
 
-    return RunConfig(model=model, heston=heston, option=option,
-                     quadrature=quadrature, rate=rate, mc=mc,
-                     output_path=raw.get("output_path"))
+    return RunConfig(model=model,
+                     heston=_record(raw, "heston", required=True),
+                     option=_record(raw, "option", required=True),
+                     quadrature=_record(raw, "quadrature")
+                     or QuadratureConfig(),
+                     rate=rate, mc=_record(raw, "mc"),
+                     output_path=output_path)
 
 
 def _fmt(x: float) -> str:
@@ -129,25 +128,14 @@ def _analytic_price(cfg: RunConfig):
 
 
 def _mc_price(cfg: RunConfig) -> McEstimate:
+    if cfg.model == "bs":
+        return mc_price_bs(cfg.option, cfg.heston.mu,
+                           math.sqrt(cfg.heston.v0), cfg.mc)
     if cfg.model == "heston":
         return mc_price_heston_euler(
             cfg.option, cfg.heston, cfg.heston.mu, cfg.mc)
-    if cfg.model == "heston_cir":
-        return mc_price_hybrid(
-            cfg.option, cfg.heston, cfg.rate, cfg.mc, cfg.quadrature)
-    # bs: exact lognormal terminal sampling
-    opt, r = cfg.option, cfg.heston.mu
-    vol = math.sqrt(cfg.heston.v0)
-    gen = RngStream(cfg.mc.seed, 0).generator
-    z = gen.standard_normal(cfg.mc.paths)
-    st = opt.s0 * np.exp((r - 0.5 * vol * vol) * opt.maturity
-                         + vol * math.sqrt(opt.maturity) * z)
-    pay = np.maximum(st - opt.strike, 0.0) if opt.kind == "call" \
-        else np.maximum(opt.strike - st, 0.0)
-    pay *= math.exp(-r * opt.maturity)
-    return McEstimate(float(np.mean(pay)),
-                      float(np.std(pay, ddof=1) / math.sqrt(len(pay))),
-                      cfg.mc.paths, cfg.mc.seed)
+    return mc_price_hybrid(
+        cfg.option, cfg.heston, cfg.rate, cfg.mc, cfg.quadrature)
 
 
 def _parse_range(spec: str, what: str):
@@ -251,8 +239,7 @@ def cmd_verify(args) -> int:
                           "the Euler route of model 'heston' reads it"
                           % cfg.model)
     if args.seed is not None:
-        cfg.mc = McConfig(cfg.mc.paths, cfg.mc.steps, args.seed,
-                          cfg.mc.antithetic)
+        cfg.mc = replace(cfg.mc, seed=args.seed)
     analytic, _ = _analytic_price(cfg)
     est = _mc_price(cfg)
     if est.std_error == 0.0:

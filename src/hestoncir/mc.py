@@ -1,6 +1,6 @@
 """Monte Carlo verification engine.
 
-Two independent routes check the closed forms:
+Three independent routes check the closed forms:
 
 * an averaged-rate scheme for the stochastic-rate price -- exact CIR
   transitions, one noncentral chi-square draw per path and step, build
@@ -12,10 +12,13 @@ Two independent routes check the closed forms:
   draws the variance's normal only; the spot's noise orthogonal to it
   is summed exactly given the variance path, in one more normal per
   path (Willard 1997, Romano & Touzi 1997), so a path costs steps + 1
-  normals.  Antithetic sampling applies to this route only.
+  normals.  Antithetic sampling applies to this route only;
+* exact lognormal terminal sampling for the Black-Scholes price, one
+  normal per path.
 
-Paths are partitioned into fixed-size blocks; block i draws from its own
-SFC64 stream, the i-th ``SeedSequence`` child of the seed (see
+All three share one block and stream rule (:func:`_blocks`): paths are
+partitioned into blocks of 65536; block i draws from its own SFC64
+stream, the i-th ``SeedSequence`` child of the seed (see
 :class:`~hestoncir.numerics.RngStream`), so estimates are
 bit-reproducible for a given seed regardless of scheduling.
 """
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heston import heston_call_price
-from .hybrid import deterministic_average_rate
+from .hybrid import hybrid_call_price
 from .models import CirRateParams, HestonParams, VanillaOption, \
     _require_int
 from .numerics import QuadratureConfig, RngStream, sample_noncentral_chisq
@@ -41,6 +44,7 @@ __all__ = [
     "simulate_heston_terminal",
     "mc_price_hybrid",
     "mc_price_heston_euler",
+    "mc_price_bs",
 ]
 
 _BLOCK = 1 << 16
@@ -57,7 +61,8 @@ class McConfig:
 
     ``antithetic`` mirrors the Euler route's normals
     (:func:`simulate_heston_terminal`, :func:`mc_price_heston_euler`);
-    the averaged-rate route, :func:`mc_price_hybrid`, rejects it.
+    the averaged-rate and lognormal routes (:func:`mc_price_hybrid`,
+    :func:`simulate_average_rates`, :func:`mc_price_bs`) reject it.
     """
     paths: int
     steps: int
@@ -84,16 +89,57 @@ class McEstimate:
     seed: int
 
 
+def _blocks(mc: McConfig):
+    """Yield (n, RngStream) for each block of ``mc.paths``.
+
+    Blocks hold ``_BLOCK`` paths, the last one the remainder; block i
+    draws from ``RngStream(mc.seed, i)``.  Under antithetic sampling a
+    block holds mirrored halves, so an odd last block drops its last
+    path.
+    """
+    for i, start in enumerate(range(0, mc.paths, _BLOCK)):
+        n = min(_BLOCK, mc.paths - start)
+        if mc.antithetic:
+            n -= n % 2
+            if n == 0:
+                return
+        yield n, RngStream(mc.seed, i)
+
+
+def _no_antithetic(mc: McConfig, route):
+    if mc.antithetic:
+        raise ValueError("antithetic has no effect on the %s route; use the "
+                         "Euler route or antithetic=False" % route)
+
+
+def _estimate(samples, paths, seed) -> McEstimate:
+    """Mean of the concatenated ``samples`` with its ddof-1 standard error."""
+    x = np.concatenate(samples)
+    return McEstimate(float(np.mean(x)),
+                      float(np.std(x, ddof=1) / math.sqrt(len(x))),
+                      paths, seed)
+
+
+def _discounted_payoff(opt: VanillaOption, r, x):
+    """exp(-r T) times the vanilla payoff at S_T = S0 exp(x)."""
+    st = opt.s0 * np.exp(x)
+    pay = np.maximum(st - opt.strike, 0.0) if opt.kind == "call" \
+        else np.maximum(opt.strike - st, 0.0)
+    pay *= math.exp(-r * opt.maturity)
+    return pay
+
+
 def cir_exact_step(current, dt, kappa, theta, sigma, rng: RngStream):
     """Exact CIR transition over dt from the noncentral chi-square law.
 
     Scalar or vectorized over ``current``.  sigma = 0 degenerates to the
     deterministic mean-reversion ODE step.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if kappa <= 0 or theta <= 0 or sigma < 0:
-        raise ValueError("invalid CIR parameters")
+    for name, value in (("dt", dt), ("kappa", kappa), ("theta", theta)):
+        if not value > 0:
+            raise ValueError("%s must be positive, got %r" % (name, value))
+    if not sigma >= 0:
+        raise ValueError("sigma must be nonnegative, got %r" % (sigma,))
     decay = math.exp(-kappa * dt)
     if sigma == 0.0:
         return theta + (current - theta) * decay
@@ -116,17 +162,14 @@ def _rbar_block(rp: CirRateParams, T, steps, ndraws, rng: RngStream):
 
 def simulate_average_rates(rp: CirRateParams, T: float,
                            mc: McConfig) -> np.ndarray:
-    """mc.paths draws of the averaged rate, block-deterministic in seed."""
-    out = []
-    start = 0
-    block = 0
-    while start < mc.paths:
-        n = min(_BLOCK, mc.paths - start)
-        rng = RngStream(mc.seed, block)
-        out.append(_rbar_block(rp, T, mc.steps, n, rng))
-        start += n
-        block += 1
-    return np.concatenate(out)
+    """mc.paths draws of the averaged rate, block-deterministic in seed.
+
+    The draws take no normals to mirror, so ``mc.antithetic`` raises
+    ValueError.
+    """
+    _no_antithetic(mc, "averaged-rate")
+    return np.concatenate([_rbar_block(rp, T, mc.steps, n, rng)
+                           for n, rng in _blocks(mc)])
 
 
 def _price_curve_in_rate(opt, p, rates, cfg):
@@ -173,19 +216,13 @@ def mc_price_hybrid(opt: VanillaOption, p: HestonParams, rp: CirRateParams,
     error.  Antithetic sampling applies to the Euler route only, so
     ``mc.antithetic`` raises ValueError here.
     """
-    if mc.antithetic:
-        raise ValueError("antithetic has no effect on the averaged-rate "
-                         "route; use the Euler route or antithetic=False")
-    cfg = cfg or QuadratureConfig()
+    _no_antithetic(mc, "averaged-rate")
     if rp.sigma_r == 0.0:
-        rbar = deterministic_average_rate(rp, opt.maturity)
-        price = heston_call_price(opt, p, rbar, cfg)
-        return McEstimate(price, 0.0, mc.paths, mc.seed)
+        return McEstimate(hybrid_call_price(opt, p, rp, cfg), 0.0, mc.paths,
+                          mc.seed)
     rbars = simulate_average_rates(rp, opt.maturity, mc)
-    prices = _price_curve_in_rate(opt, p, rbars, cfg)
-    mean = float(np.mean(prices))
-    se = float(np.std(prices, ddof=1) / math.sqrt(len(prices)))
-    return McEstimate(mean, se, mc.paths, mc.seed)
+    return _estimate([_price_curve_in_rate(opt, p, rbars, cfg)], mc.paths,
+                     mc.seed)
 
 
 def _normals(gen, out, half):
@@ -225,15 +262,8 @@ def _euler_blocks(p: HestonParams, mu, T, mc: McConfig):
     kdt = p.kappa * dt
     ssdt = p.sigma * sqdt
     rho_c = math.sqrt(1.0 - p.rho * p.rho)
-    start = 0
-    block = 0
-    while start < mc.paths:
-        n = min(_BLOCK, mc.paths - start)
-        if mc.antithetic:
-            n -= n % 2
-            if n == 0:
-                break
-        gen = RngStream(mc.seed, block).generator
+    for n, rng in _blocks(mc):
+        gen = rng.generator
         half = n // 2 if mc.antithetic else None
         v = np.full(n, p.v0)
         sv = np.zeros(n)            # sum of v+
@@ -261,8 +291,6 @@ def _euler_blocks(p: HestonParams, mu, T, mc: McConfig):
         z = _normals(gen, w, half)
         yield (mu * T - 0.5 * dt * sv + p.rho * sqdt * sw
                + rho_c * np.sqrt(dt * sv) * z)
-        start += n
-        block += 1
 
 
 def simulate_heston_terminal(p: HestonParams, mu: float, T: float,
@@ -294,22 +322,32 @@ def mc_price_heston_euler(opt: VanillaOption, p: HestonParams, r: float,
     orthogonal normals are both mirrored, are averaged before the
     standard error is formed.
     """
-    s0, k, T = opt.s0, opt.strike, opt.maturity
-    disc = math.exp(-r * T)
     samples = []
     npaths = 0
-    for x in _euler_blocks(p, r, T, mc):
-        st = s0 * np.exp(x)
-        pay = np.maximum(st - k, 0.0) if opt.kind == "call" \
-            else np.maximum(k - st, 0.0)
-        pay *= disc
+    for x in _euler_blocks(p, r, opt.maturity, mc):
+        pay = _discounted_payoff(opt, r, x)
         npaths += len(pay)
         if mc.antithetic:
             half = len(pay) // 2
-            samples.append(0.5 * (pay[:half] + pay[half:]))
-        else:
-            samples.append(pay)
-    samples = np.concatenate(samples)
-    mean = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
-    return McEstimate(mean, se, npaths, mc.seed)
+            pay = 0.5 * (pay[:half] + pay[half:])
+        samples.append(pay)
+    return _estimate(samples, npaths, mc.seed)
+
+
+def mc_price_bs(opt: VanillaOption, r: float, vol: float,
+                mc: McConfig) -> McEstimate:
+    """Black-Scholes Monte Carlo price from exact lognormal sampling.
+
+    Each path draws one normal z, from its block's stream (see
+    :func:`_blocks`), for ln(S_T/S0) = (r - vol^2/2) T + vol sqrt(T) z,
+    and the discounted payoffs are averaged; ``mc.steps`` is not read.
+    There are no Euler normals to mirror, so ``mc.antithetic`` raises
+    ValueError.
+    """
+    _no_antithetic(mc, "lognormal")
+    drift = (r - 0.5 * vol * vol) * opt.maturity
+    sd = vol * math.sqrt(opt.maturity)
+    pays = [_discounted_payoff(opt, r,
+                               drift + sd * rng.generator.standard_normal(n))
+            for n, rng in _blocks(mc)]
+    return _estimate(pays, mc.paths, mc.seed)

@@ -129,6 +129,8 @@ def risk_neutral_map(kappa0, theta0, lam):
     Returns (kappa0 + lam, kappa0 * theta0 / (kappa0 + lam)); the
     product kappa * theta is preserved exactly.
     """
+    if not math.isfinite(lam):
+        raise ValueError("lam must be finite, got %r" % (lam,))
     if not kappa0 > 0 or not theta0 > 0:
         raise ValueError("kappa0 and theta0 must be positive")
     if kappa0 + lam <= 0:
@@ -162,8 +164,11 @@ def bs_price(opt: VanillaOption, r: float, vol: float) -> float:
 
     The put value is obtained from the call through put-call parity.
     """
-    if vol < 0:
-        raise ValueError("vol must be nonnegative")
+    if not math.isfinite(r):
+        raise ValueError("r must be finite, got %r" % (r,))
+    if not 0.0 <= vol < math.inf:
+        raise ValueError("vol must be finite and nonnegative, got %r"
+                         % (vol,))
     s0, k, t = opt.s0, opt.strike, opt.maturity
     disc = math.exp(-r * t)
     if vol * math.sqrt(t) < 1e-14:

@@ -481,10 +481,12 @@ def sample_noncentral_chisq(df, noncentrality, rng: RngStream, size=None):
 
     ``df`` and ``noncentrality`` may be scalars or broadcastable arrays;
     the output shape follows numpy broadcasting (plus ``size``).  A
-    nonpositive df or negative noncentrality raises ValueError; a NaN
-    noncentrality gives NaN.
+    nonpositive or NaN df, or a negative noncentrality, raises
+    ValueError; a NaN noncentrality gives NaN.
     """
     dfa = np.asarray(df, dtype=float)
+    if not np.all(dfa > 0.0):
+        raise ValueError("df must be positive, got %r" % (df,))
     if not np.all(dfa > 1.0):
         return rng.generator.noncentral_chisquare(df, noncentrality, size)
     nc = np.asarray(noncentrality, dtype=float)

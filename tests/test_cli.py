@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+import hestoncir
 from hestoncir import (
     CirRateParams,
     HestonParams,
@@ -138,6 +140,44 @@ class TestExitCodes:
         assert main(["verify", "--config", path]) == 2
         assert "mc.antithetic has no effect for model %r" % model \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"heston": {"lamda": 0.5}}, "lamda"),
+        ({"quadrature": {"abs_tl": 1e-6}}, "abs_tl"),
+        ({"quadrture": {"abs_tol": 1e-6}}, "quadrture"),
+    ], ids=["heston", "quadrature", "top-level"])
+    def test_misspelled_key_exits_2_naming_it(self, tmp_path, capsys,
+                                              overrides, key):
+        # each was ignored: the price ran at the defaults and exited 0
+        path = write_config(tmp_path, overrides)
+        assert main(["price", "--config", path]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_lambda_and_lam_together_exit_2(self, tmp_path, capsys):
+        # the renamed key and the field name would overwrite each other
+        path = write_config(tmp_path, {"heston": {"lambda": 0.5, "lam": 0.1}})
+        assert main(["price", "--config", path]) == 2
+        assert "sets lam twice" in capsys.readouterr().err
+
+    def test_block_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"quadrature": [1]})
+        assert main(["price", "--config", path]) == 2
+        assert "'quadrature' must be an object" in capsys.readouterr().err
+
+    def test_non_string_output_path_exits_2_writing_nothing(self, tmp_path):
+        # open(2, "w") wrote the CSV to standard error and exited 0; a
+        # child process keeps that from closing this one's stderr
+        path = write_config(tmp_path, {"output_path": 2})
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(hestoncir.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hestoncir.cli", "curve", "--config", path,
+             "--strikes", "90:110:3"],
+            capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 2
+        assert "output_path must be a string" in proc.stderr
+        assert "strike," not in proc.stdout + proc.stderr
+        assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_missing_rate_exits_2(self, tmp_path):
         cfg = json.loads(json.dumps(FIG1))
@@ -319,6 +359,17 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert abs(report["z_score"]) <= 3.0
         assert report["mc_std_error"] > 0.0
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_black_scholes_agreement(self, tmp_path, capsys, kind):
+        path = write_config(tmp_path,
+                            {"model": "bs", "option": {"kind": kind},
+                             "mc": {"paths": 20_000, "steps": 1, "seed": 5}})
+        assert main(["verify", "--config", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert abs(report["z_score"]) <= 3.0
+        assert report["mc_std_error"] > 0.0
+        assert report["paths"] == 20_000
 
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         path = write_config(tmp_path,

@@ -19,6 +19,7 @@ from hestoncir import (
     deterministic_average_rate,
     heston_call_price,
     hybrid_call_price,
+    mc_price_bs,
     mc_price_heston_euler,
     mc_price_hybrid,
     simulate_average_rates,
@@ -111,6 +112,14 @@ class TestCirExactStep:
             -rp.kappa_r * 0.3)
         assert out == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize("name", ["dt", "kappa", "theta", "sigma"])
+    def test_nan_argument_names_it(self, name):
+        # every comparison with NaN is false, so "dt <= 0" let NaN through
+        args = dict(dt=0.25, kappa=1.8, theta=0.03, sigma=0.1)
+        args[name] = math.nan
+        with pytest.raises(ValueError, match="^%s must be" % name):
+            cir_exact_step(0.035, rng=RngStream(0), **args)
+
 
 class TestAverageRateSimulation:
     def test_mean_matches_deterministic_average(self, fig1_rate):
@@ -139,6 +148,13 @@ class TestAverageRateSimulation:
         a = simulate_average_rates(fig1_rate, 1.0, mc)
         b = simulate_average_rates(fig1_rate, 1.0, mc)
         assert np.array_equal(a, b)
+
+    def test_antithetic_names_the_field(self, fig1_rate):
+        # the rate draws take no normals to mirror; the even-block rule
+        # would only drop an odd last path
+        with pytest.raises(ValueError, match="antithetic"):
+            simulate_average_rates(fig1_rate, 1.0,
+                                   McConfig(101, 5, antithetic=True))
 
     def test_step_refinement_is_stable(self, fig2_rate, fig1_heston,
                                        atm_option):
@@ -384,6 +400,17 @@ class TestHestonEulerMc:
         assert abs(est.mean - ref) <= z_max * est.std_error
         assert mc_price_heston_euler(opt, p, 0.03, mc) == est
 
+    def test_antithetic_blocks_are_even(self, fig1_heston, atm_option):
+        # 131,075 paths are blocks of 65,536, 65,536 and 3; mirrored
+        # halves drop the last block's odd path, and only that one
+        mc = McConfig(paths=131_075, steps=1, seed=19, antithetic=True)
+        x = simulate_heston_terminal(fig1_heston, 0.03, 1.0, mc)
+        assert x.size == 131_074
+        assert np.array_equal(x[:65_536], simulate_heston_terminal(
+            fig1_heston, 0.03, 1.0, replace(mc, paths=65_536)))
+        assert mc_price_heston_euler(atm_option, fig1_heston, 0.03,
+                                     mc).paths == 131_074
+
     def test_antithetic_reduces_error(self, fig1_heston, atm_option):
         plain = mc_price_heston_euler(atm_option, fig1_heston, 0.03,
                                       McConfig(paths=100_000, steps=50,
@@ -392,6 +419,40 @@ class TestHestonEulerMc:
                                      McConfig(paths=100_000, steps=50,
                                               seed=17, antithetic=True))
         assert anti.std_error < plain.std_error
+
+
+def _lognormal_estimate(opt, r, vol, z):
+    """The discounted-payoff mean and ddof-1 standard error of exact
+    lognormal terminal spots, as one plain array expression."""
+    st = opt.s0 * np.exp((r - 0.5 * vol * vol) * opt.maturity
+                         + vol * math.sqrt(opt.maturity) * z)
+    pay = np.maximum(st - opt.strike, 0.0) if opt.kind == "call" \
+        else np.maximum(opt.strike - st, 0.0)
+    pay *= math.exp(-r * opt.maturity)
+    return (float(np.mean(pay)),
+            float(np.std(pay, ddof=1) / math.sqrt(len(pay))))
+
+
+class TestBlackScholesMc:
+    def test_one_block_is_the_plain_array_expression(self, atm_option):
+        z = RngStream(29, 0).generator.standard_normal(50_000)
+        est = mc_price_bs(atm_option, 0.03, 0.2, McConfig(50_000, 1, 29))
+        assert (est.mean, est.std_error) == \
+            _lognormal_estimate(atm_option, 0.03, 0.2, z)
+        assert (est.paths, est.seed) == (50_000, 29)
+
+    def test_blocks_draw_from_their_own_streams(self, atm_option):
+        # 70,000 paths: 65,536 normals of stream 0, then 4,464 of stream 1
+        z = np.concatenate([RngStream(31, i).generator.standard_normal(n)
+                            for i, n in enumerate((65_536, 4_464))])
+        est = mc_price_bs(atm_option, 0.03, 0.2, McConfig(70_000, 1, 31))
+        assert (est.mean, est.std_error) == \
+            _lognormal_estimate(atm_option, 0.03, 0.2, z)
+
+    def test_antithetic_names_the_field(self, atm_option):
+        with pytest.raises(ValueError, match="antithetic"):
+            mc_price_bs(atm_option, 0.03, 0.2,
+                        McConfig(100, 1, antithetic=True))
 
 
 # (Heston parameters, CIR rate, T, K): the mc_verify band, T = 30, and a

@@ -38,6 +38,11 @@ class TestRiskNeutralMap:
         with pytest.raises(ValueError):
             risk_neutral_map(1.0, 0.04, -1.0)
 
+    def test_nan_premium_names_it(self):
+        # "kappa0 + lam <= 0" is false for NaN, which mapped to NaN
+        with pytest.raises(ValueError, match="^lam must be finite"):
+            risk_neutral_map(1.0, 0.04, math.nan)
+
 
 class TestFellerCheck:
     def test_baseline_variance_process_satisfies(self, fig1_heston):
@@ -164,6 +169,14 @@ class TestBlackScholes:
     def test_negative_vol_rejected(self):
         with pytest.raises(ValueError):
             bs_price(VanillaOption(100.0, 100.0, 1.0), 0.03, -0.1)
+
+    @pytest.mark.parametrize("name, r, vol", [
+        ("r", math.nan, 0.2), ("vol", 0.03, math.nan),
+        ("vol", 0.03, math.inf)])
+    def test_non_finite_argument_names_it(self, name, r, vol):
+        # each used to price NaN
+        with pytest.raises(ValueError, match="^%s must be finite" % name):
+            bs_price(VanillaOption(100.0, 100.0, 1.0), r, vol)
 
 
 def test_import_does_not_load_scipy():

@@ -886,6 +886,12 @@ class TestNoncentralChisqSampler:
         with pytest.raises(ValueError):
             sample_noncentral_chisq(df, nc, stream, size=4)
 
+    @pytest.mark.parametrize("nc", [1.0, 0.0])
+    def test_nan_df_names_it(self, nc):
+        # NaN fails "df > 1", and the Generator's mixture drew NaN for it
+        with pytest.raises(ValueError, match="^df must be positive"):
+            sample_noncentral_chisq(math.nan, nc, RngStream(0))
+
     def test_nan_noncentrality_gives_nan(self):
         stream = RngStream(master_seed=0, stream_id=0)
         for df in (0.5, 3.0):
