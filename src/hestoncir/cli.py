@@ -1,10 +1,13 @@
 """Command-line surface: price, curve, density, verify.
 
 Configuration is a single JSON document; see the README for the schema.
-Each block's keys are its record's field names (heston's ``lambda`` is
-``HestonParams.lam``), so the records own the names, the defaults and
-the validation.  ``verify`` dispatches to :mod:`hestoncir.mc`, whose
-three routes share one block and stream rule.
+Each block's keys are its record's field names, so the records own the
+names, the defaults and the validation.  Heston's one extra key,
+``lambda``, is ``HestonParams``' init-only ``lam``: the volatility risk
+premium, folded into kappa and theta when the record is built, so every
+command prices and simulates under the mapped measure.  ``verify``
+dispatches to :mod:`hestoncir.mc`, whose three routes share one block
+and stream rule.
 Exit codes: 0 success, 2 malformed config, 3 numerical failure,
 4 unwritable output path, 5 verification failure (|z| > 3).
 """

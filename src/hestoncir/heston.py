@@ -60,7 +60,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .models import HestonParams, VanillaOption, risk_neutral_map
+from .models import HestonParams, VanillaOption, _require_maturity
 from .numerics import (QuadratureConfig, QuadratureError, _half_line,
                        integrate_half_line)
 # nothing here calls them: bench/tracing.py wraps heston.integrate_interval
@@ -127,7 +127,9 @@ def big_m_of_l(l, T, p: HestonParams):
 
 
 def _amplitude(l2, b0, l, T, p: HestonParams):
-    """N or M as exp(-fT - log P) of :func:`_core_half`, on the raw kappa."""
+    """N or M as exp(-fT - log P) of :func:`_core_half`; T must be finite
+    and positive."""
+    _require_maturity(T)
     _, two_f, log_p = _core_half(l2, b0, b0 + 1j * l * p.rho * p.sigma, T,
                                  0.0, 0.0, p.sigma * p.sigma)
     return np.exp(-0.5 * T * two_f - log_p)
@@ -195,24 +197,16 @@ def _core_half(l2, b0, b, T, v0, kappa_theta, sig2):
     return core - (2.0 * kappa_theta / sig2) * log_p, two_f, log_p
 
 
-def _pricing_kappa_theta(p: HestonParams):
-    """kappa and theta of the pricing measure, lam folded in."""
-    if p.lam != 0.0:
-        return risk_neutral_map(p.kappa, p.theta, p.lam)
-    return p.kappa, p.theta
-
-
 def _strike_core(l, T, p: HestonParams, c=0.0):
     """Strike core i z rho a/sigma + kappa a/sigma^2 + upsilon(z) at l + i c.
 
     Its exp is E[exp(-i z x_T)], finite for -w- < c < w+: the density's
     kernel at c = 0, the paper's spot-side core at l at c = 1.
     """
-    kappa, theta = _pricing_kappa_theta(p)
     z = l + 1j * c
-    b0 = kappa - p.rho * p.sigma * c
+    b0 = p.kappa - p.rho * p.sigma * c
     b = b0 + (1j * p.rho * p.sigma) * l
-    return _core_half(z * (z - 1j), b0, b, T, p.v0, kappa * theta,
+    return _core_half(z * (z - 1j), b0, b, T, p.v0, p.kappa * p.theta,
                       p.sigma * p.sigma)[0]
 
 
@@ -222,7 +216,7 @@ def _explosion_time(s, p: HestonParams):
     of the strike core at l = i s, at beta T/2 = atan2(beta, -b) if
     4 f^2 = -beta^2 < 0, else at 2 atanh(2f/-b)/(2f) if b < -2f, else
     never (inf)."""
-    b = _pricing_kappa_theta(p)[0] - p.rho * p.sigma * s
+    b = p.kappa - p.rho * p.sigma * s
     four_f2 = b * b + p.sigma * p.sigma * s * (1.0 - s)
     if four_f2 < 0.0:
         beta = math.sqrt(-four_f2)
@@ -243,8 +237,7 @@ def _contour_shift(p: HestonParams, T):
     c -> 0 and, at large V, with |c| (e^524 at c = -1/2 for v0 = theta
     = 25, T = 50).  It depends on (params, T) only.
     """
-    kappa, theta = _pricing_kappa_theta(p)
-    var = theta * T - (p.v0 - theta) * math.expm1(-kappa * T) / kappa
+    var = p.theta * T - (p.v0 - p.theta) * math.expm1(-p.kappa * T) / p.kappa
     best, c = math.inf, -4.0
     while True:
         # T*(2c) > T holds for every c after the first that passes
@@ -267,11 +260,10 @@ def _log_moment(s, T, p: HestonParams):
     (:func:`_explosion_time`).  Past the explosion log M is meaningless,
     and no warning is raised for it.
     """
-    kappa, theta = _pricing_kappa_theta(p)
     sig2 = p.sigma * p.sigma
     s = np.asarray(s, dtype=float)
     l2 = s * (1.0 - s)
-    b = kappa - p.rho * p.sigma * s
+    b = p.kappa - p.rho * p.sigma * s
     direct = (b < 0.0) | (b * b + sig2 * l2 < 0.0)
     log_m = np.empty(s.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -279,7 +271,7 @@ def _log_moment(s, T, p: HestonParams):
             if branch.any():
                 log_m[branch] = _core_half(
                     l2[branch].astype(complex), b0,
-                    b[branch].astype(complex), T, p.v0, kappa * theta,
+                    b[branch].astype(complex), T, p.v0, p.kappa * p.theta,
                     sig2)[0].real
     return log_m
 
@@ -315,8 +307,9 @@ def critical_moments(p: HestonParams, T: float):
     Andersen and Piterbarg's (2007) closed-form explosion time T*(s)
     (:func:`_explosion_time`) equals T.  Each is bracketed to 1e-13 of
     its size, and the bracket's inner end is returned, so the moment is
-    finite at each w returned.
+    finite at each w returned.  T must be finite and positive.
     """
+    _require_maturity(T)
     lo, hi = _finite_edges(p, T, 1e-13)
     return -lo, hi
 
@@ -421,7 +414,7 @@ _MEMO = _CoreMemo()
 
 def _heston_key(p: HestonParams, T, c):
     """The fields :func:`_strike_core` reads, T and c (mu is unused)."""
-    return (p.kappa, p.theta, p.sigma, p.rho, p.v0, p.lam, T, c)
+    return (p.kappa, p.theta, p.sigma, p.rho, p.v0, T, c)
 
 
 def _put_integrand(l, c, x, exponent):
@@ -523,9 +516,9 @@ def heston_call_price(opt: VanillaOption, p: HestonParams, r,
                       cfg: QuadratureConfig | None = None):
     """European vanilla price under Heston with constant rate r.
 
-    ``p`` must carry risk-neutral (option-propagation) parameters with
-    mu = r; apply :func:`hestoncir.models.risk_neutral_map` first if a
-    volatility risk premium is in play.  Calls are priced via parity.
+    ``p`` carries the pricing measure (a volatility risk premium is
+    folded into its kappa and theta when it is built) with mu = r.
+    Calls are priced via parity.
 
     ``r`` may also be a sequence of rates, giving an array of prices:
     the rates are the columns of one integral, which share its panels
@@ -581,9 +574,10 @@ def marginal_density(x, T: float, p: HestonParams,
     kernel has decayed, as the density table's probe has, is resolved
     in its first integrand call.  An integral that does not converge
     raises a :class:`PricingError` naming T and the x range.  A
-    non-finite x raises ValueError, and an empty array gives an empty
-    array.
+    non-finite x, or a T that is not finite and positive, raises
+    ValueError, and an empty array gives an empty array.
     """
+    _require_maturity(T)
     cfg = cfg or QuadratureConfig()
     xs = _finite_x(x, "marginal_density")
     if not xs.size:
@@ -818,9 +812,11 @@ def marginal_density_grid(xs, T: float, p: HestonParams,
     + 1 keeps every image x + j period, j != 0, beyond d+ or below -d-;
     an even grid rounds it to M |dx| for one FFT of length M
     (:func:`_density_evaluator`).  An empty xs gives an empty array of
-    its shape and builds no table.  A non-finite x raises ValueError,
-    and a table that fails its probe a :class:`PricingError`.
+    its shape and builds no table.  A non-finite x, or a T that is not
+    finite and positive, raises ValueError, and a table that fails its
+    probe a :class:`PricingError`.
     """
+    _require_maturity(T)
     cfg = cfg or QuadratureConfig()
     xs = np.atleast_1d(_finite_x(xs, "marginal_density_grid"))
     if not xs.size:

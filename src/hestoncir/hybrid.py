@@ -32,7 +32,8 @@ import numpy as np
 from .heston import _MEMO, _contour_shift, _core_half, _finish_price, \
     _heston_key, _put_integrand, _strike_core, \
     heston_price_with_diagnostics
-from .models import CirRateParams, HestonParams, VanillaOption
+from .models import CirRateParams, HestonParams, VanillaOption, \
+    _require_maturity
 from .numerics import QuadratureConfig, integrate_half_line
 # nothing here calls it: bench/tracing.py wraps hybrid.integrate_real_line
 from .numerics import integrate_real_line  # noqa: F401
@@ -46,12 +47,6 @@ __all__ = [
     "hybrid_call_price",
     "hybrid_price_with_diagnostics",
 ]
-
-
-def _require_maturity(T):
-    """Raise ValueError naming T unless it is finite and positive."""
-    if not 0.0 < T < math.inf:
-        raise ValueError("T must be finite and positive, got %r" % (T,))
 
 
 def _rate_side(l2, T, rp: CirRateParams):

@@ -33,7 +33,7 @@ import numpy as np
 from .heston import heston_call_price
 from .hybrid import hybrid_call_price
 from .models import CirRateParams, HestonParams, VanillaOption, \
-    _require_int
+    _require_int, _require_maturity
 from .numerics import QuadratureConfig, RngStream, sample_noncentral_chisq
 
 __all__ = [
@@ -63,6 +63,8 @@ class McConfig:
     (:func:`simulate_heston_terminal`, :func:`mc_price_heston_euler`);
     the averaged-rate and lognormal routes (:func:`mc_price_hybrid`,
     :func:`simulate_average_rates`, :func:`mc_price_bs`) reject it.
+    Antithetic sampling needs at least 4 paths, two mirrored pairs, for
+    a standard error.
     """
     paths: int
     steps: int
@@ -77,6 +79,9 @@ class McConfig:
                              % (self.antithetic,))
         if self.paths < 2:
             raise ValueError("paths must be at least 2")
+        if self.antithetic and self.paths < 4:
+            raise ValueError("paths must be at least 4 with antithetic "
+                             "sampling, two mirrored pairs")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
 
@@ -165,8 +170,9 @@ def simulate_average_rates(rp: CirRateParams, T: float,
     """mc.paths draws of the averaged rate, block-deterministic in seed.
 
     The draws take no normals to mirror, so ``mc.antithetic`` raises
-    ValueError.
+    ValueError, and so does a T that is not finite and positive.
     """
+    _require_maturity(T)
     _no_antithetic(mc, "averaged-rate")
     return np.concatenate([_rbar_block(rp, T, mc.steps, n, rng)
                            for n, rng in _blocks(mc)])
@@ -306,8 +312,9 @@ def simulate_heston_terminal(p: HestonParams, mu: float, T: float,
 
     The samples include the drift mu T, so E[exp(x)] = exp(mu T).
     :func:`marginal_density` is the density of x - mu T, the paper's
-    drift-adjusted logreturn x_T.
+    drift-adjusted logreturn x_T.  T must be finite and positive.
     """
+    _require_maturity(T)
     return np.concatenate(list(_euler_blocks(p, mu, T, mc)))
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 
 __all__ = [
     "HestonParams",
@@ -28,6 +28,12 @@ def _require_finite(record, names=None):
             raise ValueError("%s must be finite, got %r" % (name, value))
 
 
+def _require_maturity(T):
+    """Raise ValueError naming T unless it is finite and positive."""
+    if not 0.0 < T < math.inf:
+        raise ValueError("T must be finite and positive, got %r" % (T,))
+
+
 def _require_int(record, names):
     """Raise ValueError naming the first of ``names`` that is not an
     integer: a float is not one, even if integral, and neither is a bool.
@@ -40,11 +46,15 @@ def _require_int(record, names):
 
 @dataclass(frozen=True)
 class HestonParams:
-    """Heston variance-process parameters plus asset drift.
+    """Heston variance-process parameters plus asset drift, under the
+    pricing measure.
 
     ``mu`` is the asset drift; under risk-neutral (option propagation)
-    pricing it equals the risk-free rate.  ``lam`` is the market price
-    of volatility risk, consumed only through :func:`risk_neutral_map`.
+    pricing it equals the risk-free rate.  ``lam``, the market price of
+    volatility risk, is an init-only argument: a nonzero one maps the
+    given real-world (kappa, theta) through :func:`risk_neutral_map`
+    when the record is built, so the six fields are the measure every
+    route prices and simulates under, and ``p.lam`` reads 0.
     """
 
     mu: float
@@ -53,9 +63,9 @@ class HestonParams:
     sigma: float
     rho: float
     v0: float
-    lam: float = 0.0
+    lam: InitVar[float] = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self, lam):
         _require_finite(self)
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
@@ -67,6 +77,10 @@ class HestonParams:
             raise ValueError("rho must lie strictly inside (-1, 1)")
         if self.v0 < 0:
             raise ValueError("v0 must be nonnegative")
+        if lam != 0.0:
+            kappa, theta = risk_neutral_map(self.kappa, self.theta, lam)
+            object.__setattr__(self, "kappa", kappa)
+            object.__setattr__(self, "theta", theta)
 
 
 @dataclass(frozen=True)
@@ -127,7 +141,8 @@ def risk_neutral_map(kappa0, theta0, lam):
     """Map real-world (kappa0, theta0) to risk-neutral (kappa, theta).
 
     Returns (kappa0 + lam, kappa0 * theta0 / (kappa0 + lam)); the
-    product kappa * theta is preserved exactly.
+    product kappa * theta is preserved exactly.  :class:`HestonParams`
+    applies it when built with a nonzero ``lam``.
     """
     if not math.isfinite(lam):
         raise ValueError("lam must be finite, got %r" % (lam,))

@@ -18,6 +18,7 @@ from hestoncir import (
     hybrid_call_price,
     hybrid_price_with_diagnostics,
     marginal_density_grid,
+    risk_neutral_map,
 )
 from hestoncir.cli import ConfigError, main, parse_run_config
 
@@ -54,8 +55,23 @@ class TestConfigParsing:
         assert cfg.option == VanillaOption(100.0, 100.0, 1.0)
 
     def test_lambda_key_maps_to_risk_premium(self, tmp_path):
+        # the record folds the premium into kappa and theta when built
         path = write_config(tmp_path, {"heston": {"lambda": 0.5}})
-        assert parse_run_config(path).heston.lam == 0.5
+        heston = parse_run_config(path).heston
+        assert (heston.kappa, heston.theta) == \
+            risk_neutral_map(1.0, 0.04, 0.5)
+
+    @pytest.mark.parametrize("command", ["price", "verify"])
+    def test_kappa_plus_lambda_not_positive_exits_2(self, tmp_path, capsys,
+                                                    command):
+        # the record was accepted and pricing died with a traceback
+        path = write_config(tmp_path, {"model": "heston",
+                                       "heston": {"lambda": -2.0},
+                                       "mc": {"paths": 100, "steps": 10}})
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config block 'heston'" in err
+        assert "kappa0 + lam must be positive" in err
 
     def test_rate_block_required_for_hybrid_model(self, tmp_path):
         cfg = json.loads(json.dumps(FIG1))
@@ -122,6 +138,19 @@ class TestExitCodes:
                                               "antithetic": value}})
         assert main(["verify", "--config", path]) == 2
         assert "antithetic must be a bool" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("paths", [2, 3])
+    def test_antithetic_with_one_pair_exits_2(self, tmp_path, capsys, paths):
+        # one mirrored pair gave a NaN standard error, printed as invalid
+        # JSON, and exit 5
+        path = write_config(tmp_path, {"model": "heston",
+                                       "mc": {"paths": paths, "steps": 2,
+                                              "seed": 5,
+                                              "antithetic": True}})
+        assert main(["verify", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert "paths must be at least 4" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "1"]])
     def test_flags_of_no_effect_exit_2(self, tmp_path, capsys, flag):
@@ -355,6 +384,17 @@ class TestVerifyCommand:
         path = write_config(tmp_path,
                             {"mc": {"paths": 4000, "steps": 500,
                                     "seed": 3}})
+        assert main(["verify", "--config", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert abs(report["z_score"]) <= 3.0
+        assert report["mc_std_error"] > 0.0
+
+    def test_risk_premium_agreement(self, tmp_path, capsys):
+        # the Euler oracle ignored lambda: z = -20.9 and exit 5 before
+        path = write_config(tmp_path,
+                            {"model": "heston", "heston": {"lambda": 2.0},
+                             "mc": {"paths": 20_000, "steps": 20,
+                                    "seed": 5}})
         assert main(["verify", "--config", path]) == 0
         report = json.loads(capsys.readouterr().out)
         assert abs(report["z_score"]) <= 3.0

@@ -27,6 +27,7 @@ from hestoncir import (
     omega_of_l,
     price_integrand,
     price_via_density,
+    risk_neutral_map,
 )
 
 
@@ -113,6 +114,23 @@ class TestKernelFunctions:
         assert complex(big_m_of_l(l, 1.0, p)) == pytest.approx(m_ref,
                                                                rel=1e-12)
 
+    def test_risk_premium_is_folded_in(self, fig1_heston):
+        # the record holds the pricing measure: omega, nu, N and M of a
+        # lam record equal those of its pre-mapped twin (they read the
+        # real-world kappa before)
+        kappa, theta = risk_neutral_map(1.0, 0.04, 2.0)
+        folded = replace(fig1_heston, lam=2.0)
+        twin = replace(fig1_heston, kappa=kappa, theta=theta)
+        assert folded == twin and folded.lam == 0.0
+        l = np.array([0.0, 0.3, 4.7, 25.0])
+        for func in (omega_of_l, nu_of_l):
+            assert func(l, folded).tobytes() == func(l, twin).tobytes()
+        for func in (big_n_of_l, big_m_of_l):
+            assert func(l, 2.0, folded).tobytes() == \
+                func(l, 2.0, twin).tobytes()
+        assert omega_of_l(0.0, folded) == pytest.approx(3.0 / 2.0,
+                                                        abs=1e-15)
+
     @pytest.mark.parametrize("func", [omega_of_l, nu_of_l])
     def test_conjugate_symmetry(self, fig1_heston, func):
         for l in (0.5, 3.0, 12.0):
@@ -145,7 +163,6 @@ class TestHestonCallPrice:
         assert abs(price - 100.0) <= 1e-6
 
     def test_volatility_risk_premium_invariance(self, fig1_heston):
-        from hestoncir import risk_neutral_map
         # pricing depends on (kappa0, theta0, lam) only through the mapped
         # pair, so pre-mapping by hand must give the identical float
         lam = 0.7
@@ -406,6 +423,18 @@ class TestCoreMemo:
         warm = [heston_call_price(opt, fig1_heston, 0.03) for opt in surface]
         assert computed == []
         assert warm == cold == fresh
+
+    def test_risk_premium_quote_shares_its_mapped_twin_table(
+            self, core_memo, fig1_heston):
+        # lam is folded into kappa and theta when the record is built, so
+        # a lam quote and its pre-mapped twin are one key, one table
+        kappa, theta = risk_neutral_map(1.0, 0.04, 0.7)
+        heston_call_price(VanillaOption(100.0, 100.0, 1.0),
+                          replace(fig1_heston, lam=0.7), 0.03)
+        twin = replace(fig1_heston, kappa=kappa, theta=theta)
+        heston_call_price(VanillaOption(100.0, 90.0, 1.0, "put"), twin, 0.03)
+        assert core_memo.tables == [
+            heston._heston_key(twin, 1.0, heston._contour_shift(twin, 1.0))]
 
     @pytest.mark.parametrize("change, T, shared", [
         ({"mu": 0.05}, 1.0, True),
@@ -1298,8 +1327,7 @@ class TestContourCoreOracle:
         re_b = []
         for row in MP_CONTOUR_CORES:
             p, _, _, c = _contour_case(row)
-            kappa, _ = heston._pricing_kappa_theta(p)
-            re_b.append(kappa - p.rho * p.sigma * c)
+            re_b.append(p.kappa - p.rho * p.sigma * c)
         assert [i for i, b in enumerate(re_b) if b < 0.0] == [3, 4, 5, 6]
 
 
@@ -1337,8 +1365,7 @@ def _sign_of_d(s, p, T):
     Where f is real, D has the sign of (2f + b) + (2f - b) e^{-2fT}, with
     2f + b = q/(2f - b) for b < 0; where f = i beta/2, D = cos(beta T/2)
     + (b/beta) sin(beta T/2)."""
-    kappa, _ = heston._pricing_kappa_theta(p)
-    b = kappa - p.rho * p.sigma * s
+    b = p.kappa - p.rho * p.sigma * s
     q = p.sigma * p.sigma * s * (1.0 - s)
     four_f2 = b * b + q
     two_f = np.sqrt(np.abs(four_f2))
@@ -1382,8 +1409,7 @@ class TestCriticalMoments:
         # kappa - rho sigma < 0 takes _core_half's direct branch at s = 1,
         # where l2 = 0
         p, T = _moment_case(MP_CRITICAL_MOMENTS[-1])
-        kappa, _ = heston._pricing_kappa_theta(p)
-        assert kappa - p.rho * p.sigma < 0.0
+        assert p.kappa - p.rho * p.sigma < 0.0
         log_m = heston._log_moment(np.array([0.0, 1.0]), T, p)
         assert np.all(np.abs(log_m) <= 1e-15), log_m
 

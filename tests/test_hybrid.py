@@ -11,14 +11,22 @@ from hestoncir.heston import _core_half
 from hestoncir import (
     CirRateParams,
     HestonParams,
+    McConfig,
     QuadratureConfig,
     VanillaOption,
+    big_m_of_l,
+    big_n_of_l,
     cir_bond_price,
+    critical_moments,
     deterministic_average_rate,
     heston_call_price,
     hybrid_call_price,
     hybrid_price_with_diagnostics,
+    marginal_density,
+    marginal_density_grid,
     rate_kernel,
+    simulate_average_rates,
+    simulate_heston_terminal,
 )
 
 
@@ -104,16 +112,37 @@ class TestDeterministicAverageRate:
             fig1_rate.r0, rel=1e-6)
 
 
+# each maturity-taking route, as (heston, rate, T) -> value
+_MATURITY_ROUTES = {
+    "cir_bond_price": lambda p, rp, T: cir_bond_price(rp, T),
+    "rate_kernel": lambda p, rp, T: rate_kernel(0.3, T, rp),
+    "deterministic_average_rate":
+        lambda p, rp, T: deterministic_average_rate(rp, T),
+    "critical_moments": lambda p, rp, T: critical_moments(p, T),
+    "marginal_density": lambda p, rp, T: marginal_density(0.1, T, p),
+    "marginal_density_grid":
+        lambda p, rp, T: marginal_density_grid([-0.1, 0.0, 0.1], T, p),
+    "big_n_of_l": lambda p, rp, T: big_n_of_l(0.3, T, p),
+    "big_m_of_l": lambda p, rp, T: big_m_of_l(0.3, T, p),
+    "simulate_heston_terminal":
+        lambda p, rp, T: simulate_heston_terminal(p, 0.03, T,
+                                                  McConfig(100, 2)),
+    "simulate_average_rates":
+        lambda p, rp, T: simulate_average_rates(rp, T, McConfig(100, 2)),
+}
+
+
 @pytest.mark.parametrize("T", [math.nan, 0.0, -1.0, math.inf])
-@pytest.mark.parametrize("rate_fn", [
-    cir_bond_price,
-    lambda rp, T: rate_kernel(0.3, T, rp),
-    deterministic_average_rate,
-], ids=["cir_bond_price", "rate_kernel", "deterministic_average_rate"])
-def test_rate_side_rejects_a_bad_maturity(fig1_rate, rate_fn, T):
-    # NaN, ZeroDivisionError or a meaningless core before: one ValueError
+@pytest.mark.parametrize("rate_fn", list(_MATURITY_ROUTES.values()),
+                         ids=list(_MATURITY_ROUTES))
+def test_rate_side_rejects_a_bad_maturity(fig1_heston, fig1_rate, rate_fn,
+                                          T):
+    # one maturity rule (models._require_maturity) for the rate side,
+    # the Heston moments, densities and amplitudes and both simulators:
+    # NaN, ZeroDivisionError, garbage moments, NaN or zero samples or an
+    # unrelated error before
     with pytest.raises(ValueError, match="T must be finite and positive"):
-        rate_fn(fig1_rate, T)
+        rate_fn(fig1_heston, fig1_rate, T)
 
 
 class TestRateKernel:

@@ -22,6 +22,7 @@ from hestoncir import (
     mc_price_bs,
     mc_price_heston_euler,
     mc_price_hybrid,
+    risk_neutral_map,
     simulate_average_rates,
     simulate_heston_terminal,
 )
@@ -51,6 +52,21 @@ class TestMcConfig:
     @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
     def test_bools_are_antithetic_flags(self, value):
         assert McConfig(100, 10, antithetic=value).antithetic == value
+
+    @pytest.mark.parametrize("paths", [2, 3])
+    def test_antithetic_needs_two_mirrored_pairs(self, paths):
+        # 2 or 3 paths held one pair, whose standard error was NaN
+        with pytest.raises(ValueError, match="paths must be at least 4"):
+            McConfig(paths, 10, antithetic=True)
+        assert McConfig(paths, 10).paths == paths
+
+    @pytest.mark.parametrize("paths", [4, 5])
+    def test_two_mirrored_pairs_give_a_finite_error(self, fig1_heston,
+                                                    atm_option, paths):
+        est = mc_price_heston_euler(atm_option, fig1_heston, 0.03,
+                                    McConfig(paths, 2, 5, antithetic=True))
+        assert est.paths == 4
+        assert math.isfinite(est.std_error) and est.std_error > 0.0
 
     def test_numpy_integers_are_counts(self):
         mc = McConfig(np.int64(100), np.int32(10), np.int64(7))
@@ -365,6 +381,24 @@ class TestHestonEulerMc:
                            * -math.expm1(-p.kappa * T) / p.kappa)
         se = x_t.std() / math.sqrt(x_t.size)
         assert abs(x_t.mean() - expected) <= 4.0 * se
+
+    def test_risk_premium_reaches_the_euler_oracle(self):
+        # the record holds the mapped kappa and theta, so the scheme steps
+        # the measure the closed form prices; it stepped the real-world
+        # pair before and missed the closed form 11.764 at z = -26
+        p = HestonParams(mu=0.03, kappa=1.0, theta=0.04, sigma=0.5,
+                         rho=-0.5, v0=0.09, lam=2.0)
+        kappa, theta = risk_neutral_map(1.0, 0.04, 2.0)
+        twin = HestonParams(mu=0.03, kappa=kappa, theta=theta, sigma=0.5,
+                            rho=-0.5, v0=0.09, lam=0.0)
+        mc = McConfig(paths=20_000, steps=50, seed=3)
+        assert simulate_heston_terminal(p, 0.03, 2.0, mc).tobytes() == \
+            simulate_heston_terminal(twin, 0.03, 2.0, mc).tobytes()
+        opt = VanillaOption(100.0, 100.0, 2.0)
+        est = mc_price_heston_euler(opt, p, 0.03, mc)
+        ref = heston_call_price(opt, p, 0.03)
+        assert ref == pytest.approx(11.764, abs=5e-4)
+        assert abs(est.mean - ref) <= 3.0 * est.std_error
 
     def test_flat_variance_limit_matches_black_scholes(self, atm_option):
         # sigma tiny and v0 = theta freeze the variance at 0.04, where

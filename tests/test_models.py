@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,30 @@ class TestFellerCheck:
         assert not rep.satisfied
         assert rep.lhs == pytest.approx(0.03)
         assert rep.rhs == pytest.approx(0.09)
+
+
+class TestRiskPremiumFold:
+    def test_record_holds_the_pricing_measure(self):
+        p = HestonParams(mu=0.03, kappa=1.0, theta=0.04, sigma=0.2,
+                         rho=-0.5, v0=0.04, lam=0.5)
+        assert (p.kappa, p.theta) == risk_neutral_map(1.0, 0.04, 0.5)
+        assert p.lam == 0.0
+        assert [f.name for f in fields(p)] == \
+            ["mu", "kappa", "theta", "sigma", "rho", "v0"]
+
+    def test_replace_does_not_apply_the_premium_twice(self):
+        p = HestonParams(mu=0.03, kappa=1.0, theta=0.04, sigma=0.2,
+                         rho=-0.5, v0=0.04, lam=0.5)
+        q = replace(p, v0=0.09)
+        assert (q.kappa, q.theta) == (p.kappa, p.theta)
+
+    @pytest.mark.parametrize("lam", [-1.0, -2.0])
+    def test_kappa_plus_premium_must_be_positive(self, lam):
+        # accepted before, and pricing raised a ValueError later
+        with pytest.raises(ValueError,
+                           match=r"kappa0 \+ lam must be positive"):
+            HestonParams(mu=0.03, kappa=1.0, theta=0.04, sigma=0.2,
+                         rho=-0.5, v0=0.04, lam=lam)
 
 
 class TestParameterValidation:
