@@ -5,7 +5,8 @@ Each block's keys are its record's field names, so the records own the
 names, the defaults and the validation.  Heston's one extra key,
 ``lambda``, is ``HestonParams``' init-only ``lam``: the volatility risk
 premium, folded into kappa and theta when the record is built, so every
-command prices and simulates under the mapped measure.  ``verify``
+command prices and simulates under the mapped measure; a block that sets
+it as ``lambda`` has it named so in its errors.  ``verify``
 dispatches to :mod:`hestoncir.mc`, whose three routes share one block
 and stream rule.
 Exit codes: 0 success, 2 malformed config, 3 numerical failure,
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -75,7 +77,11 @@ def _record(raw, name, required=False):
     try:
         return _RECORDS[name](**block)
     except (TypeError, ValueError) as exc:
-        raise ConfigError("invalid config block %r: %s" % (name, exc))
+        msg = str(exc)
+        if name == "heston" and "lambda" in raw[name]:
+            # name the premium as the config spells it
+            msg = re.sub(r"\blam\b", "lambda", msg)
+        raise ConfigError("invalid config block %r: %s" % (name, msg))
 
 
 def parse_run_config(path: str) -> RunConfig:

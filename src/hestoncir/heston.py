@@ -36,19 +36,24 @@ l-table of its kernel that ends at its first node below e^-45 and whose
 step an aliasing period sets, checked by one adaptive integral at three
 probes, whose start window of 4 panels an octave resolves the kernel in
 its first integrand call; a table that fails its probe, or needs more
-nodes than the evaluation budget, raises.  Every period comes from the
-law's own tail depths, Chernoff bounds on the moments E[exp(s x_T)], the
-strike core at l = i s, finite between the critical moments
-(:func:`critical_moments`).
+nodes than the evaluation budget, raises.  One builder,
+:func:`_density_table`, makes and checks every table and returns it as
+values; its two callers sum it.  Every period comes from the law's own
+tail depths, Chernoff bounds on the moments E[exp(s x_T)], the strike
+core at l = i s, finite between the critical moments
+(:func:`critical_moments`), sampled across (0, w) and about the
+optimum of the Gaussian law at the mean integrated variance, which the
+law nears as sigma -> 0.
 A grid's period keeps the images of its x-range where the mass is below
-e^-45, rounded to M |dx| for a 5-smooth M, so an even grid sums the
-table by one FFT of length M; any other x by cos/sin phase matrices in
-bounded blocks.  The price-via-density cross-check integrates the
-bounded put payoff against each mode of its table in closed form, from
-below the strike up to it, and prices the call by parity, finishing the
-price by the pricers' sign check and floor.  The contour,
-the critical moments and the Chernoff samples take one explosion test,
-the closed-form explosion time T*(s) (:func:`_explosion_time`).
+e^-45; the grid alone picks the sum: an even grid rounds the period to
+M |dx| for a 5-smooth M and sums the table by one FFT of length M, any
+other x by cos/sin phase matrices in bounded blocks.  The
+price-via-density cross-check integrates the bounded put payoff against
+each mode of its table in closed form, from below the strike up to it,
+and prices the call by parity, finishing the price by the pricers' sign
+check and floor.  The contour, the critical moments and the Chernoff
+samples take one explosion test, the closed-form explosion time T*(s)
+(:func:`_explosion_time`).
 """
 
 from __future__ import annotations
@@ -60,7 +65,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .models import HestonParams, VanillaOption, _require_maturity
+from .models import HestonParams, VanillaOption, _require_maturity, \
+    _require_rate
 from .numerics import (QuadratureConfig, QuadratureError, _half_line,
                        integrate_half_line)
 # nothing here calls them: bench/tracing.py wraps heston.integrate_interval
@@ -83,9 +89,11 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# :func:`_tail_depths`' samples of (0, w), as fractions of w
+# :func:`_tail_depths`' samples of (0, w), as fractions of w, and about
+# the Gaussian optimum sqrt(2 L/V), as fractions of it
 _CHERNOFF_SAMPLES = np.concatenate([2.0 ** (-0.5 * np.arange(51)),
                                     np.linspace(0.5, 1.0, 16, endpoint=False)])
+_GAUSS_SAMPLES = 2.0 ** (0.5 * np.arange(-4, 5))
 
 
 class PricingError(Exception):
@@ -101,17 +109,23 @@ class PricingError(Exception):
 
 
 def omega_of_l(l, p: HestonParams):
-    """Frequency omega(l) = (sigma/2) sqrt((kappa/sigma + i l rho)^2 + l(l - i))."""
+    """Frequency omega(l) = (sigma/2) sqrt((kappa/sigma + i l rho)^2 + l(l-i)).
+
+    Formed as :func:`_core_half`'s f = sqrt(b^2 + sigma^2 l2)/2, b =
+    kappa + i l rho sigma, l2 = l(l - i), with no kappa/sigma to
+    overflow at small sigma.
+    """
     l = np.asarray(l, dtype=complex)
-    radicand = (p.kappa / p.sigma + 1j * l * p.rho) ** 2 + l * (l - 1j)
-    return 0.5 * p.sigma * np.sqrt(radicand)
+    b = p.kappa + 1j * l * p.rho * p.sigma
+    return 0.5 * np.sqrt(b * b + p.sigma * p.sigma * (l * (l - 1j)))
 
 
 def nu_of_l(l, p: HestonParams):
-    """Shifted frequency nu(l), the omega of the spot-weighted kernel."""
+    """Shifted frequency nu(l), the omega of the spot-weighted kernel:
+    f of b = kappa - rho sigma + i l rho sigma, l2 = l(l + i)."""
     l = np.asarray(l, dtype=complex)
-    radicand = (p.kappa / p.sigma + 1j * l * p.rho - p.rho) ** 2 + l * (l + 1j)
-    return 0.5 * p.sigma * np.sqrt(radicand)
+    b = p.kappa - p.rho * p.sigma + 1j * l * p.rho * p.sigma
+    return 0.5 * np.sqrt(b * b + p.sigma * p.sigma * (l * (l + 1j)))
 
 
 def big_n_of_l(l, T, p: HestonParams):
@@ -227,6 +241,12 @@ def _explosion_time(s, p: HestonParams):
     return 2.0 * math.atanh(two_f / -b) / two_f if two_f else -2.0 / b
 
 
+def _mean_variance(p: HestonParams, T):
+    """V = E[int_0^T v_t dt] = theta T + (v0 - theta)(1 - e^-kappa T)/kappa,
+    the mean integrated variance."""
+    return p.theta * T - (p.v0 - p.theta) * math.expm1(-p.kappa * T) / p.kappa
+
+
 def _contour_shift(p: HestonParams, T):
     """The pricing contour's Im z = c, a power of 2 in [-4, 0).
 
@@ -237,7 +257,7 @@ def _contour_shift(p: HestonParams, T):
     c -> 0 and, at large V, with |c| (e^524 at c = -1/2 for v0 = theta
     = 25, T = 50).  It depends on (params, T) only.
     """
-    var = p.theta * T - (p.v0 - p.theta) * math.expm1(-p.kappa * T) / p.kappa
+    var = _mean_variance(p, T)
     best, c = math.inf, -4.0
     while True:
         # T*(2c) > T holds for every c after the first that passes
@@ -323,10 +343,19 @@ def _tail_depths(p: HestonParams, T, log_odds):
     the critical moment (:func:`_finite_edges`), and the samples, w
     2^(-k/2) for k <= 50 and 16 even points across [w/2, w), take one
     :func:`_log_moment` call (on 400 random parameter sets, depths within
-    2% of those from 64 even points).
+    2% of those from 64 even points).  Nine more, sqrt(2 L/V) 2^(j/2)
+    for |j| <= 4, each capped at its side's w, bracket the optimum s of
+    a Gaussian law of variance V (:func:`_mean_variance`), L =
+    ``log_odds``: as sigma -> 0 the law nears that Gaussian while w
+    grows like 1/sigma^2, so the samples of w alone stay far above the
+    optimum and the depths, and the density's table, blow up with them.
     """
     w = np.array(_finite_edges(p, T, 1.0 / 64.0))[:, None]
-    s = w * _CHERNOFF_SAMPLES
+    var = _mean_variance(p, T)      # 0 only where theta T underflows
+    gauss = _GAUSS_SAMPLES * (math.sqrt(2.0 * log_odds / var) if var
+                              else math.inf)
+    s = np.concatenate([w * _CHERNOFF_SAMPLES,
+                        np.sign(w) * np.minimum(gauss, np.abs(w))], axis=1)
     depth = np.nanmin((log_odds + _log_moment(s, T, p)) / np.abs(s), axis=1)
     return float(depth[0]), float(depth[1])
 
@@ -540,14 +569,11 @@ def heston_price_with_diagnostics(opt: VanillaOption, p: HestonParams, r,
         r = np.asarray(r, dtype=float).reshape(-1)
         if r.size == 0:
             raise ValueError("rate r must not be an empty array")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("rate r must be finite, got %r"
-                             % (float(r[~np.isfinite(r)][0]),))
+        _require_rate(r)
         bond = np.exp(-r * T)
         what = "price at T=%g, r in [%.6g, %.6g]" % (T, r.min(), r.max())
-    elif not math.isfinite(r):
-        raise ValueError("rate r must be finite, got %r" % (r,))
     else:
+        _require_rate(r)
         bond, what = math.exp(-r * T), "price at T=%g" % T
     c = _contour_shift(p, T)
     _MEMO.admit(_heston_key(p, T, c))
@@ -715,46 +741,38 @@ def _check_table_size(T, p: HestonParams, cfg: QuadratureConfig, nodes):
             % (T, nodes, cfg.max_evals, w_minus, w_plus))
 
 
-def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
-                       period: float, dx=None):
-    """Logreturn density from an l-table of aliasing period ``period``,
-    and its payoff strips.
-
-    Returns ``(density, payoff_strip)``: ``density(xs, step=None)`` is
-    vectorized over a 1-D x, and ``payoff_strip(lo, hi, a, k)`` is the
-    integral of (a e^x - k) times the density over [lo, hi].
+def _density_table(T, p: HestonParams, cfg: QuadratureConfig,
+                   period: float):
+    """The density's checked l-table ``(kernel, h)`` for aliasing period
+    ``period``.
 
     The table is the trapezoid rule on l = k h, h = 2 pi/period, which
     converges near-spectrally for an analytic, exponentially decaying
     kernel; by Poisson summation its density is sum_j f(x + j period)
     (Trefethen and Weideman, SIAM Review 2014), so the caller picks the
-    period that keeps the images j != 0 off its x.  Given ``dx``, an
-    even grid's step, the period is rounded up to M |dx|, M 5-smooth.
-    One core call on ``_DECAY_BRACKET`` brackets where the kernel first
-    falls below e^-45; the table is evaluated up to the bracket's upper
-    end and ends at its own first node below e^-45.  More nodes than
-    ``cfg.max_evals`` raise a :class:`PricingError` naming T, the
-    critical moments and the count, before any table node is evaluated
-    if the bracket's lower end already needs too many.  One
-    :func:`marginal_density` call checks the table at three probes (0,
-    0.9 sd and -1.7 sd, sd = sqrt((v0 + theta) T)), truncated at the
-    table's last node l_max: its window [0, 2 l_max] holds the whole
-    kernel and its outer octave tests the tail, and its 32 start panels,
-    4 an octave, resolve the kernel's exponential decay in the first
-    integrand call.  A probe missed by more than 1e-7 (peak + 1) raises
-    a :class:`PricingError` naming T, the x and both values, and a probe
-    integral that does not converge one that names the table's probe.
+    period that keeps the images j != 0 off its x.  One core call on
+    ``_DECAY_BRACKET`` brackets where the kernel first falls below
+    e^-45; the table is evaluated up to the bracket's upper end and ends
+    at its own first node below e^-45.  More nodes than ``cfg.max_evals``
+    raise a :class:`PricingError` naming T, the critical moments and the
+    count, before any table node is evaluated if the bracket's lower end
+    already needs too many.  One :func:`marginal_density` call checks
+    the table at three probes (0, 0.9 sd and -1.7 sd, sd = sqrt((v0 +
+    theta) T)), truncated at the table's last node l_max: its window
+    [0, 2 l_max] holds the whole kernel and its outer octave tests the
+    tail, and its 32 start panels, 4 an octave, resolve the kernel's
+    exponential decay in the first integrand call.  A probe missed by
+    more than 1e-7 (peak + 1) raises a :class:`PricingError` naming T,
+    the x and both values, and a probe integral that does not converge
+    one that names the table's probe.
 
-    The density is Re sum_k c_k exp(i l_k x) / 2 pi: given the ``step``
-    of an even grid (``density(xs, step)``) that divides the period into
-    M <= points x nodes, one FFT of length M (:func:`_fft_sum`);
-    elsewhere (the probes, uneven grids, no step) cos/sin phase
-    matrices in bounded blocks.  A payoff strip integrates each mode
-    against a e^x - k in closed form, one O(N) dot product exact for the
-    table (:func:`_payoff_strip_sum`).
+    This builds and checks the table only; its callers sum it.  The
+    density at x is Re sum_k kernel_k exp(i l_k x) / 2 pi
+    (:func:`_phase_matrix_sum`, or :func:`_fft_sum` on an even grid
+    whose step divides the period, which :func:`marginal_density_grid`
+    alone decides), and the integral of (a e^x - k) times it over a
+    strip is :func:`_payoff_strip_sum` / 2 pi.
     """
-    if dx is not None and period <= 2.0 ** 36 * abs(dx):
-        period = _smooth_size(math.ceil(period / abs(dx))) * abs(dx)
     h = _TWO_PI / period
     below = _strike_core(_DECAY_BRACKET, T, p).real < _DECAY_FLOOR
     k = int(np.argmax(below)) if below.any() else below.size - 1
@@ -769,22 +787,9 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
     # conjugate symmetry of the kernel folds the line onto l >= 0
     kernel = np.exp(core[:nodes]) * (2.0 * h)
     kernel[[0, -1]] *= 0.5
-
-    def table_density(xs, step=None):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if step is not None:
-            size = period / abs(step)
-            if (abs(size - round(size)) <= 1e-9 * size
-                    and size <= xs.size * nodes):
-                return _fft_sum(kernel, h, xs[0], step, xs.size) / _TWO_PI
-        return _phase_matrix_sum(kernel, h, xs) / _TWO_PI
-
-    def table_strip(lo, hi, a, k):
-        return _payoff_strip_sum(kernel, h, lo, hi, a, k) / _TWO_PI
-
     scale = math.sqrt((p.v0 + p.theta) * T)
     probes = np.array([0.0, 0.9 * scale, -1.7 * scale])
-    got = table_density(probes)
+    got = _phase_matrix_sum(kernel, h, probes) / _TWO_PI
     try:
         ref = marginal_density(probes, T, p, dataclasses.replace(
             cfg, truncation_bound=(nodes - 1) * h))
@@ -793,7 +798,7 @@ def _density_evaluator(T, p: HestonParams, cfg: QuadratureConfig,
                            err.result) from err
     miss = np.abs(got - ref)
     if np.max(miss) <= 1e-7 * (got[0] + 1.0):
-        return table_density, table_strip
+        return kernel, h
     i = int(np.argmax(miss))     # a NaN counts as the largest
     raise PricingError(
         "density table fails its probe at T=%g: at x=%.6g the table gives "
@@ -809,12 +814,16 @@ def marginal_density_grid(xs, T: float, p: HestonParams,
     scalar gives one value in an array); the table is summed on the
     flattened points in [lo, hi].  With P(x_T < -d-) and P(x_T > d+)
     below e^-45 (:func:`_tail_depths`), its period max(d+ - lo, hi + d-)
-    + 1 keeps every image x + j period, j != 0, beyond d+ or below -d-;
-    an even grid rounds it to M |dx| for one FFT of length M
-    (:func:`_density_evaluator`).  An empty xs gives an empty array of
-    its shape and builds no table.  A non-finite x, or a T that is not
-    finite and positive, raises ValueError, and a table that fails its
-    probe a :class:`PricingError`.
+    + 1 keeps every image x + j period, j != 0, beyond d+ or below -d-.
+    The grid alone picks the sum: an even grid (:func:`_uniform_step`)
+    whose period is at most 2^36 steps rounds it up to M |dx|, M
+    5-smooth, and if M is at most points x table nodes one FFT of length
+    M sums the table (:func:`_fft_sum`); any other grid takes cos/sin
+    phase matrices in bounded blocks (:func:`_phase_matrix_sum`).  The
+    table is :func:`_density_table`'s.  An empty xs gives an empty
+    array of its shape and builds no table.  A non-finite x, or a T that
+    is not finite and positive, raises ValueError, and a table that
+    fails its probe a :class:`PricingError`.
     """
     _require_maturity(T)
     cfg = cfg or QuadratureConfig()
@@ -825,8 +834,15 @@ def marginal_density_grid(xs, T: float, p: HestonParams,
     d_minus, d_plus = _tail_depths(p, T, -_DECAY_FLOOR)
     period = max(d_plus - flat.min(), flat.max() + d_minus) + 1.0
     step = _uniform_step(flat)
-    density, _ = _density_evaluator(T, p, cfg, period, step)
-    return density(flat, step).reshape(xs.shape)
+    size = math.inf
+    if step is not None and period <= 2.0 ** 36 * abs(step):
+        size = _smooth_size(math.ceil(period / abs(step)))
+        period = size * abs(step)
+    kernel, h = _density_table(T, p, cfg, period)
+    dens = (_fft_sum(kernel, h, flat[0], step, flat.size)
+            if size <= flat.size * kernel.size
+            else _phase_matrix_sum(kernel, h, flat))
+    return (dens / _TWO_PI).reshape(xs.shape)
 
 
 def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
@@ -839,7 +855,7 @@ def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
     reads the pricer's strike core on the real line, independent of it
     in the quadrature only: an l-table built as the density grid's,
     ending at its first node below e^-45 and checked at three probes
-    (see :func:`_density_evaluator`); the 30-digit oracle of
+    (see :func:`_density_table`); the 30-digit oracle of
     ``tests/mp_price_oracle.py`` checks both.
 
     The put is one integral of the bounded payoff against that table,
@@ -865,8 +881,7 @@ def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
     :class:`PricingError` naming it, and one above that floor is at
     least 0.  A NaN or infinite rate raises a ValueError.
     """
-    if not math.isfinite(r):
-        raise ValueError("rate r must be finite, got %r" % (r,))
+    _require_rate(r)
     cfg = cfg or QuadratureConfig()
     s0, k, T = opt.s0, opt.strike, opt.maturity
     disc = math.exp(-r * T)
@@ -874,15 +889,15 @@ def price_via_density(opt: VanillaOption, p: HestonParams, r: float,
     d_minus, d_plus = _tail_depths(p, T, math.log1p(3.0 * k / cfg.abs_tol))
     lo = min(x_lo, 0.0) - d_minus - 2.0
     period = max(d_plus - lo, x_lo + d_minus + 2.0) + 1.0
-    _, payoff_strip = _density_evaluator(T, p, cfg, period)
+    kernel, h = _density_table(T, p, cfg, period)
     a = s0 / disc
-    edge = payoff_strip(lo, lo + 2.0, -a, -k)
+    edge = _payoff_strip_sum(kernel, h, lo, lo + 2.0, -a, -k) / _TWO_PI
     bound = 10.0 * max(cfg.abs_tol, 1e-9)
     if not abs(edge) < bound:
         raise PricingError(
             "put payoff integral failed to decay at T=%g: its edge strip "
             "[%.4g, %.4g] adds %.3e, not below %.1e"
             % (T, lo, lo + 2.0, edge, bound))
-    put = disc * payoff_strip(lo, x_lo, -a, -k)
+    put = disc * (_payoff_strip_sum(kernel, h, lo, x_lo, -a, -k) / _TWO_PI)
     return _column_price(put, 0.0, opt, disc, cfg,
                          "price via density at T=%g" % T)

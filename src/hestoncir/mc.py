@@ -33,7 +33,7 @@ import numpy as np
 from .heston import heston_call_price
 from .hybrid import hybrid_call_price
 from .models import CirRateParams, HestonParams, VanillaOption, \
-    _require_int, _require_maturity
+    _require_int, _require_maturity, _require_rate
 from .numerics import QuadratureConfig, RngStream, sample_noncentral_chisq
 
 __all__ = [
@@ -312,9 +312,11 @@ def simulate_heston_terminal(p: HestonParams, mu: float, T: float,
 
     The samples include the drift mu T, so E[exp(x)] = exp(mu T).
     :func:`marginal_density` is the density of x - mu T, the paper's
-    drift-adjusted logreturn x_T.  T must be finite and positive.
+    drift-adjusted logreturn x_T.  T must be finite and positive, and mu
+    finite.
     """
     _require_maturity(T)
+    _require_rate(mu, "mu")
     return np.concatenate(list(_euler_blocks(p, mu, T, mc)))
 
 
@@ -327,8 +329,9 @@ def mc_price_heston_euler(opt: VanillaOption, p: HestonParams, r: float,
     of :func:`simulate_heston_terminal`, and averages discounted
     payoffs.  Antithetic pairs, whose variance and
     orthogonal normals are both mirrored, are averaged before the
-    standard error is formed.
+    standard error is formed.  A NaN or infinite r raises ValueError.
     """
+    _require_rate(r)
     samples = []
     npaths = 0
     for x in _euler_blocks(p, r, opt.maturity, mc):
@@ -349,9 +352,11 @@ def mc_price_bs(opt: VanillaOption, r: float, vol: float,
     :func:`_blocks`), for ln(S_T/S0) = (r - vol^2/2) T + vol sqrt(T) z,
     and the discounted payoffs are averaged; ``mc.steps`` is not read.
     There are no Euler normals to mirror, so ``mc.antithetic`` raises
-    ValueError.
+    ValueError, as does a NaN or infinite r or vol.
     """
     _no_antithetic(mc, "lognormal")
+    _require_rate(r)
+    _require_rate(vol, "vol")
     drift = (r - 0.5 * vol * vol) * opt.maturity
     sd = vol * math.sqrt(opt.maturity)
     pays = [_discounted_payoff(opt, r,

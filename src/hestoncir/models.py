@@ -6,6 +6,8 @@ import math
 import numbers
 from dataclasses import InitVar, dataclass, fields
 
+import numpy as np
+
 __all__ = [
     "HestonParams",
     "CirRateParams",
@@ -15,6 +17,11 @@ __all__ = [
     "feller_check",
     "bs_price",
 ]
+
+# The least positive sigma or sigma_r a record takes: the critical
+# moments grow like 1/sigma^2, to about 1e300 here, and below about
+# 1e-160 pricing fails in its quadrature or divides by zero.
+_MIN_SIGMA = 1e-150
 
 
 def _require_finite(record, names=None):
@@ -32,6 +39,19 @@ def _require_maturity(T):
     """Raise ValueError naming T unless it is finite and positive."""
     if not 0.0 < T < math.inf:
         raise ValueError("T must be finite and positive, got %r" % (T,))
+
+
+def _require_rate(r, name="rate r"):
+    """Raise ValueError naming ``name`` unless the rate ``r`` is finite.
+
+    ``r`` is a number, or an array of rates whose first non-finite entry
+    is named; a number takes one ``math.isfinite``, cheap on every quote.
+    """
+    if isinstance(r, np.ndarray):
+        bad = r[~np.isfinite(r)]
+        r = float(bad.flat[0]) if bad.size else 0.0
+    if not math.isfinite(r):
+        raise ValueError("%s must be finite, got %r" % (name, r))
 
 
 def _require_int(record, names):
@@ -71,13 +91,18 @@ class HestonParams:
             raise ValueError("kappa must be positive")
         if not self.theta > 0:
             raise ValueError("theta must be positive")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not self.sigma >= _MIN_SIGMA:
+            raise ValueError("sigma must be at least %g, got %r"
+                             % (_MIN_SIGMA, self.sigma))
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie strictly inside (-1, 1)")
         if self.v0 < 0:
             raise ValueError("v0 must be nonnegative")
         if lam != 0.0:
+            # a non-finite lam is named by risk_neutral_map
+            if math.isfinite(lam) and self.kappa + lam <= 0:
+                raise ValueError("kappa + lam must be positive, got kappa=%r "
+                                 "and lam=%r" % (self.kappa, lam))
             kappa, theta = risk_neutral_map(self.kappa, self.theta, lam)
             object.__setattr__(self, "kappa", kappa)
             object.__setattr__(self, "theta", theta)
@@ -103,8 +128,9 @@ class CirRateParams:
             raise ValueError("kappa_r must be positive")
         if not self.theta_r > 0:
             raise ValueError("theta_r must be positive")
-        if self.sigma_r < 0:
-            raise ValueError("sigma_r must be nonnegative")
+        if not (self.sigma_r == 0.0 or self.sigma_r >= _MIN_SIGMA):
+            raise ValueError("sigma_r must be 0 or at least %g, got %r"
+                             % (_MIN_SIGMA, self.sigma_r))
         if self.r0 < 0:
             raise ValueError("r0 must be nonnegative")
 
@@ -179,11 +205,10 @@ def bs_price(opt: VanillaOption, r: float, vol: float) -> float:
 
     The put value is obtained from the call through put-call parity.
     """
-    if not math.isfinite(r):
-        raise ValueError("r must be finite, got %r" % (r,))
-    if not 0.0 <= vol < math.inf:
-        raise ValueError("vol must be finite and nonnegative, got %r"
-                         % (vol,))
+    _require_rate(r, "r")
+    _require_rate(vol, "vol")
+    if vol < 0.0:
+        raise ValueError("vol must be nonnegative, got %r" % (vol,))
     s0, k, t = opt.s0, opt.strike, opt.maturity
     disc = math.exp(-r * t)
     if vol * math.sqrt(t) < 1e-14:

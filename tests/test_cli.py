@@ -71,7 +71,9 @@ class TestConfigParsing:
         assert main([command, "--config", path]) == 2
         err = capsys.readouterr().err
         assert "invalid config block 'heston'" in err
-        assert "kappa0 + lam must be positive" in err
+        # it named risk_neutral_map's kappa0 and lam, not the config keys
+        assert ("kappa + lambda must be positive, got kappa=1.0 and "
+                "lambda=-2.0") in err
 
     def test_rate_block_required_for_hybrid_model(self, tmp_path):
         cfg = json.loads(json.dumps(FIG1))
@@ -97,6 +99,15 @@ class TestExitCodes:
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"heston": {"theta": -0.04}})
         assert main(["price", "--config", path]) == 2
+
+    @pytest.mark.parametrize("block, field", [("heston", "sigma"),
+                                              ("rate", "sigma_r")])
+    def test_vol_below_the_floor_exits_2(self, tmp_path, capsys, block,
+                                         field):
+        # pricing used to die in a ZeroDivisionError traceback, exit 1
+        path = write_config(tmp_path, {block: {field: 1e-170}})
+        assert main(["price", "--config", path]) == 2
+        assert "%s must be" % field in capsys.readouterr().err
 
     def test_nan_parameter_exits_2(self, tmp_path, capsys):
         # Python's json reads NaN; the parameter check must reject it

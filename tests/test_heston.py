@@ -10,19 +10,25 @@ from scipy.integrate import quad, trapezoid
 
 from hestoncir import heston
 from hestoncir import (
+    CirRateParams,
     HestonParams,
+    McConfig,
     PricingError,
     QuadratureConfig,
     VanillaOption,
     big_m_of_l,
     big_n_of_l,
     bs_price,
+    cir_bond_price,
     critical_moments,
     heston_call_price,
     heston_price_with_diagnostics,
+    hybrid_call_price,
     integrate_interval,
     marginal_density,
     marginal_density_grid,
+    mc_price_heston_euler,
+    mc_price_hybrid,
     nu_of_l,
     omega_of_l,
     price_integrand,
@@ -130,6 +136,16 @@ class TestKernelFunctions:
                 func(l, 2.0, twin).tobytes()
         assert omega_of_l(0.0, folded) == pytest.approx(3.0 / 2.0,
                                                         abs=1e-15)
+
+    @pytest.mark.parametrize("func", [omega_of_l, nu_of_l])
+    def test_frequencies_stay_finite_at_large_kappa_over_sigma(self, func):
+        # kappa/sigma = 2e154 squared to inf, and they read inf+nanj
+        # while N, M and the price were finite
+        p = HestonParams(mu=0.03, kappa=2e4, theta=0.04, sigma=1e-150,
+                         rho=-0.7, v0=0.04)
+        got = func(np.array([0.0, 0.3, 4.7, 25.0]), p)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, 1e4, rtol=1e-15)
 
     @pytest.mark.parametrize("func", [omega_of_l, nu_of_l])
     def test_conjugate_symmetry(self, fig1_heston, func):
@@ -489,7 +505,7 @@ class TestMarginalDensity:
         def no_work(*args):
             raise AssertionError("an empty grid reached the tail depths")
         monkeypatch.setattr(heston, "_tail_depths", no_work)
-        monkeypatch.setattr(heston, "_density_evaluator", no_work)
+        monkeypatch.setattr(heston, "_density_table", no_work)
         got = marginal_density_grid(np.empty(shape), 1.0, fig1_heston)
         assert isinstance(got, np.ndarray) and got.shape == shape
 
@@ -757,13 +773,15 @@ class TestPayoffStrips:
             self, fig1_heston, T):
         # a period whose images stay off the strips
         period = 2.0 * (10.0 + 12.0 * math.sqrt(0.08 * T) + 1.0)
-        density, strip = heston._density_evaluator(
+        kernel, h = heston._density_table(
             T, fig1_heston, QuadratureConfig(), period)
         a, k = 100.0 * math.exp(0.03 * T), 100.0
         for lo, width in self.STRIPS:
-            got = strip(lo, lo + width, a, k)
+            got = heston._payoff_strip_sum(kernel, h, lo, lo + width, a,
+                                           k) / (2.0 * math.pi)
             res = integrate_interval(
-                lambda xs: (a * np.exp(xs) - k) * density(xs),
+                lambda xs: (a * np.exp(xs) - k)
+                * heston._phase_matrix_sum(kernel, h, xs) / (2.0 * math.pi),
                 lo, lo + width, TIGHT)
             assert res.converged
             assert abs(got - res.value.real) <= 1e-12 * a, (lo, width)
@@ -833,6 +851,15 @@ class TestPriceViaDensitySweep:
 class TestMomentSizing:
     """The put integral's depth and the table's step from the moments."""
 
+    def test_depths_at_zero_mean_variance(self):
+        # theta T underflows: V = 0 puts the Gaussian samples at infinity,
+        # so they are capped at w and the depths are those of w's samples
+        p = HestonParams(mu=0.03, kappa=1.5, theta=5e-324, sigma=0.3,
+                         rho=-0.7, v0=0.0)
+        assert heston._mean_variance(p, 1e-10) == 0.0
+        d_minus, d_plus = heston._tail_depths(p, 1e-10, 45.0)
+        assert 0.0 < d_minus < 1e-9 and 0.0 < d_plus < 1e-9
+
     def test_bench_quote_table_is_small(self, monkeypatch):
         real, sizes = heston._payoff_strip_sum, []
 
@@ -864,12 +891,14 @@ class TestMomentSizing:
         x_lo = math.log(k / opt.s0) - 0.03 * T
         lo = min(x_lo, 0.0) - d_minus - 2.0
         # a table whose images stay off [lo - 40, lo]
-        density, _ = heston._density_evaluator(T, p, cfg,
-                                               2.0 * (d_plus - lo + 40.0))
+        kernel, h = heston._density_table(T, p, cfg,
+                                          2.0 * (d_plus - lo + 40.0))
         a = opt.s0 * math.exp(0.03 * T)
         bound = k * math.exp(-log_odds)
         res = integrate_interval(
-            lambda xs: (k - a * np.exp(xs)) * density(xs), lo - 40.0, lo,
+            lambda xs: (k - a * np.exp(xs))
+            * heston._phase_matrix_sum(kernel, h, xs) / (2.0 * math.pi),
+            lo - 40.0, lo,
             QuadratureConfig(abs_tol=1e-2 * bound, rel_tol=0.0))
         assert res.converged
         assert res.value.real + res.error_estimate < bound
@@ -1089,8 +1118,8 @@ class TestFoldedFFT:
         p = HestonParams(mu=0.03, kappa=0.11966803061195103,
                          theta=0.02763668471683995, sigma=1.5179781404891466,
                          rho=-0.6601583280571415, v0=0.020393727618420298)
-        real, tables = heston._density_evaluator, []
-        monkeypatch.setattr(heston, "_density_evaluator",
+        real, tables = heston._density_table, []
+        monkeypatch.setattr(heston, "_density_table",
                             lambda *a: tables.append(real(*a)) or tables[-1])
         real_fft, sizes = heston._fft_sum, []
 
@@ -1100,9 +1129,9 @@ class TestFoldedFFT:
         monkeypatch.setattr(heston, "_fft_sum", sized)
         xs = np.linspace(-6.0, 3.0, 91)
         fast = marginal_density_grid(xs, 20.86949557100178, p)
-        (size,), ((density, _),) = sizes, tables
+        (size,), ((kernel, h),) = sizes, tables
         assert size & (size - 1) and size == heston._smooth_size(size)
-        slow = density(xs)      # given no step, by the phase matrices
+        slow = heston._phase_matrix_sum(kernel, h, xs) / (2.0 * math.pi)
         assert len(sizes) == 1
         np.testing.assert_allclose(fast, slow, rtol=0,
                                    atol=1e-12 * slow.max())
@@ -1498,3 +1527,51 @@ class TestNearDeterministicLimit:
             assert res.converged and abs(price - bs) <= 1e-4
             slopes.append((price - bs) / sigma)
         assert max(slopes) - min(slopes) <= 1e-2 * abs(slopes[-1]), slopes
+
+    @pytest.mark.parametrize("sigma", [1e-13, 1e-15, 1e-150])
+    def test_density_routes_reach_the_gaussian_limit(self, monkeypatch,
+                                                     sigma):
+        # w grows like 1/sigma^2 while the Chernoff optimum stays near
+        # sqrt(2 L/V): depths from samples of w alone needed a table of
+        # 541,672 nodes for the put at 1e-13, and raised from 1e-14 on
+        p = HestonParams(mu=0.03, kappa=1.5, theta=0.04, sigma=sigma,
+                         rho=-0.7, v0=0.04)
+        tables = _kept_tables(monkeypatch)
+        xs = np.linspace(-1.0, 1.0, 201)
+        grid = marginal_density_grid(xs, 1.0, p)
+        # v0 = theta keeps the variance at theta: x_T ~ N(-theta/2, theta)
+        gauss = np.exp(-(xs + 0.02) ** 2 / 0.08) / math.sqrt(0.08 * math.pi)
+        np.testing.assert_allclose(grid, gauss, rtol=0, atol=1e-9)
+        opt = VanillaOption(100.0, 100.0, 1.0)
+        via = price_via_density(opt, p, 0.03)
+        assert abs(via - heston_call_price(opt, p, 0.03)) <= 1e-12 * via
+        assert max(n for n, _ in tables) < 1000
+
+    def test_every_route_prices_at_the_sigma_floor(self):
+        # sigma = sigma_r = 1e-150, the least the records take: the law
+        # is the Gaussian of the variance's and the rate's ODE paths
+        p = HestonParams(mu=0.03, kappa=1.5, theta=0.04, sigma=1e-150,
+                         rho=-0.7, v0=0.04)
+        rp = CirRateParams(kappa_r=1.0, theta_r=0.03, sigma_r=1e-150,
+                           r0=0.03)
+        opt = VanillaOption(100.0, 100.0, 1.0)
+        bs = bs_price(opt, 0.03, 0.2)
+        assert heston_call_price(opt, p, 0.03) == pytest.approx(bs,
+                                                                rel=1e-12)
+        assert hybrid_call_price(opt, p, rp) == pytest.approx(bs, rel=1e-12)
+        assert cir_bond_price(rp, 1.0) == pytest.approx(math.exp(-0.03),
+                                                        rel=1e-14)
+        assert price_via_density(opt, p, 0.03) == pytest.approx(bs,
+                                                                rel=1e-12)
+        w_minus, w_plus = critical_moments(p, 1.0)
+        assert 1e149 < w_minus < w_plus < math.inf
+        l = np.array([0.0, 1.0, 25.0])
+        # M = N at sigma -> 0: exp(-kappa T/2)/(cosh + sinh) = e^-kappa T
+        for func in (big_n_of_l, big_m_of_l):
+            np.testing.assert_allclose(func(l, 1.0, p), math.exp(-0.75),
+                                       rtol=1e-14)
+        mc = McConfig(4000, 10, 3)
+        est = mc_price_heston_euler(opt, p, 0.03, mc)
+        assert abs(est.mean - bs) < 4.0 * est.std_error
+        assert mc_price_hybrid(opt, p, rp, mc).mean == pytest.approx(
+            bs, rel=1e-12)

@@ -489,6 +489,29 @@ class TestBlackScholesMc:
                         McConfig(100, 1, antithetic=True))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+class TestNonFiniteRates:
+    """Each route used to return a NaN estimate or inf samples."""
+
+    def test_euler_price_names_r(self, fig1_heston, atm_option, bad):
+        with pytest.raises(ValueError, match="^rate r must be finite"):
+            mc_price_heston_euler(atm_option, fig1_heston, bad,
+                                  McConfig(100, 4, 1))
+
+    def test_terminal_samples_name_mu(self, fig1_heston, bad):
+        with pytest.raises(ValueError, match="^mu must be finite"):
+            simulate_heston_terminal(fig1_heston, bad, 1.0,
+                                     McConfig(100, 4, 1))
+
+    @pytest.mark.parametrize("name", ["r", "vol"])
+    def test_lognormal_price_names_r_and_vol(self, atm_option, bad, name):
+        args = {"r": 0.03, "vol": 0.2, name: bad}
+        with pytest.raises(ValueError, match="^(rate )?%s must be finite"
+                                             % name):
+            mc_price_bs(atm_option, args["r"], args["vol"],
+                        McConfig(100, 1, 1))
+
+
 # (Heston parameters, CIR rate, T, K): the mc_verify band, T = 30, and a
 # Feller-violating sigma with |rho| = 0.9
 CURVE_MARKETS = {

@@ -80,9 +80,11 @@ class TestRiskPremiumFold:
 
     @pytest.mark.parametrize("lam", [-1.0, -2.0])
     def test_kappa_plus_premium_must_be_positive(self, lam):
-        # accepted before, and pricing raised a ValueError later
+        # accepted before, and pricing raised a ValueError later; then
+        # the message named risk_neutral_map's kappa0, not the field
         with pytest.raises(ValueError,
-                           match=r"kappa0 \+ lam must be positive"):
+                           match=r"^kappa \+ lam must be positive, got "
+                                 r"kappa=1.0 and lam=%r$" % lam):
             HestonParams(mu=0.03, kappa=1.0, theta=0.04, sigma=0.2,
                          rho=-0.5, v0=0.04, lam=lam)
 
@@ -103,6 +105,17 @@ class TestParameterValidation:
         CirRateParams(kappa_r=1.0, theta_r=0.03, sigma_r=0.0, r0=0.03)
         with pytest.raises(ValueError):
             CirRateParams(kappa_r=1.0, theta_r=0.03, sigma_r=-0.1, r0=0.03)
+
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-170, 5e-324])
+    def test_vols_below_the_floor_name_the_field(self, sigma):
+        # 1e-160 priced to a QuadratureError, 1e-170 to a ZeroDivisionError
+        with pytest.raises(ValueError, match="^sigma must be at least "
+                                             "1e-150, got %r$" % sigma):
+            HestonParams(mu=0.03, kappa=1.0, theta=0.04, sigma=sigma,
+                         rho=-0.5, v0=0.04)
+        with pytest.raises(ValueError, match="^sigma_r must be 0 or at "
+                                             "least 1e-150, got %r$" % sigma):
+            CirRateParams(kappa_r=1.0, theta_r=0.03, sigma_r=sigma, r0=0.03)
 
     def test_option_rejects_bad_values(self):
         with pytest.raises(ValueError):
