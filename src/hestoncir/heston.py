@@ -834,7 +834,7 @@ def marginal_density_grid(xs, T: float, p: HestonParams,
     d_minus, d_plus = _tail_depths(p, T, -_DECAY_FLOOR)
     period = max(d_plus - flat.min(), flat.max() + d_minus) + 1.0
     step = _uniform_step(flat)
-    size = math.inf
+    size = math.inf     # the FFT's length M; inf takes the phase matrices
     if step is not None and period <= 2.0 ** 36 * abs(step):
         size = _smooth_size(math.ceil(period / abs(step)))
         period = size * abs(step)

@@ -19,7 +19,7 @@ __all__ = [
 ]
 
 # The least positive sigma or sigma_r a record takes: the critical
-# moments grow like 1/sigma^2, to about 1e300 here, and below about
+# moments grow like 1/sigma^2, to about 1e300 at the floor, and below about
 # 1e-160 pricing fails in its quadrature or divides by zero.
 _MIN_SIGMA = 1e-150
 
